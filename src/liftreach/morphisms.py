@@ -71,9 +71,8 @@ def _metric_of(phi: SmoothMap, metric):
     return lambda cid, coords: atlas.metric_at(cid, coords)
 
 
-def _right_inverse_apply(phi: SmoothMap, metric, cid, coords, y):
-    """G^-1 J^T (J G^-1 J^T)^-1 y at a raw source representation."""
-    J = phi.raw_jac_at(cid, coords)
+def _right_inverse_apply(J: np.ndarray, metric, cid, coords, y):
+    """G^-1 J^T (J G^-1 J^T)^-1 y at a raw source representation with Jacobian J."""
     if metric is None:
         A = J.T
     else:
@@ -110,7 +109,8 @@ def metric_lift_morphism(phi: SmoothMap, metric=None, proper: bool = False,
         def func(cid, coords):
             tcid, tcoords = phi.raw(cid, coords)
             y = np.asarray(Y.func(tcid, np.asarray(tcoords, float)), float)
-            return _right_inverse_apply(phi, metric, cid, np.asarray(coords, float), y)
+            coords = np.asarray(coords, float)
+            return _right_inverse_apply(phi.raw_jac_at(cid, coords), metric, cid, coords, y)
 
         return VectorField(phi.source, func, name=f"lift({Y.name})")
 
@@ -284,15 +284,17 @@ def verify_global_in_time(m: Morphism, target_sys: GeneratedSystem,
 # kernel frames and augmentation
 
 
+def _kernel_column(J: np.ndarray, metric, cid, coords, j: int) -> np.ndarray:
+    """Column j of the kernel projector, given the Jacobian J at coords."""
+    return np.eye(len(coords))[:, j] - _right_inverse_apply(J, metric, cid, coords, J[:, j])
+
+
 def kernel_projector(phi: SmoothMap, metric, cid, coords) -> np.ndarray:
     """Metric-orthogonal projection onto ker(dPhi) in chart coordinates."""
-    J = phi.raw_jac_at(cid, np.asarray(coords, float))
-    n = phi.source.dim
-    P = np.eye(n)
-    for col in range(n):
-        P[:, col] -= _right_inverse_apply(phi, metric, cid, np.asarray(coords, float),
-                                          J[:, col])
-    return P
+    coords = np.asarray(coords, float)
+    J = phi.raw_jac_at(cid, coords)
+    return np.stack([_kernel_column(J, metric, cid, coords, j)
+                     for j in range(phi.source.dim)], axis=1)
 
 
 def kernel_frame(m: Morphism, mode: str = "chartwise",
@@ -312,19 +314,14 @@ def kernel_frame(m: Morphism, mode: str = "chartwise",
     rank = phi.source.dim - differential_rank(phi, pts[0])
 
     if mode == "chartwise":
-        n = phi.source.dim
-        eye = np.eye(n)
-
         def column(cid, coords, j):
-            J = phi.raw_jac_at(cid, np.asarray(coords, float))
-            return eye[:, j] - _right_inverse_apply(phi, metric, cid,
-                                                    np.asarray(coords, float),
-                                                    J[:, j])
+            coords = np.asarray(coords, float)
+            return _kernel_column(phi.raw_jac_at(cid, coords), metric, cid, coords, j)
 
         fields = tuple(
             VectorField(phi.source, lambda cid, coords, j=j: column(cid, coords, j),
                         name=f"ker-frame-{j}")
-            for j in range(n)
+            for j in range(phi.source.dim)
         )
     elif mode == "global":
         fields = tuple(generators or ())

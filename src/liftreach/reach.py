@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -149,6 +151,70 @@ def _flow_fields(sys: GeneratedSystem) -> list:
     return flows
 
 
+class _Outcome(NamedTuple):
+    """Hits of every flow integrated for one dwell from one representative.
+
+    times are relative to the start of the dwell. ends closes one slice per
+    integrated flow, in flow order; within a slice the hits keep their
+    order and their times never decrease, so a horizon cut is a per-flow
+    break. Only hits that can insert an arrival are kept: none on the
+    expanding cell, and none on a cell already listed with an earlier or
+    equal time. points holds the hit point of kept entries whose cell
+    centre is not canonical.
+    """
+
+    times: array
+    cells: tuple
+    ends: tuple
+    points: dict
+
+
+class _GridMemo:
+    """What reach shares between calls on one system and one grid."""
+
+    def __init__(self, g: Grid):
+        self.grid = g
+        self.total = len(g.all_valid_cells())
+        self.cells: dict = {}     # cell -> (interned cell, canonical centre or None)
+        self.outcomes: dict = {}  # (dwell, substeps) -> {cell: _Outcome}
+
+    def cell(self, key: CellKey) -> tuple:
+        """The interned key of a cell and its centre, None unless canonical."""
+        entry = self.cells.get(key)
+        if entry is None:
+            center = self.grid.center_point(key)
+            if center is not None and self.grid.cell_of(center) != key:
+                center = None
+            entry = self.cells[key] = (key, center)
+        return entry
+
+
+def _expand(atlas: Atlas, flows: list, memo: _GridMemo, key: CellKey, rep: Point,
+            dwell: float, h: float) -> _Outcome:
+    """Integrate every flow for one dwell from rep, the representative of key."""
+    times, cells, ends, points = array("d"), [], [], {}
+    first = {key: -math.inf}  # earliest listed time per cell
+    for func in flows:
+        if float(np.max(np.abs(func(rep.chart_id, rep.coords)))) < 1e-13:
+            continue  # exact RK4 fixed point: the flow never moves
+        hits = []
+        try:
+            flow_field(atlas, func, rep, dwell, h,
+                       record=lambda t, p: hits.append((t, p)))
+        except Escape:
+            pass  # escaping flows contribute whatever cells they touched
+        for t, p in hits:
+            cell, center = memo.cell(memo.grid.cell_of(p))
+            if t < first.get(cell, math.inf):
+                first[cell] = t
+                if center is None:
+                    points[len(times)] = p
+                times.append(t)
+                cells.append(cell)
+        ends.append(len(times))
+    return _Outcome(times, tuple(cells), tuple(ends), points)
+
+
 def reach(sys: GeneratedSystem, start: Point, grid: int, dwell: float,
           horizon: float, substeps: int = 10) -> ReachReport:
     """Breadth-first cell exploration under dwell-time flows.
@@ -156,17 +222,26 @@ def reach(sys: GeneratedSystem, start: Point, grid: int, dwell: float,
     From each frontier cell's representative point every flow field is
     integrated for the dwell time; every cell touched along the way within
     the horizon is marked with its first arrival time and queued.
+
+    A cell other than the start cell is represented by its centre when the
+    centre is canonical, so its expansion depends only on (grid, dwell,
+    substeps, cell). Those expansions are kept on the system and replayed
+    by every later call, which gives exactly the arrivals of a fresh
+    integration.
     """
     if dwell <= 0:
         raise ValueError("dwell must be positive")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    g = Grid(sys.atlas, grid)
+    memo = sys._memo.get(grid)
+    if memo is None:
+        memo = sys._memo[grid] = _GridMemo(Grid(sys.atlas, grid))
+    outcomes = memo.outcomes.setdefault((dwell, substeps), {})
     flows = _flow_fields(sys)
     h = dwell / substeps
     eps = 1e-12
 
-    start_key = g.cell_of(start)
+    start_key = memo.grid.cell_of(start)
     arrivals = {start_key: 0.0}
     reps = {start_key: start}
     queue = deque([start_key])
@@ -177,29 +252,29 @@ def reach(sys: GeneratedSystem, start: Point, grid: int, dwell: float,
         if t0 >= horizon - eps:
             continue
         rep = reps[key]
-        for func in flows:
-            if float(np.max(np.abs(func(rep.chart_id, rep.coords)))) < 1e-13:
-                continue  # exact RK4 fixed point: the flow never moves
-            hits = []
-            try:
-                flow_field(sys.atlas, func, rep, dwell, h,
-                           record=lambda t, p: hits.append((t, p)))
-            except Escape:
-                pass  # escaping flows contribute whatever cells they touched
-            for t, p in hits:
-                arrival = t0 + t
+        shared = key != start_key and memo.cell(key)[1] is not None
+        outcome = outcomes.get(key) if shared else None
+        if outcome is None:
+            outcome = _expand(sys.atlas, flows, memo, key, rep, dwell, h)
+            if shared:
+                outcomes[key] = outcome
+        times, cells, points = outcome.times, outcome.cells, outcome.points
+        lo = 0
+        for hi in outcome.ends:
+            for i in range(lo, hi):
+                arrival = t0 + times[i]
                 if arrival > horizon + eps:
                     break
-                cell = g.cell_of(p)
+                cell = cells[i]
                 if cell not in arrivals:
                     arrivals[cell] = arrival
-                    center = g.center_point(cell)
-                    reps[cell] = center if (center is not None and g.cell_of(center) == cell) else p
+                    center = memo.cells[cell][1]
+                    reps[cell] = center if center is not None else points[i]
                     queue.append(cell)
+            lo = hi
 
-    total = len(g.all_valid_cells())
     return ReachReport(start=start, grid=grid, horizon=horizon, dwell=dwell,
-                       arrivals=arrivals, total_cells=total)
+                       arrivals=arrivals, total_cells=memo.total)
 
 
 def is_reachability_set(sys: GeneratedSystem, points: Sequence[Point], dwell: float,

@@ -7,7 +7,7 @@ coefficients by schedule selectors (optionally on top of a base drift).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,6 +44,8 @@ class GeneratedSystem:
     kernel_fields: tuple[VectorField, ...] = ()
     kernel_base: Optional[VectorField] = None
     label: str = ""
+    # reach's per-grid dwell-flow outcomes; lives and dies with this object
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def resolve(self, selector) -> VectorField:
         """Map a schedule selector to the vector field it integrates."""

@@ -105,8 +105,9 @@ def test_non_submersion_is_rejected():
     )
     # rank drops only on the line x = 0, so random sampling may miss it;
     # probe the singular fiber directly through the Gram factor
+    x = np.array([0.0, 0.3])
     with pytest.raises(SingularGram):
-        _right_inverse_apply(cube, None, "c0", np.array([0.0, 0.3]), np.array([1.0]))
+        _right_inverse_apply(cube.raw_jac_at("c0", x), None, "c0", x, np.array([1.0]))
     collapse = SmoothMap(
         source=plane, target=line,
         raw=lambda cid, c: ("c0", np.array([0.0])),

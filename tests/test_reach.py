@@ -1,13 +1,17 @@
 """Grid cells, BFS reachability, reachability sets, and the STLC probe."""
 
 import csv
+import importlib
+from collections import deque
 
 import numpy as np
 import pytest
 
-from liftreach.geometry import VectorField, box_atlas, circle_atlas, mobius_atlas
-from liftreach.reach import Grid, is_reachability_set, reach, stlc_probe
-from liftreach.systems import GeneratedSystem
+from liftreach.errors import Escape
+from liftreach.geometry import (VectorField, box_atlas, circle_atlas, mobius_atlas,
+                                union_atlas)
+from liftreach.reach import Grid, _flow_fields, is_reachability_set, reach, stlc_probe
+from liftreach.systems import GeneratedSystem, flow_field
 
 
 def _plane_system(fields):
@@ -33,8 +37,6 @@ def test_grid_cell_of_and_center():
 
 def test_grid_counts_each_point_once_on_overlaps():
     """Overlapping union boxes must not double count shared cells."""
-    from liftreach.geometry import union_atlas
-
     atlas = union_atlas({"a": [[-1, 0.5]], "b": [[-0.5, 1]]})
     g = Grid(atlas, 10)
     cells = g.all_valid_cells()
@@ -158,3 +160,152 @@ def test_report_summary_fields():
     assert set(s) == {"coverage", "visited_cells", "total_cells", "horizon",
                       "dwell", "grid"}
     assert s["total_cells"] == 25
+
+
+# -- expansions shared between reach calls on one system ----------------------
+#
+# A warm system must give exactly the arrivals of a freshly built one and of
+# the plain BFS below, which integrates every expansion: same cells, same
+# floats, same insertion order. The flow counter shows that the warm call
+# really replayed stored expansions instead of integrating again.
+
+SWIRL = (
+    lambda cid, c: np.array([-c[1], c[0]]),  # fixed point at the grid-9 centre cell
+    lambda cid, c: np.array([1.0, 0.5 * np.sin(3.0 * c[0])]),
+    lambda cid, c: np.array([-0.7, -0.4 * c[0] - 0.2]),
+)
+
+
+def _reference_arrivals(sys, start, grid, dwell, horizon, substeps=10):
+    """Grid BFS that integrates every expansion afresh, with no sharing."""
+    g = Grid(sys.atlas, grid)
+    h, eps = dwell / substeps, 1e-12
+    start_key = g.cell_of(start)
+    arrivals, reps, queue = {start_key: 0.0}, {start_key: start}, deque([start_key])
+    while queue:
+        key = queue.popleft()
+        t0 = arrivals[key]
+        if t0 >= horizon - eps:
+            continue
+        rep = reps[key]
+        for func in _flow_fields(sys):
+            if float(np.max(np.abs(func(rep.chart_id, rep.coords)))) < 1e-13:
+                continue
+            hits = []
+            try:
+                flow_field(sys.atlas, func, rep, dwell, h,
+                           record=lambda t, p: hits.append((t, p)))
+            except Escape:
+                pass
+            for t, p in hits:
+                if t0 + t > horizon + eps:
+                    break
+                cell = g.cell_of(p)
+                if cell not in arrivals:
+                    arrivals[cell] = t0 + t
+                    center = g.center_point(cell)
+                    canonical = center is not None and g.cell_of(center) == cell
+                    reps[cell] = center if canonical else p
+                    queue.append(cell)
+    return arrivals
+
+
+@pytest.fixture
+def flow_calls(monkeypatch):
+    # the package's `reach` attribute is the function, so fetch the module
+    reach_module = importlib.import_module("liftreach.reach")
+    calls = []
+    real = reach_module.flow_field
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reach_module, "flow_field", counting)
+    return calls
+
+
+def _warm_and_cold(make_sys, warmup, start, kw, flow_calls):
+    """Flow counts of one reach call on a warmed system and on a fresh one.
+
+    Both must give exactly the reference arrivals.
+    """
+    sys = make_sys()
+    warmup(sys)
+    before = len(flow_calls)
+    warm = reach(sys, start(sys), **kw)
+    warm_flows = len(flow_calls) - before
+    fresh = make_sys()
+    before = len(flow_calls)
+    cold = reach(fresh, start(fresh), **kw)
+    cold_flows = len(flow_calls) - before
+    expected = list(_reference_arrivals(fresh, start(fresh), **kw).items())
+    assert list(cold.arrivals.items()) == expected
+    assert list(warm.arrivals.items()) == expected
+    assert warm.total_cells == cold.total_cells
+    return warm_flows, cold_flows
+
+
+def _at(*coords):
+    return lambda sys: sys.atlas.normalize(sys.atlas.charts[0].chart_id, list(coords))
+
+
+def _swirl():
+    return _plane_system(SWIRL)
+
+
+def test_memo_second_start_matches_cold_run(flow_calls):
+    kw = dict(grid=9, dwell=0.3, horizon=2.5)
+    warm, cold = _warm_and_cold(
+        _swirl, lambda s: reach(s, _at(-0.6, -0.2)(s), **kw), _at(0.35, 0.55), kw,
+        flow_calls)
+    assert warm < cold
+
+
+def test_memo_truncates_stored_expansions_at_each_horizon(flow_calls):
+    long_kw = dict(grid=9, dwell=0.3, horizon=4.0)
+    for horizon in (0.45, 0.9, 1.3):
+        warm, cold = _warm_and_cold(
+            _swirl, lambda s: reach(s, _at(-0.6, -0.2)(s), **long_kw), _at(0.35, 0.55),
+            dict(grid=9, dwell=0.3, horizon=horizon), flow_calls)
+        assert warm < cold
+    # a long horizon after a short one
+    warm, cold = _warm_and_cold(
+        _swirl, lambda s: reach(s, _at(-0.6, -0.2)(s), grid=9, dwell=0.3, horizon=0.6),
+        _at(0.35, 0.55), long_kw, flow_calls)
+    assert warm < cold
+
+
+def test_memo_keeps_dwells_and_substeps_apart(flow_calls):
+    start = _at(-0.6, -0.2)
+    settings = [dict(grid=9, dwell=0.3, horizon=2.0),
+                dict(grid=9, dwell=0.2, horizon=2.0),
+                dict(grid=9, dwell=0.3, horizon=2.0, substeps=4)]
+    for kw in settings:
+        def warmup(s, others=[other for other in settings if other is not kw]):
+            for other in others:
+                reach(s, start(s), **other)
+        warm, cold = _warm_and_cold(_swirl, warmup, start, kw, flow_calls)
+        assert warm == cold  # nothing stored under another setting is replayed
+
+
+def test_memo_replays_hit_points_of_non_canonical_cells(flow_calls):
+    """A cell of chart b whose centre normalizes into chart a keeps its hit point.
+
+    Starting off-centre in the last cell of a enters that b cell at another
+    point than the warm-up did, so its expansion must not be shared.
+    """
+    def make():
+        atlas = union_atlas({"a": [[-1, 0.5]], "b": [[-0.5, 1]]})
+        fields = (lambda cid, c: np.array([0.5 + c[0] ** 2]),
+                  lambda cid, c: np.array([-0.8]))
+        return GeneratedSystem(atlas, tuple(VectorField(atlas, f) for f in fields))
+
+    kw = dict(grid=10, dwell=0.3, horizon=2.0, substeps=6)
+    warm, cold = _warm_and_cold(make, lambda s: reach(s, _at(0.0)(s), **kw), _at(0.44),
+                                kw, flow_calls)
+    assert warm < cold
+    sys = make()
+    rep = reach(sys, _at(0.44)(sys), **kw)
+    g = Grid(sys.atlas, 10)
+    assert any(not g.is_valid(cell) for cell in rep.arrivals)
