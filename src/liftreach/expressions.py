@@ -2,11 +2,18 @@
 
 Supports literals, + - * /, powers, unary minus, the functions sin, cos,
 exp, sqrt, abs, the constant pi, and variables bound to chart coordinates.
+
+Compiled expressions are array-native: a coordinate vector of shape (d,)
+gives one value, rows of shape (N, d) give N values, and constants are
+broadcast. Literals are floats and powers go through np.power, so both
+forms agree bit for bit and no literal ever runs in Python integer
+arithmetic (a tower such as 9**9**9 overflows to inf at once).
 """
 
 from __future__ import annotations
 
 import ast
+import keyword
 import math
 
 import numpy as np
@@ -39,32 +46,69 @@ def _validate(tree: ast.AST, variables: set[str], text: str):
                 raise ParseError(f"unknown name {node.id!r} in {text!r}")
 
 
-def compile_expr(text: str, variables):
-    """Compile one expression to a callable taking a coordinate vector."""
-    variables = list(variables)
+def _float_arithmetic(node: ast.AST) -> ast.AST:
+    """Float literals, and a ** b as the ufunc np.power(a, b), over a validated tree."""
+    if isinstance(node, ast.Constant):
+        return ast.copy_location(ast.Constant(float(node.value)), node)
+    if isinstance(node, ast.BinOp):
+        node.left, node.right = _float_arithmetic(node.left), _float_arithmetic(node.right)
+        if isinstance(node.op, ast.Pow):
+            pow_ = ast.copy_location(ast.Name("_pow", ast.Load()), node)
+            return ast.copy_location(ast.Call(pow_, [node.left, node.right], []), node)
+    elif isinstance(node, ast.UnaryOp):
+        node.operand = _float_arithmetic(node.operand)
+    elif isinstance(node, ast.Call):
+        node.args = [_float_arithmetic(arg) for arg in node.args]
+    return node
+
+
+def _compile(text: str, variables: list):
+    """The expression as a function of one positional argument per variable."""
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ParseError(f"cannot parse {text!r}: {exc.msg}") from exc
     _validate(tree, set(variables), text)
+    bad = [v for v in variables if not v.isidentifier() or keyword.iskeyword(v)]
+    if bad:
+        raise ParseError(f"variable name {bad[0]!r} is not an identifier")
+    # with no variables, any coordinates are accepted and ignored
+    lam = ast.parse(f"lambda {', '.join(variables) or '*_'}: 0", mode="eval")
+    lam.body.body = _float_arithmetic(tree.body)
     env = dict(_FUNCS)
     env.update(_CONSTS)
+    env["_pow"] = np.power
     env["__builtins__"] = {}
-    args = ", ".join(variables) if variables else "_"
-    fn = eval(compile(ast.parse(f"lambda {args}: ({text})", mode="eval"),
-                      "<expr>", "eval"), env)
+    return eval(compile(lam, "<expr>", "eval"), env)
+
+
+def compile_expr(text: str, variables):
+    """Compile one expression to a callable taking (d,) or (N, d) coordinates."""
+    fn = _compile(text, list(variables))
 
     def call(coords):
-        return float(fn(*coords)) if variables else float(fn(0.0))
+        X = np.asarray(coords, dtype=float)
+        if X.ndim == 1:
+            return float(fn(*X))
+        out = np.empty(X.shape[:-1])
+        out[...] = fn(*X.T)
+        return out
 
     return call
 
 
 def compile_vector(texts, variables):
-    """Compile a list of expressions into coords -> ndarray."""
-    fns = [compile_expr(t, variables) for t in texts]
+    """Compile a list of expressions into coords (d,) -> (k,) or (N, d) -> (N, k)."""
+    variables = list(variables)
+    fns = [_compile(t, variables) for t in texts]
 
     def call(coords):
-        return np.array([f(coords) for f in fns])
+        X = np.asarray(coords, dtype=float)
+        if X.ndim == 1:
+            return np.array([fn(*X) for fn in fns], dtype=float)
+        out = np.empty(X.shape[:-1] + (len(fns),))
+        for j, fn in enumerate(fns):
+            out[..., j] = fn(*X.T)
+        return out
 
     return call

@@ -4,12 +4,17 @@ A manifold is a finite atlas of open boxes together with a normalization
 map that folds raw chart coordinates onto a canonical representative.
 Quotient gluings (periodic wrap, wrap-with-flip) live entirely inside the
 normalization map, which makes point equality and grid hashing decidable.
+
+Batched work uses rows: coordinates of shape (N, d), one point per row.
+Every atlas normalizes rows in one pass, and vector fields
+flagged `batched` evaluate rows in one call; both agree bit for bit with
+their pointwise forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +51,12 @@ class Chart:
                     return False
         return True
 
+    def contains_rows(self, X: np.ndarray) -> np.ndarray:
+        """contains() for each row of X (N, dim)."""
+        lo, hi = self.box[:, 0], self.box[:, 1]
+        above = np.where(self.wrap, lo <= X, lo < X)
+        return np.all(above & (X < hi), axis=1)
+
 
 @dataclass(frozen=True)
 class Point:
@@ -55,6 +66,14 @@ class Point:
     def __repr__(self):
         vals = ", ".join(f"{c:.6g}" for c in self.coords)
         return f"Point({self.chart_id}; {vals})"
+
+
+class Points(NamedTuple):
+    """Rows of points: an index into atlas.charts per row (-1 for a row
+    outside the atlas) and the coordinates, shape (N, dim)."""
+
+    charts: np.ndarray
+    coords: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -71,13 +90,18 @@ class Atlas:
     representation, or None when the raw point is outside the atlas.
     normalize_jacobian is the Jacobian of that map at the raw point.
     aliases returns non-canonical raw representations of a canonical point
-    (used for overlap-compatibility checks).
+    (used for overlap-compatibility checks). normalize_rows and
+    jacobian_rows are the first two maps over rows (N, dim) of one raw
+    chart: normalize_rows returns (chart indices, coords) as in Points,
+    jacobian_rows the (N, dim, dim) Jacobians.
     """
 
     dim: int
     charts: tuple[Chart, ...]
     normalize_raw: Callable[[str, np.ndarray], Optional[Raw]]
     normalize_jacobian: Callable[[str, np.ndarray], np.ndarray]
+    normalize_rows: Callable[[str, np.ndarray], tuple]
+    jacobian_rows: Callable[[str, np.ndarray], np.ndarray]
     metric_fn: Optional[Callable[[str, np.ndarray], np.ndarray]] = None
     aliases_fn: Optional[Callable[[str, np.ndarray], list[Raw]]] = None
     coord_names: tuple[str, ...] = ()
@@ -88,6 +112,21 @@ class Atlas:
             if c.chart_id == chart_id:
                 return c
         raise KeyError(chart_id)
+
+    def chart_index(self, chart_id: str) -> int:
+        for i, c in enumerate(self.charts):
+            if c.chart_id == chart_id:
+                return i
+        raise KeyError(chart_id)
+
+    def normalize_many(self, chart_id: str, X) -> Points:
+        """Canonical rows for raw rows X (N, dim) of one chart; rows outside
+        the atlas get chart index -1."""
+        return Points(*self.normalize_rows(chart_id, np.asarray(X, dtype=float)))
+
+    def transition_jacobians(self, chart_id: str, X) -> np.ndarray:
+        """transition_jacobian for each row of X (N, dim)."""
+        return self.jacobian_rows(chart_id, np.asarray(X, dtype=float))
 
     def normalize(self, chart_id: str, coords) -> Point:
         coords = np.asarray(coords, dtype=float)
@@ -166,6 +205,10 @@ def box_atlas(box, coord_names=None, metric_fn=None, name="box") -> Atlas:
             return None
         return ("c0", coords)
 
+    def norm_rows(cid, X):
+        inside = chart.contains_rows(X) if cid == "c0" else np.zeros(len(X), bool)
+        return np.where(inside, 0, -1), X
+
     return Atlas(
         dim=dim,
         charts=(chart,),
@@ -174,6 +217,8 @@ def box_atlas(box, coord_names=None, metric_fn=None, name="box") -> Atlas:
         metric_fn=metric_fn,
         coord_names=tuple(coord_names) if coord_names else _default_names(dim),
         name=name,
+        normalize_rows=norm_rows,
+        jacobian_rows=_identity_rows(dim),
     )
 
 
@@ -198,6 +243,8 @@ def circle_atlas(period: float = 2 * np.pi, coord_name="theta", name="circle") -
         aliases_fn=aliases,
         coord_names=(coord_name,),
         name=name,
+        normalize_rows=lambda cid, X: (np.zeros(len(X), int), X % period),
+        jacobian_rows=_identity_rows(1),
     )
 
 
@@ -226,6 +273,8 @@ def torus_atlas(periods=(2 * np.pi, 2 * np.pi), coord_names=("theta", "phi"), na
         aliases_fn=aliases,
         coord_names=tuple(coord_names),
         name=name,
+        normalize_rows=lambda cid, X: (np.zeros(len(X), int), np.mod(X, periods)),
+        jacobian_rows=_identity_rows(dim),
     )
 
 
@@ -251,6 +300,18 @@ def mobius_atlas(name="mobius") -> Atlas:
         k = int(np.floor(coords[0]))
         return np.diag([1.0, -1.0 if k % 2 != 0 else 1.0])
 
+    def norm_rows(cid, X):
+        k = np.floor(X[:, 0])
+        y = np.where(np.mod(k, 2.0) != 0, 1.0 - X[:, 1], X[:, 1])
+        inside = (0.0 < y) & (y < 1.0)
+        return np.where(inside, 0, -1), np.stack([X[:, 0] - k, y], axis=1)
+
+    def jac_rows(cid, X):
+        out = np.zeros((len(X), 2, 2))
+        out[:, 0, 0] = 1.0
+        out[:, 1, 1] = np.where(np.mod(np.floor(X[:, 0]), 2.0) != 0, -1.0, 1.0)
+        return out
+
     def aliases(cid, coords):
         x, y = coords
         return [("c0", np.array([x + 1.0, 1.0 - y])), ("c0", np.array([x - 1.0, 1.0 - y]))]
@@ -263,6 +324,8 @@ def mobius_atlas(name="mobius") -> Atlas:
         aliases_fn=aliases,
         coord_names=("x", "y"),
         name=name,
+        normalize_rows=norm_rows,
+        jacobian_rows=jac_rows,
     )
 
 
@@ -285,6 +348,12 @@ def union_atlas(charts: dict[str, Sequence], coord_names=None, name="union") -> 
                 return (chart.chart_id, coords)
         return None
 
+    def norm_rows(cid, X):
+        charts = np.full(len(X), -1)
+        for i in reversed(range(len(items))):  # the first containing chart wins
+            charts[items[i].contains_rows(X)] = i
+        return charts, X
+
     def aliases(cid, coords):
         return [
             (chart.chart_id, coords)
@@ -300,7 +369,13 @@ def union_atlas(charts: dict[str, Sequence], coord_names=None, name="union") -> 
         aliases_fn=aliases,
         coord_names=tuple(coord_names) if coord_names else _default_names(dim),
         name=name,
+        normalize_rows=norm_rows,
+        jacobian_rows=_identity_rows(dim),
     )
+
+
+def _identity_rows(dim: int):
+    return lambda cid, X: np.broadcast_to(np.eye(dim), (len(X), dim, dim))
 
 
 def _default_names(dim: int) -> tuple[str, ...]:
@@ -314,16 +389,20 @@ def _default_names(dim: int) -> tuple[str, ...]:
 
 
 def finite_difference_jacobian(func, coords: np.ndarray, out_dim: int) -> np.ndarray:
-    """Central finite differences with step scaled by coordinate magnitude."""
-    n = len(coords)
-    J = np.empty((out_dim, n))
+    """Central finite differences with step scaled by coordinate magnitude.
+
+    coords (n,) gives (out_dim, n); rows (N, n) give (N, out_dim, n) when
+    func maps rows to rows.
+    """
+    n = coords.shape[-1]
+    J = np.empty(coords.shape[:-1] + (out_dim, n))
     for j in range(n):
-        h = FD_STEP * max(1.0, abs(coords[j]))
+        h = FD_STEP * np.maximum(1.0, np.abs(coords[..., j]))
         up = coords.copy()
         dn = coords.copy()
-        up[j] += h
-        dn[j] -= h
-        J[:, j] = (func(up) - func(dn)) / (2 * h)
+        up[..., j] += h
+        dn[..., j] -= h
+        J[..., j] = (func(up) - func(dn)) / (2 * h)[..., None]
     return J
 
 
@@ -334,6 +413,9 @@ class SmoothMap:
     raw maps (chart_id, coords) to a raw target representation and must be
     continuous in coords on the chart's extended domain; value() normalizes
     the output. raw_jacobian, when given, is the analytic Jacobian of raw.
+    batched marks a map whose raw and raw_jacobian also take rows (N, n):
+    raw then returns one raw chart id and rows (N, m), raw_jacobian
+    (N, m, n).
     """
 
     source: Atlas
@@ -341,6 +423,7 @@ class SmoothMap:
     raw: Callable[[str, np.ndarray], Raw]
     raw_jacobian: Optional[Callable[[str, np.ndarray], np.ndarray]] = None
     name: str = ""
+    batched: bool = False
 
     @property
     def analytic(self) -> bool:
@@ -413,11 +496,24 @@ def differential_rank(f: SmoothMap, p: Point) -> int:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Chart-wise vector field; func must accept raw (extended-domain) coords."""
+    """Chart-wise vector field; func must accept raw (extended-domain) coords.
+
+    batched marks an array-native func: it maps rows (N, d) to (N, d) with
+    each row equal, bit for bit, to its value at that row alone. values()
+    evaluates any field on rows, calling a pointwise func row by row.
+    """
 
     atlas: Atlas
     func: Callable[[str, np.ndarray], np.ndarray]
     name: str = ""
+    batched: bool = False
+
+    def values(self, chart_id: str, X) -> np.ndarray:
+        """The field at coords (d,) or at rows (N, d)."""
+        X = np.asarray(X, dtype=float)
+        if self.batched or X.ndim == 1:
+            return np.asarray(self.func(chart_id, X), dtype=float)
+        return np.array([self.func(chart_id, x) for x in X], dtype=float).reshape(X.shape)
 
     def at(self, p: Point) -> np.ndarray:
         return np.asarray(self.func(p.chart_id, p.coords), dtype=float)
@@ -436,18 +532,18 @@ def constant_field(atlas: Atlas, components, name="") -> VectorField:
 
 
 def combine_fields(fields: Sequence[VectorField], coeffs, name="") -> VectorField:
-    """Pointwise linear combination sum_i coeffs[i] * fields[i]."""
+    """Pointwise linear combination sum_i coeffs[i] * fields[i] (array-native)."""
     coeffs = np.asarray(coeffs, dtype=float)
     atlas = fields[0].atlas
 
     def func(cid, coords):
-        out = np.zeros(atlas.dim)
+        out = np.zeros(np.shape(coords))
         for c, f in zip(coeffs, fields):
             if c != 0.0:
-                out = out + c * np.asarray(f.func(cid, coords), float)
+                out = out + c * f.values(cid, coords)
         return out
 
-    return VectorField(atlas, func, name=name)
+    return VectorField(atlas, func, name=name, batched=True)
 
 
 def overlap_residual(field: VectorField, points: Sequence[Point]) -> float:

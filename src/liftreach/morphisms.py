@@ -71,23 +71,39 @@ def _metric_of(phi: SmoothMap, metric):
     return lambda cid, coords: atlas.metric_at(cid, coords)
 
 
-def _right_inverse_apply(J: np.ndarray, metric, cid, coords, y):
-    """G^-1 J^T (J G^-1 J^T)^-1 y at a raw source representation with Jacobian J."""
+def _right_inverse(J: np.ndarray, metric, cid, coords):
+    """A = G^-1 J^T and the Gram matrix W = J A, stacked over rows.
+
+    J is (m, n) at coords (n,), or (N, m, n) at rows (N, n); a metric,
+    when given, is evaluated at each row. Raises SingularGram naming the
+    first row where W is not numerically positive definite (the first row
+    of the stack when the factorization fails outright).
+    """
+    Jt = np.swapaxes(J, -1, -2)
     if metric is None:
-        A = J.T
+        A = Jt
     else:
-        G = np.asarray(metric(cid, coords), dtype=float)
-        A = np.linalg.solve(G, J.T)
+        G = (np.asarray(metric(cid, coords), dtype=float) if np.ndim(coords) == 1
+             else np.array([metric(cid, x) for x in coords], dtype=float))
+        A = np.linalg.solve(G, Jt)
     W = J @ A
     # W is positive definite exactly when dPhi has full rank here
     try:
-        L = np.linalg.cholesky(W)
+        d = np.diagonal(np.linalg.cholesky(W), axis1=-2, axis2=-1)
     except np.linalg.LinAlgError:
-        raise SingularGram(f"J G^-1 J^T is numerically singular at ({cid}, {coords})")
-    d = np.diagonal(L)
-    if d.min() <= 1e-6 * max(d.max(), 1.0):
-        raise SingularGram(f"J G^-1 J^T is numerically singular at ({cid}, {coords})")
-    return A @ np.linalg.solve(W, y)
+        d = np.zeros(W.shape[:-1])
+    bad = d.min(axis=-1) <= 1e-6 * np.maximum(d.max(axis=-1), 1.0)
+    if np.any(bad):
+        at = np.reshape(coords, (-1, np.shape(coords)[-1]))[np.argmax(bad)]
+        raise SingularGram(f"J G^-1 J^T is numerically singular at ({cid}, {at})")
+    return A, W
+
+
+def _right_inverse_apply(J: np.ndarray, metric, cid, coords, y):
+    """G^-1 J^T (J G^-1 J^T)^-1 y at coords (n,) or rows (N, n) with Jacobians J."""
+    A, W = _right_inverse(J, metric, cid, coords)
+    z = np.linalg.solve(W, np.asarray(y, dtype=float)[..., None])
+    return (A @ z)[..., 0]
 
 
 def check_submersion(phi: SmoothMap, samples: int = 50, seed: int = 0):
@@ -107,12 +123,13 @@ def metric_lift_morphism(phi: SmoothMap, metric=None, proper: bool = False,
 
     def lift_rule(Y: VectorField) -> VectorField:
         def func(cid, coords):
-            tcid, tcoords = phi.raw(cid, coords)
-            y = np.asarray(Y.func(tcid, np.asarray(tcoords, float)), float)
             coords = np.asarray(coords, float)
+            tcid, tcoords = phi.raw(cid, coords)
+            y = Y.values(tcid, tcoords)
             return _right_inverse_apply(phi.raw_jac_at(cid, coords), metric, cid, coords, y)
 
-        return VectorField(phi.source, func, name=f"lift({Y.name})")
+        return VectorField(phi.source, func, name=f"lift({Y.name})",
+                           batched=phi.batched)
 
     return Morphism(phi=phi, lift_rule=lift_rule, kind="metric-right-inverse",
                     proper_flag=proper)
@@ -284,17 +301,13 @@ def verify_global_in_time(m: Morphism, target_sys: GeneratedSystem,
 # kernel frames and augmentation
 
 
-def _kernel_column(J: np.ndarray, metric, cid, coords, j: int) -> np.ndarray:
-    """Column j of the kernel projector, given the Jacobian J at coords."""
-    return np.eye(len(coords))[:, j] - _right_inverse_apply(J, metric, cid, coords, J[:, j])
-
-
 def kernel_projector(phi: SmoothMap, metric, cid, coords) -> np.ndarray:
-    """Metric-orthogonal projection onto ker(dPhi) in chart coordinates."""
+    """Metric-orthogonal projection I - A W^-1 J onto ker(dPhi) in chart
+    coordinates: (n, n) at coords (n,), or (N, n, n) at rows (N, n)."""
     coords = np.asarray(coords, float)
     J = phi.raw_jac_at(cid, coords)
-    return np.stack([_kernel_column(J, metric, cid, coords, j)
-                     for j in range(phi.source.dim)], axis=1)
+    A, W = _right_inverse(J, metric, cid, coords)
+    return np.eye(coords.shape[-1]) - A @ np.linalg.solve(W, J)
 
 
 def kernel_frame(m: Morphism, mode: str = "chartwise",
@@ -314,13 +327,11 @@ def kernel_frame(m: Morphism, mode: str = "chartwise",
     rank = phi.source.dim - differential_rank(phi, pts[0])
 
     if mode == "chartwise":
-        def column(cid, coords, j):
-            coords = np.asarray(coords, float)
-            return _kernel_column(phi.raw_jac_at(cid, coords), metric, cid, coords, j)
+        def column(j):
+            return lambda cid, coords: kernel_projector(phi, metric, cid, coords)[..., j]
 
         fields = tuple(
-            VectorField(phi.source, lambda cid, coords, j=j: column(cid, coords, j),
-                        name=f"ker-frame-{j}")
+            VectorField(phi.source, column(j), name=f"ker-frame-{j}", batched=phi.batched)
             for j in range(phi.source.dim)
         )
     elif mode == "global":

@@ -6,15 +6,15 @@ import csv
 import itertools
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import Escape, OutOfAtlas
-from .geometry import Atlas, Point
-from .systems import GeneratedSystem, flow_field
+from .errors import OutOfAtlas
+from .geometry import Atlas, Point, Points
+from .systems import GeneratedSystem, rk4_step
 
 CellKey = tuple  # (chart_id, idx_0, ..., idx_{d-1})
 
@@ -24,23 +24,67 @@ class Grid:
     """Uniform cell grid per chart axis; only canonical cells are counted.
 
     A cell is valid when its center point normalizes back to the same cell,
-    so overlapping chart boxes are not double counted.
+    so overlapping chart boxes are not double counted. Batched code names a
+    cell by its flat index: chart index * cells_per_axis**dim plus the
+    row-major index of the cell within its chart.
     """
 
     atlas: Atlas
     cells_per_axis: int
 
-    def cell_of(self, p: Point) -> CellKey:
-        chart = self.atlas.chart(p.chart_id)
+    @cached_property
+    def _frame(self):
+        """Per chart: box lower corners and widths, (charts, dim) each."""
+        lo = np.array([c.box[:, 0] for c in self.atlas.charts])
+        widths = np.array([c.widths() for c in self.atlas.charts])
+        return lo, widths
+
+    @property
+    def _shape(self) -> tuple:
+        return (self.cells_per_axis,) * self.atlas.dim
+
+    @property
+    def size(self) -> int:
+        """Number of flat indices: every cell of every chart."""
+        return len(self.atlas.charts) * self.cells_per_axis ** self.atlas.dim
+
+    def cells_of(self, rows: Points) -> np.ndarray:
+        """Flat index of the cell of each canonical row."""
+        lo, widths = self._frame
         n = self.cells_per_axis
-        idx = np.floor((p.coords - chart.box[:, 0]) / chart.widths() * n).astype(int)
+        idx = np.floor((rows.coords - lo[rows.charts]) / widths[rows.charts] * n).astype(int)
         idx = np.clip(idx, 0, n - 1)
-        return (p.chart_id, *idx.tolist())
+        return rows.charts * n ** self.atlas.dim + np.ravel_multi_index(idx.T, self._shape)
+
+    def keys_of(self, flat) -> list[CellKey]:
+        """Cell keys of flat indices."""
+        chart, rest = np.divmod(np.asarray(flat, dtype=int), self.cells_per_axis ** self.atlas.dim)
+        ids = [c.chart_id for c in self.atlas.charts]
+        idx = np.stack(np.unravel_index(rest, self._shape), axis=-1).tolist()
+        return [(ids[c], *i) for c, i in zip(chart.tolist(), idx)]
+
+    def cell_of(self, p: Point) -> CellKey:
+        rows = Points(np.array([self.atlas.chart_index(p.chart_id)]), p.coords[None, :])
+        return self.keys_of(self.cells_of(rows))[0]
 
     def center_coords(self, key: CellKey) -> np.ndarray:
         chart = self.atlas.chart(key[0])
         idx = np.array(key[1:], dtype=float)
         return chart.box[:, 0] + (idx + 0.5) * chart.widths() / self.cells_per_axis
+
+    def centers(self, flat) -> Points:
+        """Normalized center points of flat cells; rows outside the atlas get chart -1."""
+        flat = np.asarray(flat, dtype=int)
+        chart, rest = np.divmod(flat, self.cells_per_axis ** self.atlas.dim)
+        lo, widths = self._frame
+        idx = np.stack(np.unravel_index(rest, self._shape), axis=-1).astype(float)
+        raw = lo[chart] + (idx + 0.5) * widths[chart] / self.cells_per_axis
+        charts, coords = np.full(len(flat), -1), raw
+        for c in _distinct(chart):
+            sel = chart == c
+            rows = self.atlas.normalize_many(self.atlas.charts[c].chart_id, raw[sel])
+            charts[sel], coords[sel] = rows
+        return Points(charts, coords)
 
     def center_point(self, key: CellKey) -> Optional[Point]:
         """Canonical point for the cell center, or None if it normalizes away."""
@@ -55,15 +99,18 @@ class Grid:
         p = self.center_point(key)
         return p is not None and self.cell_of(p) == key
 
+    def valid_flat(self) -> np.ndarray:
+        """Flat indices of every valid cell, ascending."""
+        flat = np.arange(self.size)
+        rows = self.centers(flat)
+        inside = rows.charts >= 0
+        cells = np.full(len(flat), -1)
+        cells[inside] = self.cells_of(Points(rows.charts[inside], rows.coords[inside]))
+        return flat[cells == flat]
+
     def all_valid_cells(self) -> list[CellKey]:
-        out = []
-        n = self.cells_per_axis
-        for chart in self.atlas.charts:
-            for idx in itertools.product(range(n), repeat=self.atlas.dim):
-                key = (chart.chart_id, *idx)
-                if self.is_valid(key):
-                    out.append(key)
-        return out
+        """Every valid cell, in chart order and row-major within a chart."""
+        return self.keys_of(self.valid_flat())
 
     def canonical_cell(self, key: CellKey) -> Optional[CellKey]:
         """Remap a raw cell to the valid cell its center belongs to."""
@@ -135,36 +182,20 @@ class ReachReport:
         }
 
 
-def _flow_fields(sys: GeneratedSystem) -> list:
-    """Fields flowed from every frontier cell: generators forward, kernel
-    fields in both signs (riding on kernel_base when one is declared)."""
-    flows = [g.func for g in sys.generators]
-    base = sys.kernel_base
-    for k in sys.kernel_fields:
-        for sign in (1.0, -1.0):
-            def func(cid, coords, k=k, sign=sign):
-                v = sign * np.asarray(k.func(cid, coords), float)
-                if base is not None:
-                    v = v + np.asarray(base.func(cid, coords), float)
-                return v
-            flows.append(func)
-    return flows
-
-
 class _Outcome(NamedTuple):
     """Hits of every flow integrated for one dwell from one representative.
 
-    times are relative to the start of the dwell. ends closes one slice per
-    integrated flow, in flow order; within a slice the hits keep their
-    order and their times never decrease, so a horizon cut is a per-flow
-    break. Only hits that can insert an arrival are kept: none on the
-    expanding cell, and none on a cell already listed with an earlier or
-    equal time. points holds the hit point of kept entries whose cell
-    centre is not canonical.
+    times are relative to the start of the dwell and cells are flat cell
+    indices. ends closes one slice per integrated flow, in flow order;
+    within a slice the hits keep their order and their times never
+    decrease, so a horizon cut is a per-flow break. Only hits that can
+    insert an arrival are kept: none on the expanding cell, and none on a
+    cell already listed with an earlier or equal time. points holds the hit
+    point, as (chart index, coords), of kept entries whose cell is not valid.
     """
 
     times: array
-    cells: tuple
+    cells: array
     ends: tuple
     points: dict
 
@@ -174,45 +205,117 @@ class _GridMemo:
 
     def __init__(self, g: Grid):
         self.grid = g
-        self.total = len(g.all_valid_cells())
-        self.cells: dict = {}     # cell -> (interned cell, canonical centre or None)
-        self.outcomes: dict = {}  # (dwell, substeps) -> {cell: _Outcome}
-
-    def cell(self, key: CellKey) -> tuple:
-        """The interned key of a cell and its centre, None unless canonical."""
-        entry = self.cells.get(key)
-        if entry is None:
-            center = self.grid.center_point(key)
-            if center is not None and self.grid.cell_of(center) != key:
-                center = None
-            entry = self.cells[key] = (key, center)
-        return entry
+        flat = g.valid_flat()
+        self.total = len(flat)
+        self.valid = np.zeros(g.size, dtype=bool)
+        self.valid[flat] = True
+        self.valid_list = self.valid.tolist()  # for per-hit lookups in Python loops
+        # canonical centres of valid cells, the representatives of their expansions
+        self.centres = np.zeros((g.size, g.atlas.dim))
+        self.centres[flat] = g.centers(flat).coords
+        self.outcomes: dict = {}  # (dwell, substeps) -> {flat cell: _Outcome}
 
 
-def _expand(atlas: Atlas, flows: list, memo: _GridMemo, key: CellKey, rep: Point,
-            dwell: float, h: float) -> _Outcome:
-    """Integrate every flow for one dwell from rep, the representative of key."""
-    times, cells, ends, points = array("d"), [], [], {}
-    first = {key: -math.inf}  # earliest listed time per cell
-    for func in flows:
-        if float(np.max(np.abs(func(rep.chart_id, rep.coords)))) < 1e-13:
-            continue  # exact RK4 fixed point: the flow never moves
-        hits = []
-        try:
-            flow_field(atlas, func, rep, dwell, h,
-                       record=lambda t, p: hits.append((t, p)))
-        except Escape:
-            pass  # escaping flows contribute whatever cells they touched
-        for t, p in hits:
-            cell, center = memo.cell(memo.grid.cell_of(p))
-            if t < first.get(cell, math.inf):
-                first[cell] = t
-                if center is None:
-                    points[len(times)] = p
-                times.append(t)
-                cells.append(cell)
-        ends.append(len(times))
-    return _Outcome(times, tuple(cells), tuple(ends), points)
+def _schedule(dwell: float, h: float) -> tuple[list, list]:
+    """Step sizes and end times of flow_field's RK4 steps over one dwell."""
+    steps, times = [], []
+    t, remaining = 0.0, dwell
+    while remaining > 1e-15:
+        step = min(h, remaining)
+        t += step
+        remaining -= step
+        steps.append(step)
+        times.append(t)
+    return steps, times
+
+
+def _distinct(a: np.ndarray) -> list:
+    """The distinct values of a nonnegative int array, ascending.
+
+    np.unique would do, but it imports numpy.ma, about 1.5 MiB of memory.
+    """
+    return np.flatnonzero(np.bincount(a)).tolist()
+
+
+def _groups(flow_of: np.ndarray, charts: np.ndarray, n_charts: int):
+    """(flow, chart, row mask) for every pair present in the rows."""
+    key = flow_of * n_charts + charts
+    for k in _distinct(key):
+        yield k // n_charts, k % n_charts, key == k
+
+
+def _integrate(memo: _GridMemo, flows: list, flow_of: np.ndarray, start: Points,
+               steps: list) -> tuple[np.ndarray, dict]:
+    """RK4-step every row under its flow through one dwell, all rows at once.
+
+    Returns the flat cell each row is in after each step (-1 from the step
+    at which it leaves the atlas on; that step records no hit, as in
+    flow_field) and the hit points on cells that are not valid, keyed by
+    (row, step).
+    """
+    atlas, grid = memo.grid.atlas, memo.grid
+    charts, X = start.charts.copy(), start.coords.copy()
+    hits = np.full((len(X), len(steps)), -1, dtype=np.int64)
+    points = {}
+    live = np.arange(len(X))
+    for s, step in enumerate(steps):
+        for f, c, sel in _groups(flow_of[live], charts[live], len(atlas.charts)):
+            rows = live[sel]
+            X[rows] = rk4_step(flows[f].func, atlas.charts[c].chart_id, X[rows], step)
+        for c in _distinct(charts[live]):
+            rows = live[charts[live] == c]
+            charts[rows], X[rows] = atlas.normalize_many(atlas.charts[c].chart_id, X[rows])
+        live = live[charts[live] >= 0]
+        if not len(live):
+            break
+        cells = grid.cells_of(Points(charts[live], X[live]))
+        hits[live, s] = cells
+        for r in live[~memo.valid[cells]].tolist():
+            points[r, s] = (int(charts[r]), X[r].copy())
+    return hits, points
+
+
+def _expand_layer(memo: _GridMemo, flows: list, cells: list, reps: Points,
+                  steps: list, times: list) -> list:
+    """The _Outcome of every cell, each integrated from its representative."""
+    atlas = memo.grid.atlas
+    # row (f, i) flows cell i under flow f; an exact RK4 fixed point never moves
+    row_of = np.full((len(flows), len(cells)), -1)
+    flow_of = []
+    for f, field in enumerate(flows):
+        moving = np.zeros(len(cells), dtype=bool)
+        for c in _distinct(reps.charts):
+            sel = reps.charts == c
+            k1 = field.func(atlas.charts[c].chart_id, reps.coords[sel])
+            moving[sel] = ~(np.max(np.abs(k1), axis=1) < 1e-13)
+        row_of[f, moving] = np.arange(len(flow_of), len(flow_of) + int(moving.sum()))
+        flow_of += [f] * int(moving.sum())
+    flow_of = np.array(flow_of, dtype=int)
+    cell_of_row = np.nonzero(row_of >= 0)[1]
+    hits, points = _integrate(memo, flows, flow_of,
+                              Points(reps.charts[cell_of_row], reps.coords[cell_of_row]),
+                              steps)
+    valid = memo.valid_list
+    out = []
+    for i, key in enumerate(cells):
+        kept_times, kept_cells, ends, kept_points = array("d"), array("q"), [], {}
+        first = {key: -math.inf}  # earliest listed time per cell
+        for r in row_of[:, i].tolist():
+            if r < 0:
+                continue
+            for s, cell in enumerate(hits[r].tolist()):
+                if cell < 0:
+                    break
+                t = times[s]
+                if t < first.get(cell, math.inf):
+                    first[cell] = t
+                    if not valid[cell]:
+                        kept_points[len(kept_times)] = points[r, s]
+                    kept_times.append(t)
+                    kept_cells.append(cell)
+            ends.append(len(kept_times))
+        out.append(_Outcome(kept_times, kept_cells, tuple(ends), kept_points))
+    return out
 
 
 def reach(sys: GeneratedSystem, start: Point, grid: int, dwell: float,
@@ -223,11 +326,13 @@ def reach(sys: GeneratedSystem, start: Point, grid: int, dwell: float,
     integrated for the dwell time; every cell touched along the way within
     the horizon is marked with its first arrival time and queued.
 
+    The search runs one BFS layer at a time: the expansions of a layer are
+    integrated together as rows of one RK4 array, then replayed in queue
+    order, which gives exactly the arrivals of expanding cell by cell.
     A cell other than the start cell is represented by its centre when the
-    centre is canonical, so its expansion depends only on (grid, dwell,
-    substeps, cell). Those expansions are kept on the system and replayed
-    by every later call, which gives exactly the arrivals of a fresh
-    integration.
+    cell is valid, so its expansion depends only on (grid, dwell, substeps,
+    cell). Those expansions are kept on the system and replayed by every
+    later call.
     """
     if dwell <= 0:
         raise ValueError("dwell must be positive")
@@ -237,44 +342,53 @@ def reach(sys: GeneratedSystem, start: Point, grid: int, dwell: float,
     if memo is None:
         memo = sys._memo[grid] = _GridMemo(Grid(sys.atlas, grid))
     outcomes = memo.outcomes.setdefault((dwell, substeps), {})
-    flows = _flow_fields(sys)
-    h = dwell / substeps
+    flows = sys.flows()
+    steps, times = _schedule(dwell, dwell / substeps)
     eps = 1e-12
+    g, valid = memo.grid, memo.valid_list
+    per_chart = grid ** sys.atlas.dim
 
-    start_key = memo.grid.cell_of(start)
-    arrivals = {start_key: 0.0}
-    reps = {start_key: start}
-    queue = deque([start_key])
+    start_rep = (sys.atlas.chart_index(start.chart_id), np.asarray(start.coords, float))
+    start_cell = int(g.cells_of(Points(np.array([start_rep[0]]), start_rep[1][None, :]))[0])
+    arrivals = {start_cell: 0.0}
+    reps = {start_cell: start_rep}  # representatives of the start and of invalid cells
+    layer = [start_cell]
 
-    while queue:
-        key = queue.popleft()
-        t0 = arrivals[key]
-        if t0 >= horizon - eps:
-            continue
-        rep = reps[key]
-        shared = key != start_key and memo.cell(key)[1] is not None
-        outcome = outcomes.get(key) if shared else None
-        if outcome is None:
-            outcome = _expand(sys.atlas, flows, memo, key, rep, dwell, h)
-            if shared:
-                outcomes[key] = outcome
-        times, cells, points = outcome.times, outcome.cells, outcome.points
-        lo = 0
-        for hi in outcome.ends:
-            for i in range(lo, hi):
-                arrival = t0 + times[i]
-                if arrival > horizon + eps:
-                    break
-                cell = cells[i]
-                if cell not in arrivals:
-                    arrivals[cell] = arrival
-                    center = memo.cells[cell][1]
-                    reps[cell] = center if center is not None else points[i]
-                    queue.append(cell)
-            lo = hi
+    while layer:
+        layer = [cell for cell in layer if arrivals[cell] < horizon - eps]
+        shared = [cell != start_cell and valid[cell] for cell in layer]
+        fresh = [cell for cell, sh in zip(layer, shared) if not (sh and cell in outcomes)]
+        computed = {}
+        if fresh:
+            charts = [reps[c][0] if c in reps else c // per_chart for c in fresh]
+            coords = [reps[c][1] if c in reps else memo.centres[c] for c in fresh]
+            computed = dict(zip(fresh, _expand_layer(
+                memo, flows, fresh, Points(np.array(charts), np.array(coords)), steps, times)))
+            outcomes.update((cell, computed[cell]) for cell, sh in zip(layer, shared)
+                            if sh and cell in computed)
+        next_layer = []
+        for cell, sh in zip(layer, shared):
+            outcome = outcomes[cell] if sh else computed[cell]
+            t0 = arrivals[cell]
+            hit_times, hit_cells, points = outcome.times, outcome.cells, outcome.points
+            lo = 0
+            for hi in outcome.ends:
+                for i in range(lo, hi):
+                    arrival = t0 + hit_times[i]
+                    if arrival > horizon + eps:
+                        break
+                    hit = hit_cells[i]
+                    if hit not in arrivals:
+                        arrivals[hit] = arrival
+                        if not valid[hit]:
+                            reps[hit] = points[i]
+                        next_layer.append(hit)
+                lo = hi
+        layer = next_layer
 
+    keys = g.keys_of(list(arrivals))
     return ReachReport(start=start, grid=grid, horizon=horizon, dwell=dwell,
-                       arrivals=arrivals, total_cells=memo.total)
+                       arrivals=dict(zip(keys, arrivals.values())), total_cells=memo.total)
 
 
 def is_reachability_set(sys: GeneratedSystem, points: Sequence[Point], dwell: float,
@@ -303,14 +417,23 @@ def stlc_probe(sys: GeneratedSystem, x0: Point, times: Sequence[float], grid: in
     """Discrete interiority proxy for small-time local controllability.
 
     For each horizon t, true iff every grid neighbor of x0's cell is visited
-    by the time-bounded reachable set.
+    by the time-bounded reachable set. Without a dwell every horizon is
+    its own dwell, which no later call replays, so the expansions stored
+    for a (dwell, substeps) that the probe was first to use are dropped
+    afterwards; with a dwell they are kept for later calls.
     """
     g = Grid(sys.atlas, grid)
     home = g.cell_of(x0)
     nbrs = g.neighbors(home)
+    memo = sys._memo.get(grid)
+    before = set(memo.outcomes) if memo is not None else set()
     verdicts = []
     for t in times:
         rep = reach(sys, x0, grid, dwell if dwell is not None else t, t,
                     substeps=substeps)
         verdicts.append(all(rep.visited(c) for c in nbrs))
+    if dwell is None and times:
+        outcomes = sys._memo[grid].outcomes
+        for key in set(outcomes) - before:
+            del outcomes[key]
     return verdicts

@@ -4,7 +4,7 @@ requests, and experiment blocks, resolved into live objects at parse time."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -98,11 +98,7 @@ def _build_atlas(name: str, spec: dict) -> Atlas:
         def metric_fn(cid, c):
             return np.array([[f(c) for f in row] for row in rows])
 
-        atlas = Atlas(
-            dim=atlas.dim, charts=atlas.charts, normalize_raw=atlas.normalize_raw,
-            normalize_jacobian=atlas.normalize_jacobian, metric_fn=metric_fn,
-            aliases_fn=atlas.aliases_fn, coord_names=atlas.coord_names, name=atlas.name,
-        )
+        atlas = replace(atlas, metric_fn=metric_fn)
     return atlas
 
 
@@ -119,15 +115,17 @@ def _build_map(name: str, spec: dict, atlases: dict) -> SmoothMap:
     tgt_chart = tgt.charts[0].chart_id
     jac = None
     if "jacobian" in spec:
-        rows = [[compile_expr(e, src.coord_names) for e in row] for row in spec["jacobian"]]
+        shape = (len(spec["jacobian"]), len(spec["jacobian"][0]))
+        entries = compile_vector([e for row in spec["jacobian"] for e in row],
+                                 src.coord_names)
 
-        def jac(cid, coords, rows=rows):
-            return np.array([[f(coords) for f in row] for row in rows])
+        def jac(cid, coords):
+            return entries(coords).reshape(np.shape(coords)[:-1] + shape)
 
     return SmoothMap(
         source=src, target=tgt,
         raw=lambda cid, coords: (tgt_chart, value(coords)),
-        raw_jacobian=jac, name=name,
+        raw_jacobian=jac, name=name, batched=True,
     )
 
 
@@ -138,7 +136,7 @@ def _build_field(name: str, spec: dict, atlases: dict) -> VectorField:
     if len(spec["exprs"]) != atlas.dim:
         raise DimensionMismatch(f"field {name!r} must have {atlas.dim} components")
     value = compile_vector(spec["exprs"], atlas.coord_names)
-    return VectorField(atlas, lambda cid, coords: value(coords), name=name)
+    return VectorField(atlas, lambda cid, coords: value(coords), name=name, batched=True)
 
 
 def parse_scenario(source) -> Scenario:
@@ -201,14 +199,14 @@ def parse_scenario(source) -> Scenario:
         g_fns = [compile_vector(row, var_names) for row in v.get("g", [])]
 
         def gamma(cid, x, y, fn=gamma_fn):
-            return fn(np.concatenate([x, y]))
+            return fn(np.concatenate([x, y], axis=-1))
 
         def gmat(cid, x, y, fns=g_fns, n=n):
             if not fns:
-                return np.zeros((0, n))
-            return np.stack([fn(np.concatenate([x, y])) for fn in fns])
+                return np.zeros(np.shape(x)[:-1] + (0, n))
+            return np.stack([fn(np.concatenate([x, y], axis=-1)) for fn in fns], axis=-2)
 
-        so = second_order_system(ta, gamma, gmat, len(g_fns), label=k)
+        so = second_order_system(ta, gamma, gmat, len(g_fns), label=k, batched=True)
         second_order[k] = so
         # generated system of affine slices at sampled control values
         samples = v.get("control_samples")

@@ -60,6 +60,13 @@ def tangent_atlas(base: Atlas, v_bound: float = 2.0) -> TangentAtlas:
             return None
         return (bcid, np.concatenate([np.asarray(bx, float), y2]))
 
+    def norm_rows(cid, X):
+        x, y = X[:, :n], X[:, n:]
+        charts, bx = base.normalize_many(cid, x)
+        y2 = (base.transition_jacobians(cid, x) @ y[:, :, None])[:, :, 0]
+        charts = np.where(np.any(np.abs(y2) >= v_bound, axis=1), -1, charts)
+        return charts, np.concatenate([bx, y2], axis=1)
+
     def jac(cid, coords):
         x, y = np.asarray(coords[:n], float), np.asarray(coords[n:], float)
         J = base.transition_jacobian(cid, x)
@@ -70,6 +77,18 @@ def tangent_atlas(base: Atlas, v_bound: float = 2.0) -> TangentAtlas:
         top = np.hstack([J, np.zeros((n, n))])
         bot = np.hstack([off, J])
         return np.vstack([top, bot])
+
+    def jac_rows(cid, X):
+        x, y = X[:, :n], X[:, n:]
+        J = base.transition_jacobians(cid, x)
+        off = finite_difference_jacobian(
+            lambda xs: (base.transition_jacobians(cid, xs) @ y[:, :, None])[:, :, 0], x, n
+        )
+        out = np.zeros((len(X), 2 * n, 2 * n))
+        out[:, :n, :n] = J
+        out[:, n:, :n] = off
+        out[:, n:, n:] = J
+        return out
 
     def aliases(cid, coords):
         x, y = coords[:n], coords[n:]
@@ -88,6 +107,8 @@ def tangent_atlas(base: Atlas, v_bound: float = 2.0) -> TangentAtlas:
         charts=charts,
         normalize_raw=norm,
         normalize_jacobian=jac,
+        normalize_rows=norm_rows,
+        jacobian_rows=jac_rows,
         aliases_fn=aliases,
         coord_names=base.coord_names + tuple("v" + c for c in base.coord_names),
         name=f"T{base.name}",
@@ -95,9 +116,11 @@ def tangent_atlas(base: Atlas, v_bound: float = 2.0) -> TangentAtlas:
     projection = SmoothMap(
         source=atlas,
         target=base,
-        raw=lambda cid, coords: (cid, np.asarray(coords, float)[:n]),
-        raw_jacobian=lambda cid, coords: np.hstack([np.eye(n), np.zeros((n, n))]),
+        raw=lambda cid, coords: (cid, np.asarray(coords, float)[..., :n]),
+        raw_jacobian=lambda cid, coords: np.broadcast_to(
+            np.hstack([np.eye(n), np.zeros((n, n))]), np.shape(coords)[:-1] + (n, 2 * n)),
         name=f"pi_T{base.name}",
+        batched=True,
     )
     return TangentAtlas(base=base, atlas=atlas, projection=projection, v_bound=v_bound)
 
@@ -109,6 +132,8 @@ class SecondOrderSystem:
 
     local_data, when present, is (gamma, gmat): gamma(cid, x, y) gives the
     drift accelerations, gmat(cid, x, y) the (k, n) control accelerations.
+    When the fields are batched, both also take rows x, y (N, n) and
+    return (N, n) and (N, k, n).
     """
 
     tangent_atlas: TangentAtlas
@@ -119,29 +144,33 @@ class SecondOrderSystem:
 
 
 def second_order_system(ta: TangentAtlas, gamma, gmat, k: int,
-                        label="second-order") -> SecondOrderSystem:
-    """Build a SecondOrderSystem from its local form (accelerations)."""
+                        label="second-order", batched: bool = False) -> SecondOrderSystem:
+    """Build a SecondOrderSystem from its local form (accelerations).
+
+    batched says that gamma and gmat take rows, which makes the drift and
+    control fields array-native.
+    """
     n = ta.base.dim
 
     def drift_func(cid, coords):
-        x, y = np.asarray(coords[:n], float), np.asarray(coords[n:], float)
-        return np.concatenate([y, np.asarray(gamma(cid, x, y), float)])
+        coords = np.asarray(coords, float)
+        x, y = coords[..., :n], coords[..., n:]
+        return np.concatenate([y, np.asarray(gamma(cid, x, y), float)], axis=-1)
+
+    def control_func(cid, coords, j):
+        coords = np.asarray(coords, float)
+        x, y = coords[..., :n], coords[..., n:]
+        acc = np.asarray(gmat(cid, x, y), float)[..., j, :]
+        return np.concatenate([np.zeros_like(x), acc], axis=-1)
 
     controls = tuple(
-        VectorField(
-            ta.atlas,
-            lambda cid, coords, j=j: np.concatenate([
-                np.zeros(n),
-                np.asarray(gmat(cid, np.asarray(coords[:n], float),
-                                np.asarray(coords[n:], float)), float)[j],
-            ]),
-            name=f"{label}-g{j}",
-        )
+        VectorField(ta.atlas, lambda cid, coords, j=j: control_func(cid, coords, j),
+                    name=f"{label}-g{j}", batched=batched)
         for j in range(k)
     )
     return SecondOrderSystem(
         tangent_atlas=ta,
-        drift=VectorField(ta.atlas, drift_func, name=f"{label}-drift"),
+        drift=VectorField(ta.atlas, drift_func, name=f"{label}-drift", batched=batched),
         control_fields=controls,
         local_data=(gamma, gmat),
         label=label,
@@ -213,17 +242,18 @@ def second_order_lift(sys2: SecondOrderSystem, phi: SmoothMap,
         return phi.raw(cid, x)[0]
 
     def lifted_gamma(cid, x, y):
-        acc = np.zeros(n)
-        acc[:m] = np.asarray(gamma(qchart(cid, x), x[:m], y[:m]), float)
+        acc = np.zeros(np.shape(x))
+        acc[..., :m] = np.asarray(gamma(qchart(cid, x), x[..., :m], y[..., :m]), float)
         return acc
 
     def lifted_gmat(cid, x, y):
-        G = np.zeros((k, n))
-        G[:, :m] = np.asarray(gmat(qchart(cid, x), x[:m], y[:m]), float)
+        G = np.zeros(np.shape(x)[:-1] + (k, n))
+        G[..., :m] = np.asarray(gmat(qchart(cid, x), x[..., :m], y[..., :m]), float)
         return G
 
     lifted = second_order_system(tp, lifted_gamma, lifted_gmat, k,
-                                 label=f"lift({sys2.label})")
+                                 label=f"lift({sys2.label})",
+                                 batched=sys2.drift.batched and phi.batched)
     tphi = tangent_map(phi, tp, tq)
 
     # match a downstairs field to its affine slice, then map the coefficients
@@ -257,10 +287,10 @@ def vertical_lift(X: VectorField, tp: TangentAtlas) -> VectorField:
     n = tp.base.dim
 
     def func(cid, coords):
-        x = np.asarray(coords[:n], float)
-        return np.concatenate([np.zeros(n), np.asarray(X.func(cid, x), float)])
+        x = np.asarray(coords, float)[..., :n]
+        return np.concatenate([np.zeros_like(x), X.values(cid, x)], axis=-1)
 
-    return VectorField(tp.atlas, func, name=f"vlft({X.name})")
+    return VectorField(tp.atlas, func, name=f"vlft({X.name})", batched=True)
 
 
 def augment_second_order(lifted: SecondOrderSystem, frame: KernelFrame,

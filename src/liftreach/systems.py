@@ -7,7 +7,7 @@ coefficients by schedule selectors (optionally on top of a base drift).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -62,6 +62,22 @@ class GeneratedSystem:
             raise UnresolvedSelector(
                 f"expected {len(self.kernel_fields)} kernel coefficients"
             )
+        return self._kernel_flow(coeffs)
+
+    def flows(self) -> list[VectorField]:
+        """Every field reach integrates from a cell, all array-native.
+
+        The generators come first, then each kernel field in both signs,
+        riding on kernel_base when one is declared.
+        """
+        flows = [g if g.batched else replace(g, func=g.values, batched=True)
+                 for g in self.generators]
+        for unit in np.eye(len(self.kernel_fields)):
+            flows += [self._kernel_flow(sign * unit) for sign in (1.0, -1.0)]
+        return flows
+
+    def _kernel_flow(self, coeffs) -> VectorField:
+        """kernel_base + sum_j coeffs[j] K_j."""
         fields = list(self.kernel_fields)
         weights = list(coeffs)
         if self.kernel_base is not None:
@@ -177,11 +193,9 @@ def restrict(sys: GeneratedSystem, chart_id: str, box) -> GeneratedSystem:
         raise EmptyRestriction("restriction box exceeds the chart box")
     sub = box_atlas(box, coord_names=sys.atlas.coord_names,
                     name=f"{sys.atlas.name}|{chart_id}")
-    gens = tuple(
-        VectorField(sub, g.func, name=g.name) for g in sys.generators
-    )
-    kers = tuple(VectorField(sub, k.func, name=k.name) for k in sys.kernel_fields)
-    base = (VectorField(sub, sys.kernel_base.func, name=sys.kernel_base.name)
+    gens = tuple(replace(g, atlas=sub) for g in sys.generators)
+    kers = tuple(replace(k, atlas=sub) for k in sys.kernel_fields)
+    base = (replace(sys.kernel_base, atlas=sub)
             if sys.kernel_base is not None else None)
     return GeneratedSystem(sub, gens, kers, base, label=f"{sys.label}|restricted")
 

@@ -53,3 +53,42 @@ def test_syntax_error_is_wrapped():
 def test_non_numeric_literal_rejected():
     with pytest.raises(ParseError, match="non-numeric"):
         compile_expr("'abc'", ["x"])
+
+
+def test_integer_literals_are_floats():
+    assert compile_expr("7 / 2", ["x"])(np.array([0.0])) == 3.5
+    assert compile_vector(["2**-1", "x**2"], ["x"])(np.array([3.0])).tolist() == [0.5, 9.0]
+
+
+def test_literal_power_tower_overflows_at_once():
+    """9**9**9 in Python integers would run without bound; as floats it is inf."""
+    import signal
+
+    def timeout(signum, frame):
+        raise TimeoutError("literal power tower did not finish within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(1)
+    try:
+        with np.errstate(over="ignore"):
+            value = compile_expr("9**9**9", ["x"])(np.array([0.0]))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert value == math.inf
+
+
+def test_rows_broadcast_constants_and_match_points():
+    v = compile_vector(["1", "x**3 - sin(y)", "pi"], ["x", "y"])
+    X = np.array([[0.5, -1.0], [2.0, 0.25], [-1.5, 3.0]])
+    rows = v(X)
+    assert rows.shape == (3, 3)
+    assert np.array_equal(rows, np.array([v(x) for x in X]))
+    f = compile_expr("2", ["x", "y"])
+    assert f(X).tolist() == [2.0, 2.0, 2.0]
+
+
+def test_variable_names_must_be_identifiers():
+    for bad in ("x=1", "lambda", "a b"):
+        with pytest.raises(ParseError, match="not an identifier"):
+            compile_expr("1", [bad])

@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import itertools
 from collections import deque
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 
 from liftreach.errors import Escape
 from liftreach.geometry import (VectorField, box_atlas, circle_atlas, mobius_atlas,
-                                union_atlas)
-from liftreach.reach import Grid, _flow_fields, is_reachability_set, reach, stlc_probe
+                                torus_atlas, union_atlas)
+from liftreach.reach import Grid, is_reachability_set, reach, stlc_probe
+from liftreach.second_order import tangent_atlas
 from liftreach.systems import GeneratedSystem, flow_field
 
 
@@ -165,9 +167,10 @@ def test_report_summary_fields():
 # -- expansions shared between reach calls on one system ----------------------
 #
 # A warm system must give exactly the arrivals of a freshly built one and of
-# the plain BFS below, which integrates every expansion: same cells, same
-# floats, same insertion order. The flow counter shows that the warm call
-# really replayed stored expansions instead of integrating again.
+# the plain BFS below, which integrates every expansion point by point and
+# cell by cell: same cells, same floats, same insertion order. The row
+# counter shows that the warm call really replayed stored expansions
+# instead of integrating again.
 
 SWIRL = (
     lambda cid, c: np.array([-c[1], c[0]]),  # fixed point at the grid-9 centre cell
@@ -188,7 +191,7 @@ def _reference_arrivals(sys, start, grid, dwell, horizon, substeps=10):
         if t0 >= horizon - eps:
             continue
         rep = reps[key]
-        for func in _flow_fields(sys):
+        for func in (f.func for f in sys.flows()):
             if float(np.max(np.abs(func(rep.chart_id, rep.coords)))) < 1e-13:
                 continue
             hits = []
@@ -212,16 +215,17 @@ def _reference_arrivals(sys, start, grid, dwell, horizon, substeps=10):
 
 @pytest.fixture
 def flow_calls(monkeypatch):
+    """One entry per row the batched integration starts: one cell under one flow."""
     # the package's `reach` attribute is the function, so fetch the module
     reach_module = importlib.import_module("liftreach.reach")
     calls = []
-    real = reach_module.flow_field
+    real = reach_module._integrate
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(memo, flows, flow_of, start, steps):
+        calls.extend([1] * len(flow_of))
+        return real(memo, flows, flow_of, start, steps)
 
-    monkeypatch.setattr(reach_module, "flow_field", counting)
+    monkeypatch.setattr(reach_module, "_integrate", counting)
     return calls
 
 
@@ -309,3 +313,89 @@ def test_memo_replays_hit_points_of_non_canonical_cells(flow_calls):
     rep = reach(sys, _at(0.44)(sys), **kw)
     g = Grid(sys.atlas, 10)
     assert any(not g.is_valid(cell) for cell in rep.arrivals)
+
+
+def test_mixed_pointwise_and_array_native_fields_match_reference(flow_calls):
+    """A pointwise lambda generator beside compiled and kernel fields."""
+    from liftreach.expressions import compile_vector
+
+    def make():
+        atlas = box_atlas([[-1, 1], [-1, 1]])
+        compiled = compile_vector(["0.6 - x**2", "0.4*sin(3*x)"], ["x", "y"])
+        kernel = compile_vector(["0", "1 + x/2"], ["x", "y"])
+        gens = (VectorField(atlas, lambda cid, c: np.array([-c[1], c[0] - 0.3])),
+                VectorField(atlas, lambda cid, c: compiled(c), batched=True))
+        kers = (VectorField(atlas, lambda cid, c: kernel(c), batched=True),)
+        base = VectorField(atlas, lambda cid, c: np.array([0.1, 0.0]))
+        return GeneratedSystem(atlas, gens, kernel_fields=kers, kernel_base=base)
+
+    kw = dict(grid=9, dwell=0.3, horizon=2.0)
+    warm, cold = _warm_and_cold(make, lambda s: reach(s, _at(0.7, 0.1)(s), **kw),
+                                _at(-0.35, 0.55), kw, flow_calls)
+    assert warm < cold
+
+
+VALID_CELL_ATLASES = {
+    "box": (box_atlas([[-1, 1], [0, 2]]), 5),
+    "circle": (circle_atlas(), 12),
+    "torus": (torus_atlas(), 6),
+    "mobius": (mobius_atlas(), 7),
+    "union": (union_atlas({"a": [[-1, 0.5], [-1, 1]], "b": [[-0.5, 1], [-1, 1]]}), 6),
+    "tangent": (tangent_atlas(mobius_atlas(), v_bound=1.0).atlas, 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_CELL_ATLASES))
+def test_all_valid_cells_matches_per_cell_check(kind):
+    atlas, n = VALID_CELL_ATLASES[kind]
+    g = Grid(atlas, n)
+    want = [(chart.chart_id, *idx) for chart in atlas.charts
+            for idx in itertools.product(range(n), repeat=atlas.dim)
+            if g.is_valid((chart.chart_id, *idx))]
+    assert g.all_valid_cells() == want
+
+
+def test_stlc_probe_drops_only_per_horizon_expansions():
+    sys = _plane_system([RIGHT, LEFT, UP, DOWN])
+    start = sys.atlas.normalize("c0", [0.1, -0.2])
+    reach(sys, start, grid=10, dwell=0.3, horizon=1.0)
+    found = set(sys._memo[10].outcomes)
+    first = stlc_probe(sys, start, [0.2, 0.4, 0.6], grid=10)
+    assert set(sys._memo[10].outcomes) == found
+    shared = stlc_probe(sys, start, [0.2, 0.4, 0.6], grid=10, dwell=0.3, substeps=10)
+    assert set(sys._memo[10].outcomes) == found
+    # an explicit dwell no earlier call used: its table stays for later calls
+    own = stlc_probe(sys, start, [0.2, 0.4, 0.6], grid=10, dwell=0.2, substeps=10)
+    assert set(sys._memo[10].outcomes) == found | {(0.2, 10)}
+    kept = dict(sys._memo[10].outcomes[0.2, 10])
+    assert kept
+    warm = reach(sys, start, grid=10, dwell=0.2, horizon=1.0)
+    assert all(sys._memo[10].outcomes[0.2, 10][c] is o for c, o in kept.items())
+    cold = reach(_plane_system([RIGHT, LEFT, UP, DOWN]), start, grid=10, dwell=0.2,
+                 horizon=1.0)
+    assert list(warm.arrivals.items()) == list(cold.arrivals.items())
+    assert stlc_probe(sys, start, [0.2, 0.4, 0.6], grid=10) == first
+    assert stlc_probe(sys, start, [0.2, 0.4, 0.6], grid=10, dwell=0.3, substeps=10) == shared
+    assert stlc_probe(sys, start, [0.2, 0.4, 0.6], grid=10, dwell=0.2, substeps=10) == own
+    assert stlc_probe(_plane_system([RIGHT, LEFT, UP, DOWN]), start, [0.2, 0.4, 0.6],
+                      grid=10, dwell=0.2, substeps=10) == own
+    fresh = _plane_system([RIGHT, LEFT, UP, DOWN])
+    assert stlc_probe(fresh, start, [0.2, 0.4, 0.6], grid=10) == first
+    assert not fresh._memo[10].outcomes
+    assert sys._memo[10].outcomes.keys() == found | {(0.2, 10)}
+
+
+def test_escaped_rows_stop_where_they_leave():
+    """A flow that leaves the box and would come back records nothing after it left."""
+    def make():
+        atlas = box_atlas([[-1, 1], [-1, 1]])
+        orbit = VectorField(atlas, lambda cid, c: np.array([-c[1], c[0] - 0.85]))
+        return GeneratedSystem(atlas, (orbit,))
+
+    sys = make()
+    start = sys.atlas.normalize("c0", [0.85, -0.45])
+    kw = dict(grid=10, dwell=2.5, horizon=5.0, substeps=25)
+    with pytest.raises(Escape):
+        flow_field(sys.atlas, sys.generators[0].func, start, kw["dwell"], 0.1)
+    assert list(reach(sys, start, **kw).arrivals.items()) == \
+        list(_reference_arrivals(make(), start, **kw).items())
