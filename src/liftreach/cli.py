@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 from . import runner
+from .errors import LiftReachError
 from .scenario import builtin_scenario_names, builtin_scenario_path, parse_scenario
 
 
@@ -90,16 +91,21 @@ def main(argv=None) -> int:
             print(name)
         return 0
 
-    scenario = _resolve_scenario(args.scenario)
-    result = runner.run(
-        scenario,
-        seed=args.seed,
-        out_dir=getattr(args, "out", None),
-        overrides=_overrides(args),
-        kinds=_KIND_FILTERS[args.command],
-        experiment=getattr(args, "experiment", None),
-        echo=print,
-    )
+    try:
+        scenario = _resolve_scenario(args.scenario)
+        result = runner.run(
+            scenario,
+            seed=args.seed,
+            out_dir=getattr(args, "out", None),
+            overrides=_overrides(args),
+            kinds=_KIND_FILTERS[args.command],
+            experiment=getattr(args, "experiment", None),
+            echo=print,
+        )
+    except LiftReachError as exc:
+        # the same status and form as argparse's usage errors
+        print(f"liftreach: error: {exc}", file=sys.stderr)
+        return 2
     if not result.experiments:
         print(f"no matching experiments in scenario {scenario.name!r}")
         return 1

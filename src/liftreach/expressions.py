@@ -1,7 +1,8 @@
 """Small arithmetic expression language for scenario files.
 
 Supports literals, + - * /, powers, unary minus, the functions sin, cos,
-exp, sqrt, abs, the constant pi, and variables bound to chart coordinates.
+tan, exp, log, sqrt, abs, the constants pi and e, and variables bound to
+chart coordinates.
 
 Compiled expressions are array-native: a coordinate vector of shape (d,)
 gives one value, rows of shape (N, d) give N values, and constants are

@@ -143,16 +143,8 @@ class Atlas:
     def normalize_point(self, p: Point) -> Point:
         return self.normalize(p.chart_id, p.coords)
 
-    def point(self, chart_id: str, coords) -> Point:
-        return self.normalize(chart_id, coords)
-
     def transition_jacobian(self, chart_id: str, coords) -> np.ndarray:
         return np.asarray(self.normalize_jacobian(chart_id, np.asarray(coords, float)))
-
-    def metric(self, p: Point) -> np.ndarray:
-        if self.metric_fn is None:
-            return np.eye(self.dim)
-        return np.asarray(self.metric_fn(p.chart_id, p.coords), dtype=float)
 
     def metric_at(self, chart_id: str, coords) -> np.ndarray:
         if self.metric_fn is None:
@@ -458,27 +450,6 @@ def identity_map(atlas: Atlas, name="id") -> SmoothMap:
     )
 
 
-def compose(g: SmoothMap, f: SmoothMap, name="") -> SmoothMap:
-    """g after f. Intermediate points are normalized into g's source atlas."""
-    if f.target is not g.source:
-        raise DimensionMismatch("composition atlases do not match")
-
-    def raw(cid, coords):
-        mid = f.target.normalize(*f.raw(cid, coords))
-        return g.raw(mid.chart_id, mid.coords)
-
-    def jac(cid, coords):
-        mid_cid, mid_coords = f.raw(cid, coords)
-        Jf = f.raw_jac_at(cid, coords)
-        N = f.target.transition_jacobian(mid_cid, np.asarray(mid_coords, float))
-        mid = f.target.normalize(mid_cid, mid_coords)
-        Jg = g.raw_jac_at(mid.chart_id, mid.coords)
-        return Jg @ N @ Jf
-
-    return SmoothMap(source=f.source, target=g.target, raw=raw, raw_jacobian=jac,
-                     name=name or f"{g.name}.{f.name}")
-
-
 def pushforward(f: SmoothMap, v: Tangent) -> Tangent:
     """Differential of f applied to a tangent vector."""
     if v.components.shape != (f.source.dim,):
@@ -520,15 +491,6 @@ class VectorField:
 
     def tangent(self, p: Point) -> Tangent:
         return Tangent(base=p, components=self.at(p))
-
-
-def zero_field(atlas: Atlas, name="zero") -> VectorField:
-    return VectorField(atlas, lambda cid, coords: np.zeros(atlas.dim), name=name)
-
-
-def constant_field(atlas: Atlas, components, name="") -> VectorField:
-    comps = np.asarray(components, dtype=float)
-    return VectorField(atlas, lambda cid, coords: comps, name=name)
 
 
 def combine_fields(fields: Sequence[VectorField], coeffs, name="") -> VectorField:

@@ -12,6 +12,7 @@ import numpy as np
 from .errors import (
     Escape,
     IndependenceViolated,
+    NotAdapted,
     NotInKernel,
     NotSubmersion,
     RankDeficient,
@@ -43,7 +44,6 @@ class Morphism:
     phi: SmoothMap
     lift_rule: Callable[[VectorField], VectorField]
     kind: str  # metric-right-inverse | horizontal-connection | user-supplied | second-order
-    proper_flag: bool = False
 
     def lift(self, Y: VectorField) -> VectorField:
         return self.lift_rule(Y)
@@ -115,7 +115,7 @@ def check_submersion(phi: SmoothMap, samples: int = 50, seed: int = 0):
             raise NotSubmersion(p, r, want)
 
 
-def metric_lift_morphism(phi: SmoothMap, metric=None, proper: bool = False,
+def metric_lift_morphism(phi: SmoothMap, metric=None,
                          samples: int = 50, seed: int = 0) -> Morphism:
     """Morphism whose lift is the metric-orthogonal right inverse of dPhi."""
     check_submersion(phi, samples=samples, seed=seed)
@@ -131,26 +131,23 @@ def metric_lift_morphism(phi: SmoothMap, metric=None, proper: bool = False,
         return VectorField(phi.source, func, name=f"lift({Y.name})",
                            batched=phi.batched)
 
-    return Morphism(phi=phi, lift_rule=lift_rule, kind="metric-right-inverse",
-                    proper_flag=proper)
+    return Morphism(phi=phi, lift_rule=lift_rule, kind="metric-right-inverse")
 
 
 def lift_system(target_sys: GeneratedSystem, phi: SmoothMap, metric=None,
-                proper: bool = False, samples: int = 50, seed: int = 0):
+                samples: int = 50, seed: int = 0):
     """Lift every generator through the metric-orthogonal right inverse.
 
     Returns (morphism, lifted system on the source manifold).
     """
-    m = metric_lift_morphism(phi, metric=metric, proper=proper,
-                             samples=samples, seed=seed)
+    m = metric_lift_morphism(phi, metric=metric, samples=samples, seed=seed)
     gens = tuple(m.lift(Y) for Y in target_sys.generators)
     lifted = GeneratedSystem(phi.source, gens, label=f"lift({target_sys.label})")
     return m, lifted
 
 
 def horizontal_lift(target_sys: GeneratedSystem, bundle: SmoothMap,
-                    connection=None, proper: bool = False,
-                    samples: int = 30, seed: int = 0):
+                    connection=None, samples: int = 30, seed: int = 0):
     """Linear-connection horizontal lift on a vector bundle in adapted charts.
 
     The bundle map must be the coordinate projection onto the first
@@ -159,7 +156,7 @@ def horizontal_lift(target_sys: GeneratedSystem, bundle: SmoothMap,
     """
     base_dim = bundle.target.dim
     fiber_dim = bundle.source.dim - base_dim
-    _check_adapted(bundle, base_dim, samples=samples, seed=seed)
+    check_adapted(bundle, samples=samples, seed=seed)
     if connection is None:
         connection = lambda cid, x: np.zeros((fiber_dim, base_dim, fiber_dim))
 
@@ -175,15 +172,15 @@ def horizontal_lift(target_sys: GeneratedSystem, bundle: SmoothMap,
 
         return VectorField(bundle.source, func, name=f"hlift({Y.name})")
 
-    m = Morphism(phi=bundle, lift_rule=lift_rule, kind="horizontal-connection",
-                 proper_flag=proper)
+    m = Morphism(phi=bundle, lift_rule=lift_rule, kind="horizontal-connection")
     gens = tuple(m.lift(Y) for Y in target_sys.generators)
     return m, GeneratedSystem(bundle.source, gens, label=f"hlift({target_sys.label})")
 
 
-def _check_adapted(phi: SmoothMap, base_dim: int, samples: int = 30, seed: int = 0):
-    from .errors import NotAdapted
-
+def check_adapted(phi: SmoothMap, samples: int = 30, seed: int = 0):
+    """Raise NotAdapted unless phi is the coordinate projection onto the
+    first phi.target.dim axes at sampled source points."""
+    base_dim = phi.target.dim
     rng = np.random.default_rng(seed)
     for p in phi.source.sample(rng, samples):
         _, out = phi.raw(p.chart_id, p.coords)

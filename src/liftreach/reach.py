@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import OutOfAtlas
 from .geometry import Atlas, Point, Points
-from .systems import GeneratedSystem, rk4_step
+from .systems import GeneratedSystem, rk4_step, step_schedule
 
 CellKey = tuple  # (chart_id, idx_0, ..., idx_{d-1})
 
@@ -112,16 +112,6 @@ class Grid:
         """Every valid cell, in chart order and row-major within a chart."""
         return self.keys_of(self.valid_flat())
 
-    def canonical_cell(self, key: CellKey) -> Optional[CellKey]:
-        """Remap a raw cell to the valid cell its center belongs to."""
-        if self.is_valid(key):
-            return key
-        p = self.center_point(key)
-        if p is None:
-            return None
-        other = self.cell_of(p)
-        return other if self.is_valid(other) else None
-
     def neighbors(self, key: CellKey) -> list[CellKey]:
         """Cells adjacent to key (full Moore neighborhood).
 
@@ -214,19 +204,6 @@ class _GridMemo:
         self.centres = np.zeros((g.size, g.atlas.dim))
         self.centres[flat] = g.centers(flat).coords
         self.outcomes: dict = {}  # (dwell, substeps) -> {flat cell: _Outcome}
-
-
-def _schedule(dwell: float, h: float) -> tuple[list, list]:
-    """Step sizes and end times of flow_field's RK4 steps over one dwell."""
-    steps, times = [], []
-    t, remaining = 0.0, dwell
-    while remaining > 1e-15:
-        step = min(h, remaining)
-        t += step
-        remaining -= step
-        steps.append(step)
-        times.append(t)
-    return steps, times
 
 
 def _distinct(a: np.ndarray) -> list:
@@ -343,7 +320,7 @@ def reach(sys: GeneratedSystem, start: Point, grid: int, dwell: float,
         memo = sys._memo[grid] = _GridMemo(Grid(sys.atlas, grid))
     outcomes = memo.outcomes.setdefault((dwell, substeps), {})
     flows = sys.flows()
-    steps, times = _schedule(dwell, dwell / substeps)
+    steps, times = step_schedule(dwell, dwell / substeps)
     eps = 1e-12
     g, valid = memo.grid, memo.valid_list
     per_chart = grid ** sys.atlas.dim

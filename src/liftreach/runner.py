@@ -6,7 +6,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .morphisms import (
     verify_trajectory_preserving,
 )
 from .reach import is_reachability_set, reach, stlc_probe
-from .scenario import Scenario
 from .second_order import is_second_order
 from .systems import (
     Schedule,
@@ -26,6 +25,9 @@ from .systems import (
     integrate,
     tcs_from_control_system,
 )
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 
 @dataclass

@@ -14,7 +14,6 @@ from .errors import DimensionMismatch, ParseError, UnresolvedReference
 from .expressions import compile_expr, compile_vector
 from .geometry import (
     Atlas,
-    Point,
     SmoothMap,
     VectorField,
     box_atlas,
@@ -31,6 +30,7 @@ from .morphisms import (
     lift_system,
     metric_lift_morphism,
 )
+from .runner import _HANDLERS
 from .second_order import (
     ConnectionSystem,
     augment_second_order,
@@ -56,20 +56,15 @@ class Scenario:
     experiments: list
     raw: dict
 
-    def point(self, atlas_name: str, spec) -> Point:
-        atlas = self._atlas(atlas_name)
-        chart = spec.get("chart", atlas.charts[0].chart_id)
-        return atlas.normalize(chart, np.asarray(spec["coords"], dtype=float))
-
-    def _atlas(self, name: str) -> Atlas:
-        if name not in self.atlases:
-            raise UnresolvedReference(name)
-        return self.atlases[name]
-
     def system(self, name: str) -> GeneratedSystem:
-        if name not in self.systems:
-            raise UnresolvedReference(name)
-        return self.systems[name]
+        return _ref(self.systems, name)
+
+
+def _ref(table: dict, name):
+    """The entry of table named name; UnresolvedReference when there is none."""
+    if name not in table:
+        raise UnresolvedReference(name)
+    return table[name]
 
 
 def _build_atlas(name: str, spec: dict) -> Atlas:
@@ -103,12 +98,8 @@ def _build_atlas(name: str, spec: dict) -> Atlas:
 
 
 def _build_map(name: str, spec: dict, atlases: dict) -> SmoothMap:
-    src = atlases.get(spec["source"])
-    tgt = atlases.get(spec["target"])
-    if src is None:
-        raise UnresolvedReference(spec["source"])
-    if tgt is None:
-        raise UnresolvedReference(spec["target"])
+    src = _ref(atlases, spec["source"])
+    tgt = _ref(atlases, spec["target"])
     if len(spec["exprs"]) != tgt.dim:
         raise DimensionMismatch(f"map {name!r} must have {tgt.dim} output expressions")
     value = compile_vector(spec["exprs"], src.coord_names)
@@ -130,9 +121,7 @@ def _build_map(name: str, spec: dict, atlases: dict) -> SmoothMap:
 
 
 def _build_field(name: str, spec: dict, atlases: dict) -> VectorField:
-    atlas = atlases.get(spec["atlas"])
-    if atlas is None:
-        raise UnresolvedReference(spec["atlas"])
+    atlas = _ref(atlases, spec["atlas"])
     if len(spec["exprs"]) != atlas.dim:
         raise DimensionMismatch(f"field {name!r} must have {atlas.dim} components")
     value = compile_vector(spec["exprs"], atlas.coord_names)
@@ -156,42 +145,30 @@ def parse_scenario(source) -> Scenario:
 
     systems = {}
     for k, v in data.get("systems", {}).items():
-        atlas = atlases.get(v["atlas"])
-        if atlas is None:
-            raise UnresolvedReference(v["atlas"])
-        gens = []
-        for g in v["generators"]:
-            if g not in fields:
-                raise UnresolvedReference(g)
-            gens.append(fields[g])
-        systems[k] = GeneratedSystem(atlas, tuple(gens), label=k)
+        atlas = _ref(atlases, v["atlas"])
+        gens = tuple(_ref(fields, g) for g in v["generators"])
+        systems[k] = GeneratedSystem(atlas, gens, label=k)
 
     morphisms = {}
     kernels = {}
     for k, v in data.get("morphisms", {}).items():
-        phi = maps.get(v["map"])
-        if phi is None:
-            raise UnresolvedReference(v["map"])
-        target = systems.get(v["target_system"])
-        if target is None:
-            raise UnresolvedReference(v["target_system"])
-        m, lifted = lift_system(target, phi, proper=v.get("proper", False))
+        phi = _ref(maps, v["map"])
+        target = _ref(systems, v["target_system"])
+        m, lifted = lift_system(target, phi)
         morphisms[k] = m
         systems[f"{k}.system"] = lifted
         kspec = v.get("kernel")
         if kspec:
             gens = None
             if kspec.get("generators"):
-                gens = [fields[g] for g in kspec["generators"]]
+                gens = [_ref(fields, g) for g in kspec["generators"]]
             frame = kernel_frame(m, mode=kspec.get("mode", "chartwise"), generators=gens)
             kernels[k] = frame
             systems[f"{k}.augmented"] = augment_with_kernel(lifted, frame)
 
     second_order = {}
     for k, v in data.get("second_order", {}).items():
-        base = atlases.get(v["base"])
-        if base is None:
-            raise UnresolvedReference(v["base"])
+        base = _ref(atlases, v["base"])
         ta = tangent_atlas(base, v_bound=v.get("v_bound", 2.0))
         var_names = ta.atlas.coord_names
         n = base.dim
@@ -221,12 +198,8 @@ def parse_scenario(source) -> Scenario:
             systems[f"{k}.tcs"] = GeneratedSystem(ta.atlas, tuple(gens), label=f"{k}.tcs")
 
     for k, v in data.get("so_lifts", {}).items():
-        so = second_order.get(v["source"])
-        if so is None:
-            raise UnresolvedReference(v["source"])
-        phi = maps.get(v["map"])
-        if phi is None:
-            raise UnresolvedReference(v["map"])
+        so = _ref(second_order, v["source"])
+        phi = _ref(maps, v["map"])
         lifted, m = second_order_lift(so, phi)
         second_order[f"{k}.system"] = lifted
         morphisms[k] = m
@@ -235,7 +208,7 @@ def parse_scenario(source) -> Scenario:
             base_m = metric_lift_morphism(phi)
             gens = None
             if kspec.get("generators"):
-                gens = [fields[g] for g in kspec["generators"]]
+                gens = [_ref(fields, g) for g in kspec["generators"]]
             frame = kernel_frame(base_m, mode=kspec.get("mode", "global"), generators=gens)
             kernels[k] = frame
             systems[f"{k}.augmented"] = augment_second_order(
@@ -243,9 +216,7 @@ def parse_scenario(source) -> Scenario:
 
     connections = {}
     for k, v in data.get("connections", {}).items():
-        atlas = atlases.get(v["atlas"])
-        if atlas is None:
-            raise UnresolvedReference(v["atlas"])
+        atlas = _ref(atlases, v["atlas"])
         n = atlas.dim
         chr_fns = [[[compile_expr(e, atlas.coord_names) for e in row] for row in mat]
                    for mat in v["christoffel"]]
@@ -253,7 +224,7 @@ def parse_scenario(source) -> Scenario:
         def christoffel(cid, x, fns=chr_fns):
             return np.array([[[f(x) for f in row] for row in mat] for mat in fns])
 
-        controls = tuple(fields[g] for g in v.get("controls", []))
+        controls = tuple(_ref(fields, g) for g in v.get("controls", []))
         cs = ConnectionSystem(atlas, christoffel, controls,
                               v_bound=v.get("v_bound", 2.0), label=k)
         connections[k] = cs
@@ -272,30 +243,21 @@ def parse_scenario(source) -> Scenario:
     return scenario
 
 
-_KNOWN_KINDS = {
-    "reach", "reachability-set", "stlc", "verify", "global-in-time",
-    "liftable", "roundtrip", "second-order-check", "geodesic-check",
-}
-
-
 def _validate_experiments(s: Scenario):
     for exp in s.experiments:
         kind = exp.get("kind")
-        if kind not in _KNOWN_KINDS:
+        if kind not in _HANDLERS:
             raise ParseError(f"unknown experiment kind {kind!r}",
                              where=exp.get("name", "?"))
         if kind == "second-order-check":
-            if exp.get("system") not in s.second_order:
-                raise UnresolvedReference(exp.get("system"))
-        elif "system" in exp and exp["system"] not in s.systems:
-            raise UnresolvedReference(exp["system"])
-        for key in ("upstairs", "downstairs", "target_system"):
-            if key in exp and exp[key] not in s.systems:
-                raise UnresolvedReference(exp[key])
-        if "morphism" in exp and exp["morphism"] not in s.morphisms:
-            raise UnresolvedReference(exp["morphism"])
-        if "map" in exp and exp["map"] not in s.maps:
-            raise UnresolvedReference(exp["map"])
+            _ref(s.second_order, exp.get("system"))
+        elif "system" in exp:
+            _ref(s.systems, exp["system"])
+        for key, table in (("upstairs", s.systems), ("downstairs", s.systems),
+                           ("target_system", s.systems), ("morphism", s.morphisms),
+                           ("map", s.maps)):
+            if key in exp:
+                _ref(table, exp[key])
 
 
 # ---------------------------------------------------------------------------

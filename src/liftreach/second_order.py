@@ -9,7 +9,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import FrameNotKernel, NotAdapted, UnmappedControl
+from .errors import FrameNotKernel, UnmappedControl
 from .geometry import (
     Atlas,
     Chart,
@@ -18,7 +18,7 @@ from .geometry import (
     combine_fields,
     finite_difference_jacobian,
 )
-from .morphisms import KernelFrame, Morphism
+from .morphisms import KernelFrame, Morphism, check_adapted
 from .systems import GeneratedSystem
 
 
@@ -191,15 +191,6 @@ def is_second_order(sys: SecondOrderSystem, samples: int = 200, seed: int = 0):
     return worst <= 1e-9, worst
 
 
-def _check_projection(phi: SmoothMap, samples: int = 30, seed: int = 0):
-    m = phi.target.dim
-    rng = np.random.default_rng(seed)
-    for p in phi.source.sample(rng, samples):
-        _, out = phi.raw(p.chart_id, p.coords)
-        if np.max(np.abs(np.asarray(out, float) - p.coords[:m])) > 1e-9:
-            raise NotAdapted("map must be the coordinate projection in adapted charts")
-
-
 def tangent_map(phi: SmoothMap, tp: TangentAtlas, tq: TangentAtlas) -> SmoothMap:
     """T(phi) for an adapted coordinate projection phi: P -> Q."""
     m = phi.target.dim
@@ -230,7 +221,7 @@ def second_order_lift(sys2: SecondOrderSystem, phi: SmoothMap,
     """
     if sys2.local_data is None:
         raise ValueError("second_order_lift needs the local form of the source system")
-    _check_projection(phi, samples=samples, seed=seed)
+    check_adapted(phi, samples=samples, seed=seed)
     gamma, gmat = sys2.local_data
     m = phi.target.dim
     k = len(sys2.control_fields)

@@ -22,7 +22,6 @@ from .errors import (
 from .geometry import (
     Atlas,
     Point,
-    Tangent,
     VectorField,
     box_atlas,
     combine_fields,
@@ -129,9 +128,6 @@ class Trajectory:
     def end_time(self) -> float:
         return self.samples[-1][0]
 
-    def at_times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.samples])
-
 
 def rk4_step(func, chart_id: str, coords: np.ndarray, h: float) -> np.ndarray:
     k1 = np.asarray(func(chart_id, coords), float)
@@ -139,6 +135,23 @@ def rk4_step(func, chart_id: str, coords: np.ndarray, h: float) -> np.ndarray:
     k3 = np.asarray(func(chart_id, coords + 0.5 * h * k2), float)
     k4 = np.asarray(func(chart_id, coords + h * k3), float)
     return coords + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def step_schedule(duration: float, h: float, t0: float = 0.0) -> tuple[list, list]:
+    """Step sizes and end times of the RK4 steps over one duration from t0.
+
+    The one definition of the steps flow_field takes; reach integrates the
+    same steps over rows, so its arrival times equal flow_field's bit for bit.
+    """
+    steps, times = [], []
+    t, remaining = t0, duration
+    while remaining > 1e-15:
+        step = min(h, remaining)
+        t += step
+        remaining -= step
+        steps.append(step)
+        times.append(t)
+    return steps, times
 
 
 def flow_field(atlas: Atlas, func, start: Point, duration: float, h: float,
@@ -149,13 +162,8 @@ def flow_field(atlas: Atlas, func, start: Point, duration: float, h: float,
     Raises Escape when a step leaves the atlas.
     """
     p = start
-    t = t0
-    remaining = duration
-    while remaining > 1e-15:
-        step = min(h, remaining)
+    for step, t in zip(*step_schedule(duration, h, t0)):
         coords = rk4_step(func, p.chart_id, p.coords, step)
-        t += step
-        remaining -= step
         try:
             p = atlas.normalize(p.chart_id, coords)
         except OutOfAtlas:

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from liftreach.errors import (
     IndependenceViolated,
+    NotAdapted,
     NotInKernel,
     NotSubmersion,
     RankDeficient,
@@ -190,7 +191,7 @@ def test_chartwise_frame_on_mobius_does_not_glue():
         raw=lambda cid, c: ("c0", c[:1]),
         raw_jacobian=lambda cid, c: np.array([[1.0, 0.0]]),
     )
-    m = metric_lift_morphism(proj, proper=True)
+    m = metric_lift_morphism(proj)
     frame = kernel_frame(m, mode="chartwise")
     assert frame.rank == 1
     assert not frame.global_ok
@@ -252,6 +253,17 @@ def test_horizontal_lift_of_zero_is_zero():
                                 connection=lambda cid, x: np.full((1, 1, 1), 0.7))
     p = plane.normalize("c0", [0.2, 0.9])
     assert_allclose(lifted.generators[0].at(p), [0.0, 0.0], atol=1e-12)
+
+
+def test_horizontal_lift_requires_adapted_charts():
+    """horizontal_lift runs the same adapted-chart check as second_order_lift."""
+    plane, line, _, down = _projection_setup()
+    skew = SmoothMap(
+        source=plane, target=line,
+        raw=lambda cid, c: ("c0", np.array([0.5 * (c[0] + c[1])])),
+    )
+    with pytest.raises(NotAdapted, match="coordinate projection onto the first 1 axes"):
+        horizontal_lift(down, skew)
 
 
 def test_check_liftable_finds_lifting_map():

@@ -104,6 +104,27 @@ def test_unresolved_references():
         parse_scenario({"experiments": [{"kind": "reach", "system": "ghost",
                                          "grid": 4, "dwell": 0.1,
                                          "horizon": 1.0}]})
+    projection = {
+        "atlases": {"plane": {"kind": "box", "box": [[-1, 1], [-1, 1]]},
+                    "line": {"kind": "interval", "box": [-2, 2]}},
+        "maps": {"proj": {"source": "plane", "target": "line", "exprs": ["x"]}},
+        "fields": {"right": {"atlas": "line", "exprs": ["1"]}},
+        "systems": {"down": {"atlas": "line", "generators": ["right"]}},
+    }
+    double_integrator = {
+        "second_order": {"di": {"base": "line", "gamma": ["0"], "g": [["1"]]}},
+    }
+    ghost_kernel = {"mode": "global", "generators": ["ghost"]}
+    for extra in (
+        {"morphisms": {"m": {"map": "proj", "target_system": "down",
+                             "kernel": ghost_kernel}}},
+        {**double_integrator,
+         "so_lifts": {"l": {"source": "di", "map": "proj", "kernel": ghost_kernel}}},
+        {"connections": {"c": {"atlas": "line", "christoffel": [[["0"]]],
+                               "controls": ["ghost"]}}},
+    ):
+        with pytest.raises(UnresolvedReference, match="'ghost'"):
+            parse_scenario({**projection, **extra})
 
 
 def test_unknown_experiment_kind():
@@ -165,6 +186,13 @@ def test_cli_liftable_subcommand(capsys):
 def test_cli_lift_subcommand(capsys):
     assert main(["lift", "circle"]) == 0
     assert "verify-cover" in capsys.readouterr().out
+
+
+def test_cli_unknown_scenario_exits_two(capsys):
+    assert main(["run", "nosuch"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "liftreach: error: unresolved reference: 'nosuch'\n"
+    assert captured.out == ""
 
 
 def test_cli_no_matching_experiments(capsys):
