@@ -70,6 +70,7 @@ from .systems import (
     affine_control_system,
     control_system_from_tcs,
     integrate,
+    integrate_rows,
     restrict,
     tcs_from_control_system,
 )

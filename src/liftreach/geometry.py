@@ -119,6 +119,11 @@ class Atlas:
                 return i
         raise KeyError(chart_id)
 
+    def stack(self, points: Sequence[Point]) -> Points:
+        """The canonical points as rows."""
+        return Points(np.array([self.chart_index(p.chart_id) for p in points], dtype=int),
+                      np.array([p.coords for p in points], dtype=float).reshape(-1, self.dim))
+
     def normalize_many(self, chart_id: str, X) -> Points:
         """Canonical rows for raw rows X (N, dim) of one chart; rows outside
         the atlas get chart index -1."""
@@ -366,6 +371,14 @@ def union_atlas(charts: dict[str, Sequence], coord_names=None, name="union") -> 
     )
 
 
+def distinct(a: np.ndarray) -> list:
+    """The distinct values of a nonnegative int array, ascending.
+
+    np.unique would do, but it imports numpy.ma, about 1.5 MiB of memory.
+    """
+    return np.flatnonzero(np.bincount(a)).tolist()
+
+
 def _identity_rows(dim: int):
     return lambda cid, X: np.broadcast_to(np.eye(dim), (len(X), dim, dim))
 
@@ -425,6 +438,33 @@ class SmoothMap:
         cid, coords = self.raw(p.chart_id, p.coords)
         return self.target.normalize(cid, coords)
 
+    def values(self, rows: Points) -> Points:
+        """value() at each canonical row; raises OutOfAtlas as value() does."""
+        charts = np.empty(len(rows.coords), dtype=int)
+        out = np.empty((len(rows.coords), self.target.dim))
+        for idx, _, tcid, Y in self._raw_rows(rows):
+            charts[idx], out[idx] = self.target.normalize_many(tcid, Y)
+        if np.any(charts < 0):
+            raise OutOfAtlas(f"{int(np.sum(charts < 0))} images have no chart "
+                             f"in atlas {self.target.name!r}")
+        return Points(charts, out)
+
+    def _raw_rows(self, rows: Points):
+        """raw over rows: (row indices, source chart id, raw target chart id,
+        raw target rows) for each source chart and raw target chart present.
+        A map that is not batched is called row by row."""
+        for c in distinct(rows.charts):
+            idx = np.flatnonzero(rows.charts == c)
+            cid = self.source.charts[c].chart_id
+            if self.batched:
+                tcid, Y = self.raw(cid, rows.coords[idx])
+                yield idx, cid, tcid, np.asarray(Y, dtype=float)
+                continue
+            outs = [self.raw(cid, x) for x in rows.coords[idx]]
+            for tcid in dict.fromkeys(t for t, _ in outs):
+                k = [i for i, (t, _) in enumerate(outs) if t == tcid]
+                yield idx[k], cid, tcid, np.array([outs[i][1] for i in k], dtype=float)
+
     def raw_jac_at(self, chart_id: str, coords: np.ndarray) -> np.ndarray:
         if self.raw_jacobian is not None:
             return np.asarray(self.raw_jacobian(chart_id, coords), dtype=float)
@@ -438,6 +478,16 @@ class SmoothMap:
         J = self.raw_jac_at(p.chart_id, p.coords)
         N = self.target.transition_jacobian(cid, np.asarray(out, float))
         return N @ J
+
+    def jacobians(self, rows: Points) -> np.ndarray:
+        """jacobian() at each canonical row: (N, m, n)."""
+        out = np.empty((len(rows.coords), self.target.dim, self.source.dim))
+        for idx, cid, tcid, Y in self._raw_rows(rows):
+            X = rows.coords[idx]
+            J = (self.raw_jac_at(cid, X) if self.batched
+                 else np.array([self.raw_jac_at(cid, x) for x in X]))
+            out[idx] = self.target.transition_jacobians(tcid, Y) @ J
+        return out
 
 
 def identity_map(atlas: Atlas, name="id") -> SmoothMap:
@@ -488,6 +538,14 @@ class VectorField:
 
     def at(self, p: Point) -> np.ndarray:
         return np.asarray(self.func(p.chart_id, p.coords), dtype=float)
+
+    def at_rows(self, rows: Points) -> np.ndarray:
+        """The field at each canonical row of rows, one call per chart."""
+        out = np.empty(rows.coords.shape)
+        for c in distinct(rows.charts):
+            sel = rows.charts == c
+            out[sel] = self.values(self.atlas.charts[c].chart_id, rows.coords[sel])
+        return out
 
     def tangent(self, p: Point) -> Tangent:
         return Tangent(base=p, components=self.at(p))

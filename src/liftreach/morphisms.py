@@ -10,7 +10,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    Escape,
     IndependenceViolated,
     NotAdapted,
     NotInKernel,
@@ -22,6 +21,7 @@ from .errors import (
 from .geometry import (
     Atlas,
     Point,
+    Points,
     SmoothMap,
     VectorField,
     differential_rank,
@@ -32,8 +32,7 @@ from .systems import (
     ControlSystem,
     GeneratedSystem,
     Schedule,
-    flow_field,
-    integrate,
+    integrate_rows,
 )
 
 
@@ -194,6 +193,16 @@ def check_adapted(phi: SmoothMap, samples: int = 30, seed: int = 0):
 # verification
 
 
+def _in_atlas(atlas: Atlas, rows: Points, of: Atlas) -> Points:
+    """rows given in the charts of atlas of, renumbered as the charts of
+    atlas with the same chart ids: a target system may list the charts of
+    its map's target in another order."""
+    if of is atlas:
+        return rows
+    index = np.array([atlas.chart_index(c.chart_id) for c in of.charts], dtype=int)
+    return Points(index[rows.charts], rows.coords)
+
+
 def verify_trajectory_preserving(m: Morphism, target_sys: GeneratedSystem,
                                  samples: int = 1000, seed: int = 0,
                                  tolerance: Optional[float] = None,
@@ -202,49 +211,57 @@ def verify_trajectory_preserving(m: Morphism, target_sys: GeneratedSystem,
 
     Residual at x is |dPhi(liftY)(x) - Y(Phi(x))|; trajectories of random
     schedules upstairs must project onto the downstairs integration within
-    the integrator's accumulated local error.
+    the integrator's accumulated local error. The residual takes the sample
+    points as rows, and every schedule is a row of one integration on each
+    side; the report equals that of one point and one schedule at a time.
     """
     if tolerance is None:
         tolerance = 1e-9 if m.phi.analytic else 1e-6
     rng = np.random.default_rng(seed)
     pts = m.phi.source.sample(rng, samples)
+    rows = m.phi.source.stack(pts)
     worst = 0.0
     worst_point = None
     lifted = [m.lift(Y) for Y in target_sys.generators]
     for Y, X in zip(target_sys.generators, lifted):
-        for p in pts:
-            v = pushforward(m.phi, X.tangent(p))
-            r = float(np.max(np.abs(v.components - Y.at(v.base))))
-            if r > worst:
-                worst, worst_point = r, p
+        v = (m.phi.jacobians(rows) @ X.at_rows(rows)[..., None])[..., 0]
+        base = _in_atlas(Y.atlas, m.phi.values(rows), m.phi.target)
+        r = np.max(np.abs(v - Y.at_rows(base)), axis=1)
+        # the first maximum wins and nan never does, as in a point-by-point scan
+        r = np.where(np.isnan(r), -np.inf, r)
+        if len(r) and r.max() > worst:
+            i = int(np.argmax(r))
+            worst, worst_point = float(r[i]), pts[i]
     residual_ok = worst <= tolerance
 
     up = GeneratedSystem(m.phi.source, tuple(lifted), label="lifted")
-    traj_worst = 0.0
-    checked = 0
     k = len(target_sys.generators)
+    scheds, starts = [], []
     for _ in range(schedules):
         segs = [(int(rng.integers(0, k)), float(rng.uniform(0.1, 0.4)))
                 for _ in range(int(rng.integers(1, 4)))]
-        sched = Schedule.of(*segs)
-        start = m.phi.source.sample(rng, 1)[0]
-        try:
-            tu = integrate(up, start, sched, h)
-        except Escape as exc:
-            tu = exc.trajectory
-        try:
-            td = integrate(target_sys, m.phi.value(start), sched, h)
-        except Escape as exc:
-            td = exc.trajectory
-        n = min(len(tu.samples), len(td.samples))
-        # finite-difference lifts carry O(eps/FD_STEP) derivative noise that
-        # accumulates linearly along the flow
-        fd_noise = 0.0 if m.phi.analytic else 1e-9
-        for (t, pu), (_, pd) in zip(tu.samples[:n], td.samples[:n]):
-            d = target_sys.atlas.distance(m.phi.value(pu), pd)
+        scheds.append(Schedule.of(*segs))
+        starts.append(m.phi.source.sample(rng, 1)[0])
+    starts = m.phi.source.stack(starts)
+    tu = integrate_rows(up, starts, scheds, h)
+    atlas = target_sys.atlas
+    td = integrate_rows(target_sys, _in_atlas(atlas, m.phi.values(starts), m.phi.target),
+                        scheds, h)
+    # finite-difference lifts carry O(eps/FD_STEP) derivative noise that
+    # accumulates linearly along the flow
+    fd_noise = 0.0 if m.phi.analytic else 1e-9
+    ids_u = [c.chart_id for c in m.phi.target.charts]
+    ids_d = [c.chart_id for c in atlas.charts]
+    traj_worst = 0.0
+    for r in range(schedules):
+        n = int(min(tu.counts[r], td.counts[r]))
+        pu = m.phi.values(Points(tu.samples.charts[r, :n], tu.samples.coords[r, :n]))
+        pd = Points(td.samples.charts[r, :n], td.samples.coords[r, :n])
+        for t, cu, xu, cd, xd in zip(tu.times[r, :n].tolist(), pu.charts.tolist(), pu.coords,
+                                     pd.charts.tolist(), pd.coords):
+            d = atlas.distance(Point(ids_u[cu], xu), Point(ids_d[cd], xd))
             allowed = (10.0 * h ** 4 + fd_noise) * max(1.0, t)
             traj_worst = max(traj_worst, d - allowed)
-        checked += 1
     traj_ok = traj_worst <= 0.0
 
     return {
@@ -255,41 +272,41 @@ def verify_trajectory_preserving(m: Morphism, target_sys: GeneratedSystem,
             [worst_point.chart_id, [float(c) for c in worst_point.coords]],
         "tolerance": tolerance,
         "samples": samples,
-        "schedules_checked": checked,
+        "schedules_checked": schedules,
         "trajectory_excess": max(0.0, traj_worst),
     }
-
-
-def _escape_time(atlas: Atlas, field: VectorField, start: Point,
-                 horizon: float, h: float) -> float:
-    """Time at which the flow leaves the atlas, or the horizon if it never does."""
-    try:
-        flow_field(atlas, field.func, start, horizon, h)
-    except Escape as exc:
-        return exc.time
-    return horizon
 
 
 def verify_global_in_time(m: Morphism, target_sys: GeneratedSystem,
                           starts: Sequence[Point], horizon: float,
                           h: float = 1e-3) -> dict:
-    """Compare upstairs and downstairs escape times generator by generator."""
+    """Compare upstairs and downstairs escape times generator by generator.
+
+    Every (generator, start) pair is a row of one integration on each side;
+    a row that stays in the atlas up to the horizon escapes at the horizon.
+    """
+    up = GeneratedSystem(m.phi.source, tuple(m.lift(Y) for Y in target_sys.generators))
+    pairs = [(gi, x) for gi in range(len(target_sys.generators)) for x in starts]
+    scheds = [Schedule.of((gi, horizon)) for gi, _ in pairs]
+    rows = m.phi.source.stack([x for _, x in pairs])
+    escapes = zip(integrate_rows(up, rows, scheds, h, record=False).escapes.tolist(),
+                  integrate_rows(target_sys,
+                                 _in_atlas(target_sys.atlas, m.phi.values(rows), m.phi.target),
+                                 scheds, h, record=False).escapes.tolist())
     details = []
     ok = True
-    for gi, Y in enumerate(target_sys.generators):
-        X = m.lift(Y)
-        for x in starts:
-            t_up = _escape_time(m.phi.source, X, x, horizon, h)
-            t_down = _escape_time(target_sys.atlas, Y, m.phi.value(x), horizon, h)
-            agree = abs(t_up - t_down) <= 2 * h
-            ok = ok and agree
-            details.append({
-                "generator": gi,
-                "start": [x.chart_id, [float(c) for c in x.coords]],
-                "escape_up": t_up,
-                "escape_down": t_down,
-                "agree": agree,
-            })
+    for (gi, x), (t_up, t_down) in zip(pairs, escapes):
+        t_up = horizon if np.isnan(t_up) else t_up
+        t_down = horizon if np.isnan(t_down) else t_down
+        agree = abs(t_up - t_down) <= 2 * h
+        ok = ok and agree
+        details.append({
+            "generator": gi,
+            "start": [x.chart_id, [float(c) for c in x.coords]],
+            "escape_up": t_up,
+            "escape_down": t_down,
+            "agree": agree,
+        })
     return {"check": "global-in-time", "pass": ok, "horizon": horizon,
             "tolerance": 2 * h, "details": details}
 

@@ -13,8 +13,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import OutOfAtlas
-from .geometry import Atlas, Point, Points
-from .systems import GeneratedSystem, rk4_step, step_schedule
+from .geometry import Atlas, Point, Points, distinct
+from .systems import GeneratedSystem, step_rows, step_schedule
 
 CellKey = tuple  # (chart_id, idx_0, ..., idx_{d-1})
 
@@ -64,8 +64,7 @@ class Grid:
         return [(ids[c], *i) for c, i in zip(chart.tolist(), idx)]
 
     def cell_of(self, p: Point) -> CellKey:
-        rows = Points(np.array([self.atlas.chart_index(p.chart_id)]), p.coords[None, :])
-        return self.keys_of(self.cells_of(rows))[0]
+        return self.keys_of(self.cells_of(self.atlas.stack([p])))[0]
 
     def center_coords(self, key: CellKey) -> np.ndarray:
         chart = self.atlas.chart(key[0])
@@ -80,7 +79,7 @@ class Grid:
         idx = np.stack(np.unravel_index(rest, self._shape), axis=-1).astype(float)
         raw = lo[chart] + (idx + 0.5) * widths[chart] / self.cells_per_axis
         charts, coords = np.full(len(flat), -1), raw
-        for c in _distinct(chart):
+        for c in distinct(chart):
             sel = chart == c
             rows = self.atlas.normalize_many(self.atlas.charts[c].chart_id, raw[sel])
             charts[sel], coords[sel] = rows
@@ -206,21 +205,6 @@ class _GridMemo:
         self.outcomes: dict = {}  # (dwell, substeps) -> {flat cell: _Outcome}
 
 
-def _distinct(a: np.ndarray) -> list:
-    """The distinct values of a nonnegative int array, ascending.
-
-    np.unique would do, but it imports numpy.ma, about 1.5 MiB of memory.
-    """
-    return np.flatnonzero(np.bincount(a)).tolist()
-
-
-def _groups(flow_of: np.ndarray, charts: np.ndarray, n_charts: int):
-    """(flow, chart, row mask) for every pair present in the rows."""
-    key = flow_of * n_charts + charts
-    for k in _distinct(key):
-        yield k // n_charts, k % n_charts, key == k
-
-
 def _integrate(memo: _GridMemo, flows: list, flow_of: np.ndarray, start: Points,
                steps: list) -> tuple[np.ndarray, dict]:
     """RK4-step every row under its flow through one dwell, all rows at once.
@@ -231,18 +215,13 @@ def _integrate(memo: _GridMemo, flows: list, flow_of: np.ndarray, start: Points,
     (row, step).
     """
     atlas, grid = memo.grid.atlas, memo.grid
+    funcs = [f.func for f in flows]
     charts, X = start.charts.copy(), start.coords.copy()
     hits = np.full((len(X), len(steps)), -1, dtype=np.int64)
     points = {}
     live = np.arange(len(X))
     for s, step in enumerate(steps):
-        for f, c, sel in _groups(flow_of[live], charts[live], len(atlas.charts)):
-            rows = live[sel]
-            X[rows] = rk4_step(flows[f].func, atlas.charts[c].chart_id, X[rows], step)
-        for c in _distinct(charts[live]):
-            rows = live[charts[live] == c]
-            charts[rows], X[rows] = atlas.normalize_many(atlas.charts[c].chart_id, X[rows])
-        live = live[charts[live] >= 0]
+        live = step_rows(atlas, funcs, flow_of, charts, X, live, step)
         if not len(live):
             break
         cells = grid.cells_of(Points(charts[live], X[live]))
@@ -261,7 +240,7 @@ def _expand_layer(memo: _GridMemo, flows: list, cells: list, reps: Points,
     flow_of = []
     for f, field in enumerate(flows):
         moving = np.zeros(len(cells), dtype=bool)
-        for c in _distinct(reps.charts):
+        for c in distinct(reps.charts):
             sel = reps.charts == c
             k1 = field.func(atlas.charts[c].chart_id, reps.coords[sel])
             moving[sel] = ~(np.max(np.abs(k1), axis=1) < 1e-13)

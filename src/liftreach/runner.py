@@ -10,6 +10,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from .errors import Escape
 from .geometry import Atlas, Point
 from .morphisms import (
     check_liftable,
@@ -22,7 +23,7 @@ from .second_order import is_second_order
 from .systems import (
     Schedule,
     control_system_from_tcs,
-    integrate,
+    integrate_rows,
     tcs_from_control_system,
 )
 
@@ -245,10 +246,14 @@ def _run_geodesic(s: Scenario, exp: dict, seed: int, out_dir):
     x0, y0 = float(start.coords[0]), float(start.coords[1])
     tol = exp.get("tol", 1e-6)
     h = exp.get("step", 1e-3)
+    scheds = [Schedule.of((0, float(t))) for t in exp["times"]]
+    flow = integrate_rows(sys, sys.atlas.stack([start] * len(scheds)), scheds, h,
+                          record=False)
+    left = np.flatnonzero(~np.isnan(flow.escapes))
+    if len(left):
+        raise Escape(float(flow.escapes[left[0]]))
     worst = 0.0
-    for t in exp["times"]:
-        traj = integrate(sys, start, Schedule.of((0, float(t))), h)
-        end = traj.endpoint.coords
+    for t, end in zip(exp["times"], flow.ends.coords):
         denom = 1.0 + c * y0 * t
         y_exact = y0 / denom
         x_exact = x0 + (np.log(denom) / c if c != 0.0 else y0 * t)

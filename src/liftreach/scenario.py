@@ -60,11 +60,21 @@ class Scenario:
         return _ref(self.systems, name)
 
 
-def _ref(table: dict, name):
-    """The entry of table named name; UnresolvedReference when there is none."""
+def _ref(table: dict, name, where=None):
+    """The entry of table named name; UnresolvedReference when there is none,
+    ParseError at where when name is not a name at all."""
+    if not isinstance(name, str):
+        raise ParseError(f"expected a name, got {name!r}", where=where)
     if name not in table:
         raise UnresolvedReference(name)
     return table[name]
+
+
+def _need(spec: dict, key: str, where: str):
+    """spec[key]; ParseError at where when the key is missing."""
+    if key not in spec:
+        raise ParseError(f"missing {key!r}", where=where)
+    return spec[key]
 
 
 def _build_atlas(name: str, spec: dict) -> Atlas:
@@ -75,7 +85,7 @@ def _build_atlas(name: str, spec: dict) -> Atlas:
         lo, hi = spec.get("box", [-1.0, 1.0])
         atlas = interval_atlas(lo, hi, coord_name=(coords or ["x"])[0], name=name)
     elif kind == "box":
-        atlas = box_atlas(spec["box"], coord_names=coords, name=name)
+        atlas = box_atlas(_need(spec, "box", name), coord_names=coords, name=name)
     elif kind == "circle":
         atlas = circle_atlas(period=spec.get("period", 2 * np.pi), name=name)
     elif kind == "torus":
@@ -83,7 +93,7 @@ def _build_atlas(name: str, spec: dict) -> Atlas:
     elif kind == "mobius":
         atlas = mobius_atlas(name=name)
     elif kind == "union":
-        atlas = union_atlas(spec["charts"], coord_names=coords, name=name)
+        atlas = union_atlas(_need(spec, "charts", name), coord_names=coords, name=name)
     else:
         raise ParseError(f"unknown atlas kind {kind!r}", where=name)
     if metric_exprs:
@@ -98,11 +108,12 @@ def _build_atlas(name: str, spec: dict) -> Atlas:
 
 
 def _build_map(name: str, spec: dict, atlases: dict) -> SmoothMap:
-    src = _ref(atlases, spec["source"])
-    tgt = _ref(atlases, spec["target"])
-    if len(spec["exprs"]) != tgt.dim:
+    src = _ref(atlases, _need(spec, "source", name), name)
+    tgt = _ref(atlases, _need(spec, "target", name), name)
+    exprs = _need(spec, "exprs", name)
+    if len(exprs) != tgt.dim:
         raise DimensionMismatch(f"map {name!r} must have {tgt.dim} output expressions")
-    value = compile_vector(spec["exprs"], src.coord_names)
+    value = compile_vector(exprs, src.coord_names)
     tgt_chart = tgt.charts[0].chart_id
     jac = None
     if "jacobian" in spec:
@@ -121,10 +132,11 @@ def _build_map(name: str, spec: dict, atlases: dict) -> SmoothMap:
 
 
 def _build_field(name: str, spec: dict, atlases: dict) -> VectorField:
-    atlas = _ref(atlases, spec["atlas"])
-    if len(spec["exprs"]) != atlas.dim:
+    atlas = _ref(atlases, _need(spec, "atlas", name), name)
+    exprs = _need(spec, "exprs", name)
+    if len(exprs) != atlas.dim:
         raise DimensionMismatch(f"field {name!r} must have {atlas.dim} components")
-    value = compile_vector(spec["exprs"], atlas.coord_names)
+    value = compile_vector(exprs, atlas.coord_names)
     return VectorField(atlas, lambda cid, coords: value(coords), name=name, batched=True)
 
 
@@ -145,15 +157,15 @@ def parse_scenario(source) -> Scenario:
 
     systems = {}
     for k, v in data.get("systems", {}).items():
-        atlas = _ref(atlases, v["atlas"])
-        gens = tuple(_ref(fields, g) for g in v["generators"])
+        atlas = _ref(atlases, _need(v, "atlas", k), k)
+        gens = tuple(_ref(fields, g, k) for g in _need(v, "generators", k))
         systems[k] = GeneratedSystem(atlas, gens, label=k)
 
     morphisms = {}
     kernels = {}
     for k, v in data.get("morphisms", {}).items():
-        phi = _ref(maps, v["map"])
-        target = _ref(systems, v["target_system"])
+        phi = _ref(maps, _need(v, "map", k), k)
+        target = _ref(systems, _need(v, "target_system", k), k)
         m, lifted = lift_system(target, phi)
         morphisms[k] = m
         systems[f"{k}.system"] = lifted
@@ -161,18 +173,18 @@ def parse_scenario(source) -> Scenario:
         if kspec:
             gens = None
             if kspec.get("generators"):
-                gens = [_ref(fields, g) for g in kspec["generators"]]
+                gens = [_ref(fields, g, k) for g in kspec["generators"]]
             frame = kernel_frame(m, mode=kspec.get("mode", "chartwise"), generators=gens)
             kernels[k] = frame
             systems[f"{k}.augmented"] = augment_with_kernel(lifted, frame)
 
     second_order = {}
     for k, v in data.get("second_order", {}).items():
-        base = _ref(atlases, v["base"])
+        base = _ref(atlases, _need(v, "base", k), k)
         ta = tangent_atlas(base, v_bound=v.get("v_bound", 2.0))
         var_names = ta.atlas.coord_names
         n = base.dim
-        gamma_fn = compile_vector(v["gamma"], var_names)
+        gamma_fn = compile_vector(_need(v, "gamma", k), var_names)
         g_fns = [compile_vector(row, var_names) for row in v.get("g", [])]
 
         def gamma(cid, x, y, fn=gamma_fn):
@@ -198,8 +210,8 @@ def parse_scenario(source) -> Scenario:
             systems[f"{k}.tcs"] = GeneratedSystem(ta.atlas, tuple(gens), label=f"{k}.tcs")
 
     for k, v in data.get("so_lifts", {}).items():
-        so = _ref(second_order, v["source"])
-        phi = _ref(maps, v["map"])
+        so = _ref(second_order, _need(v, "source", k), k)
+        phi = _ref(maps, _need(v, "map", k), k)
         lifted, m = second_order_lift(so, phi)
         second_order[f"{k}.system"] = lifted
         morphisms[k] = m
@@ -208,7 +220,7 @@ def parse_scenario(source) -> Scenario:
             base_m = metric_lift_morphism(phi)
             gens = None
             if kspec.get("generators"):
-                gens = [_ref(fields, g) for g in kspec["generators"]]
+                gens = [_ref(fields, g, k) for g in kspec["generators"]]
             frame = kernel_frame(base_m, mode=kspec.get("mode", "global"), generators=gens)
             kernels[k] = frame
             systems[f"{k}.augmented"] = augment_second_order(
@@ -216,17 +228,18 @@ def parse_scenario(source) -> Scenario:
 
     connections = {}
     for k, v in data.get("connections", {}).items():
-        atlas = _ref(atlases, v["atlas"])
+        atlas = _ref(atlases, _need(v, "atlas", k), k)
         n = atlas.dim
         chr_fns = [[[compile_expr(e, atlas.coord_names) for e in row] for row in mat]
-                   for mat in v["christoffel"]]
+                   for mat in _need(v, "christoffel", k)]
 
         def christoffel(cid, x, fns=chr_fns):
-            return np.array([[[f(x) for f in row] for row in mat] for mat in fns])
+            G = np.array([[[f(x) for f in row] for row in mat] for mat in fns])
+            return G if G.ndim == 3 else G.transpose(3, 0, 1, 2)
 
-        controls = tuple(_ref(fields, g) for g in v.get("controls", []))
+        controls = tuple(_ref(fields, g, k) for g in v.get("controls", []))
         cs = ConnectionSystem(atlas, christoffel, controls,
-                              v_bound=v.get("v_bound", 2.0), label=k)
+                              v_bound=v.get("v_bound", 2.0), label=k, batched=True)
         connections[k] = cs
         spray = geodesic_spray(cs)
         second_order[f"{k}.spray"] = spray
@@ -246,18 +259,20 @@ def parse_scenario(source) -> Scenario:
 def _validate_experiments(s: Scenario):
     for exp in s.experiments:
         kind = exp.get("kind")
+        where = exp.get("name", "?")
         if kind not in _HANDLERS:
-            raise ParseError(f"unknown experiment kind {kind!r}",
-                             where=exp.get("name", "?"))
+            raise ParseError(f"unknown experiment kind {kind!r}", where=where)
         if kind == "second-order-check":
-            _ref(s.second_order, exp.get("system"))
+            _ref(s.second_order, exp.get("system"), where)
         elif "system" in exp:
-            _ref(s.systems, exp["system"])
+            _ref(s.systems, exp["system"], where)
         for key, table in (("upstairs", s.systems), ("downstairs", s.systems),
                            ("target_system", s.systems), ("morphism", s.morphisms),
                            ("map", s.maps)):
             if key in exp:
-                _ref(table, exp[key])
+                _ref(table, exp[key], where)
+        if kind == "reach" and not (exp.get("starts") or "start" in exp):
+            raise ParseError("a reach experiment needs 'start' or 'starts'", where=where)
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,8 @@ class ConnectionSystem:
 
     christoffel(cid, x) has shape (n, n, n) indexed [i, j, k] and must be
     symmetric in (j, k); controls act through vertical lifts on TQ.
+    batched says that christoffel also takes rows x (N, n), returning
+    (N, n, n, n), which makes the geodesic spray array-native.
     """
 
     atlas: Atlas
@@ -335,6 +337,7 @@ class ConnectionSystem:
     controls: tuple[VectorField, ...] = ()
     v_bound: float = 2.0
     label: str = "connection"
+    batched: bool = False
 
 
 def validate_connection(cs: ConnectionSystem, samples: int = 50, seed: int = 0):
@@ -346,19 +349,25 @@ def validate_connection(cs: ConnectionSystem, samples: int = 50, seed: int = 0):
 
 
 def geodesic_spray(cs: ConnectionSystem) -> SecondOrderSystem:
-    """Second-order drift of the connection plus vertically lifted controls."""
+    """Second-order drift of the connection plus vertically lifted controls.
+
+    The spray takes rows when the connection does.
+    """
     validate_connection(cs)
     ta = tangent_atlas(cs.atlas, v_bound=cs.v_bound)
+    n = cs.atlas.dim
 
     def gamma(cid, x, y):
-        G = np.asarray(cs.christoffel(cid, np.asarray(x, float)), float)
-        return -np.einsum("ijk,j,k->i", G, y, y)
+        # einsum sums strided stacks in another order: contiguous rows keep
+        # each row equal to its point
+        G = np.ascontiguousarray(cs.christoffel(cid, np.asarray(x, float)), dtype=float)
+        return -np.einsum("...ijk,...j,...k->...i", G, y, y)
 
     def gmat(cid, x, y):
         if not cs.controls:
-            return np.zeros((0, cs.atlas.dim))
-        return np.stack([np.asarray(g.func(cid, np.asarray(x, float)), float)
-                         for g in cs.controls])
+            return np.zeros(np.shape(x)[:-1] + (0, n))
+        return np.stack([g.values(cid, x) for g in cs.controls], axis=-2)
 
     return second_order_system(ta, gamma, gmat, len(cs.controls),
-                               label=f"spray({cs.label})")
+                               label=f"spray({cs.label})",
+                               batched=cs.batched and all(g.batched for g in cs.controls))

@@ -1,9 +1,24 @@
-"""Shared fixtures: built-in scenarios are parsed and run once per session."""
+"""Shared fixtures: built-in scenarios are parsed and run once per session.
+
+Property tests draw the same examples on every run and keep no example
+database, so a run is reproducible. hypothesis still caches the constants
+it reads from the source; that cache goes to a directory removed at exit,
+so a run leaves no .hypothesis/ behind.
+"""
+
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from liftreach.runner import run
 from liftreach.scenario import builtin_scenario_names, load_builtin
+
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture(scope="session")

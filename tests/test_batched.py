@@ -1,6 +1,7 @@
 """Array-native evaluation: rows (N, d) must give, bit for bit, what one point
 at a time gives, for every array-native library field builder, every atlas
-kind's normalization and transition Jacobian, and the grid's cell lookup."""
+kind's normalization and transition Jacobian, the grid's cell lookup, the
+row integrator and the certificates built on it."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from liftreach.errors import Escape
+from liftreach.expressions import compile_vector
 from liftreach.geometry import (
     Point,
     Points,
@@ -15,14 +18,30 @@ from liftreach.geometry import (
     VectorField,
     box_atlas,
     circle_atlas,
+    interval_atlas,
     mobius_atlas,
+    pushforward,
     torus_atlas,
     union_atlas,
 )
-from liftreach.morphisms import kernel_projector, metric_lift_morphism
+from liftreach.morphisms import (
+    Morphism,
+    kernel_projector,
+    lift_system,
+    metric_lift_morphism,
+    verify_global_in_time,
+    verify_trajectory_preserving,
+)
 from liftreach.reach import Grid
 from liftreach.scenario import parse_scenario
 from liftreach.second_order import tangent_atlas, vertical_lift
+from liftreach.systems import (
+    GeneratedSystem,
+    Schedule,
+    flow_field,
+    integrate,
+    integrate_rows,
+)
 
 SCENARIO = {
     "name": "batched",
@@ -71,6 +90,11 @@ SCENARIO = {
         "oscl": {"source": "osc", "map": "projx",
                  "kernel": {"mode": "global", "generators": ["vy"]}},
     },
+    "connections": {
+        "conn": {"atlas": "plane", "controls": ["vy"],
+                 "christoffel": [[["x", "0.5*y"], ["0.5*y", "1"]],
+                                 [["0", "x*y"], ["x*y", "sin(x) - y**2"]]]},
+    },
     "experiments": [],
 }
 
@@ -94,6 +118,8 @@ def _library_fields(s):
         "so-lift-drift": lifted.drift,
         "so-lift-control": lifted.control_fields[0],
         "vertical-lift": vertical_lift(s.fields["vy"], lifted.tangent_atlas),
+        "spray-drift": s.second_order["conn.spray"].drift,
+        "spray-control": s.second_order["conn.spray"].control_fields[0],
     }
     for name in ("bent", "wbent", "mlift"):
         for j, f in enumerate(s.kernels[name].fields):
@@ -213,3 +239,252 @@ def test_row_cell_of_equals_pointwise(kind, data, n):
     keys = grid.keys_of(grid.cells_of(rows))
     assert keys == [grid.cell_of(Point(atlas.charts[c].chart_id, x))
                     for c, x in zip(rows.charts, rows.coords)]
+
+
+# -- the row integrator ----------------------------------------------------------
+
+
+def _union_system():
+    """Rows in both charts of a union, leaving it at different steps, under a
+    pointwise lambda, a compiled field and kernel combinations on a base."""
+    atlas = union_atlas({"a": [[-1, 0.5], [-1, 1]], "b": [[-0.5, 1], [-1, 0.3]]})
+    compiled = compile_vector(["1 + x**2", "0.5*y - 0.2"], ["x", "y"])
+    swirl = VectorField(atlas, lambda cid, c: np.array([-c[1] + 0.3, c[0]]))
+    drift = VectorField(atlas, lambda cid, c: compiled(c), batched=True)
+    lean = VectorField(atlas, lambda cid, c: compiled(c[..., ::-1]), batched=True)
+    return GeneratedSystem(atlas, (swirl, drift), kernel_fields=(drift, lean),
+                           kernel_base=swirl)
+
+
+def _row_systems():
+    s = parse_scenario(SCENARIO)
+    return {"plane": s.systems["bent.augmented"], "mobius": s.systems["mlift.augmented"],
+            "union": _union_system()}
+
+
+ROW_SYSTEMS = sorted(_row_systems())
+
+
+def _alone(sys, start, sched, h):
+    """integrate() of one start: its samples and its escape time (None if it stays)."""
+    try:
+        return integrate(sys, start, sched, h).samples, None
+    except Escape as exc:
+        return exc.trajectory.samples, exc.time
+
+
+def _selectors(sys):
+    coeffs = st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.7, 1.0]),
+                      min_size=len(sys.kernel_fields), max_size=len(sys.kernel_fields))
+    return st.one_of(st.integers(0, len(sys.generators) - 1), coeffs)
+
+
+def _schedules(sys):
+    segment = st.tuples(_selectors(sys), st.floats(0.0, 0.35))
+    return st.lists(segment, min_size=1, max_size=3).map(lambda segs: Schedule.of(*segs))
+
+
+def _starts(sys):
+    lo = np.min([c.box[:, 0] for c in sys.atlas.charts], axis=0)
+    hi = np.max([c.box[:, 1] for c in sys.atlas.charts], axis=0)
+    coords = st.tuples(*(st.floats(a, b) for a, b in zip(lo, hi)))
+    return coords.map(lambda c: sys.atlas.normalize_raw(sys.atlas.charts[0].chart_id,
+                                                        np.array(c))).filter(
+        lambda out: out is not None).map(lambda out: Point(out[0], np.array(out[1])))
+
+
+@pytest.mark.parametrize("name", ROW_SYSTEMS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rows_equal_integrate_alone(name, data):
+    sys = _row_systems()[name]
+    n = data.draw(st.integers(1, 5))
+    starts = [data.draw(_starts(sys)) for _ in range(n)]
+    scheds = [data.draw(_schedules(sys)) for _ in range(n)]
+    h = data.draw(st.sampled_from([0.03, 0.05, 0.07]))
+    rows = sys.atlas.stack(starts)
+    flow = integrate_rows(sys, rows, scheds, h)
+    bare = integrate_rows(sys, rows, scheds, h, record=False)
+    assert bare.samples is None
+    ids = [c.chart_id for c in sys.atlas.charts]
+    for r, (start, sched) in enumerate(zip(starts, scheds)):
+        samples, escape = _alone(sys, start, sched, h)
+        k = flow.counts[r]
+        assert k == len(samples) == bare.counts[r]
+        assert flow.times[r, :k].tolist() == [t for t, _ in samples]
+        assert [ids[c] for c in flow.samples.charts[r, :k]] == [p.chart_id for _, p in samples]
+        assert np.array_equal(flow.samples.coords[r, :k], [p.coords for _, p in samples])
+        assert np.all(flow.samples.charts[r, k:] == -1)
+        for f in (flow, bare):
+            if escape is None:
+                assert np.isnan(f.escapes[r])
+                assert ids[f.ends.charts[r]] == samples[-1][1].chart_id
+                assert np.array_equal(f.ends.coords[r], samples[-1][1].coords)
+            else:
+                assert f.escapes[r] == escape
+                assert f.ends.charts[r] == -1
+
+
+def test_rows_escape_at_different_steps():
+    """Starts nearer the edge leave earlier; each keeps its own escape time and
+    truncated samples, and the others step on."""
+    sys = _union_system()
+    starts = [sys.atlas.normalize("a", [x, -0.5]) for x in (0.9, 0.5, 0.3, -0.9)]
+    scheds = [Schedule.of((1, 0.6))] * 4
+    flow = integrate_rows(sys, sys.atlas.stack(starts), scheds, 0.01)
+    escapes = []
+    for r, start in enumerate(starts):
+        samples, escape = _alone(sys, start, scheds[r], 0.01)
+        assert flow.counts[r] == len(samples)
+        assert np.isnan(flow.escapes[r]) if escape is None else flow.escapes[r] == escape
+        escapes.append(escape)
+    assert escapes[0] < escapes[1] < escapes[2] and escapes[3] is None
+    with pytest.raises(Escape):
+        flow_field(sys.atlas, sys.generators[1].func, starts[0], 0.6, 0.01)
+
+
+# -- certificates against their point-by-point definitions -------------------------
+
+
+def _verify_pointwise(m, target_sys, samples, seed, tolerance=None, schedules=10, h=1e-3):
+    """verify_trajectory_preserving one sample point and one schedule at a time."""
+    if tolerance is None:
+        tolerance = 1e-9 if m.phi.analytic else 1e-6
+    rng = np.random.default_rng(seed)
+    pts = m.phi.source.sample(rng, samples)
+    worst, worst_point = 0.0, None
+    lifted = [m.lift(Y) for Y in target_sys.generators]
+    for Y, X in zip(target_sys.generators, lifted):
+        for p in pts:
+            v = pushforward(m.phi, X.tangent(p))
+            r = float(np.max(np.abs(v.components - Y.at(v.base))))
+            if r > worst:
+                worst, worst_point = r, p
+    up = GeneratedSystem(m.phi.source, tuple(lifted))
+    traj_worst, k = 0.0, len(target_sys.generators)
+    for _ in range(schedules):
+        segs = [(int(rng.integers(0, k)), float(rng.uniform(0.1, 0.4)))
+                for _ in range(int(rng.integers(1, 4)))]
+        sched = Schedule.of(*segs)
+        start = m.phi.source.sample(rng, 1)[0]
+        tu, _ = _alone(up, start, sched, h)
+        td, _ = _alone(target_sys, m.phi.value(start), sched, h)
+        fd_noise = 0.0 if m.phi.analytic else 1e-9
+        for (t, pu), (_, pd) in zip(tu, td):
+            d = target_sys.atlas.distance(m.phi.value(pu), pd)
+            traj_worst = max(traj_worst, d - (10.0 * h ** 4 + fd_noise) * max(1.0, t))
+    return {
+        "check": "trajectory-preserving",
+        "pass": bool(worst <= tolerance and traj_worst <= 0.0),
+        "worst_residual": worst,
+        "worst_point": None if worst_point is None else
+            [worst_point.chart_id, [float(c) for c in worst_point.coords]],
+        "tolerance": tolerance,
+        "samples": samples,
+        "schedules_checked": schedules,
+        "trajectory_excess": max(0.0, traj_worst),
+    }
+
+
+def _global_pointwise(m, target_sys, starts, horizon, h=1e-3):
+    """verify_global_in_time one generator and one start at a time."""
+    def escape_time(atlas, field, start):
+        try:
+            flow_field(atlas, field.func, start, horizon, h)
+        except Escape as exc:
+            return exc.time
+        return horizon
+
+    details, ok = [], True
+    for gi, Y in enumerate(target_sys.generators):
+        X = m.lift(Y)
+        for x in starts:
+            t_up = escape_time(m.phi.source, X, x)
+            t_down = escape_time(target_sys.atlas, Y, m.phi.value(x))
+            agree = abs(t_up - t_down) <= 2 * h
+            ok = ok and agree
+            details.append({"generator": gi, "start": [x.chart_id, [float(c) for c in x.coords]],
+                            "escape_up": t_up, "escape_down": t_down, "agree": agree})
+    return {"check": "global-in-time", "pass": ok, "horizon": horizon,
+            "tolerance": 2 * h, "details": details}
+
+
+def _user_cases():
+    """Pointwise user maps: a metric lift into a union, and a constant wrong
+    lift whose residual ties at every point, so the first point must win,
+    and whose projected trajectories drift further at every step."""
+    plane = box_atlas([[-2, 2], [-2, 2]], coord_names=["x", "z"])
+    cases = []
+    for line in (union_atlas({"l": [[-2, 0.5]], "r": [[0, 2]]}), interval_atlas(-9, 9)):
+        cid = line.charts[0].chart_id
+        proj = SmoothMap(plane, line, raw=lambda cid_, c, cid=cid: (cid, np.array([c[0]])),
+                         raw_jacobian=lambda cid_, c: np.array([[1.0, 0.0]]))
+        down = GeneratedSystem(line, (
+            VectorField(line, lambda cid_, c: np.array([1.0 + c[0] ** 2])),
+            VectorField(line, lambda cid_, c: np.array([-0.5]))))
+        cases.append((lift_system(down, proj)[0], down))
+    wrong = Morphism(cases[1][0].phi,
+                     lambda Y: VectorField(plane, lambda cid, c: np.array([3.0, c[1]])),
+                     kind="user-supplied")
+    return cases + [(wrong, cases[1][1])]
+
+
+VERIFIED = [("bundle", "blift", "rotsys"), ("circle", "cover", "rotsys"),
+            ("double-integrator", "dil", "di.tcs"), ("improper", "badlift", "dsys"),
+            ("mobius", "mlift", "rotsys"), ("projection", "liftsym_fd", "dsym"),
+            ("projection", "liftsym_user", "dsym")]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_row_verifiers_equal_pointwise_reference(scenarios, seed):
+    cases = [(scenarios[name].morphisms[m], scenarios[name].system(t))
+             for name, m, t in VERIFIED]
+    cases += _user_cases()
+    for morphism, target in cases:
+        kw = dict(samples=40, seed=seed, schedules=4, h=0.01)
+        assert verify_trajectory_preserving(morphism, target, **kw) == \
+            _verify_pointwise(morphism, target, **kw)
+    wrong, down = _user_cases()[-1]
+    report = verify_trajectory_preserving(wrong, down, samples=25, seed=seed)
+    first = wrong.phi.source.sample(np.random.default_rng(seed), 1)[0]
+    assert report["worst_point"] == ["c0", [float(c) for c in first.coords]]
+    assert 0.0 < report["trajectory_excess"] < np.inf
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_row_global_in_time_equals_pointwise_reference(scenarios, seed):
+    rng = np.random.default_rng(seed)
+    for name, m, t in VERIFIED + [("improper", "badlift", "dsys")]:
+        morphism, target = scenarios[name].morphisms[m], scenarios[name].system(t)
+        starts = morphism.phi.source.sample(rng, 3)
+        assert verify_global_in_time(morphism, target, starts, 0.8, h=0.02) == \
+            _global_pointwise(morphism, target, starts, 0.8, h=0.02)
+    improper = scenarios["improper"].morphisms["badlift"]
+    starts = [improper.phi.source.normalize("a", c) for c in ([-1.0, 1.0], [-1.0, 0.2])]
+    target = scenarios["improper"].system("dsys")
+    report = verify_global_in_time(improper, target, starts, 2.0, h=0.01)
+    assert report == _global_pointwise(improper, target, starts, 2.0, h=0.01)
+    assert [d["agree"] for d in report["details"]] == [False, True]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_row_verifiers_match_charts_by_id(seed):
+    """A target system may list the charts of its map's target in another
+    order; the certificates match charts by id, as one point at a time does."""
+    plane = box_atlas([[-2, 2], [-2, 2]], coord_names=["x", "z"])
+    charts = {"l": [[-2, 0]], "r": [[0, 2]]}
+    line, flipped = union_atlas(charts), union_atlas(dict(reversed(charts.items())))
+    assert [c.chart_id for c in flipped.charts] == ["r", "l"]
+    proj = SmoothMap(plane, line, raw=lambda cid, c: ("l" if c[0] < 0 else "r", c[:1]),
+                     raw_jacobian=lambda cid, c: np.array([[1.0, 0.0]]))
+    # fields that differ from chart to chart show a row read in the wrong chart
+    down = GeneratedSystem(flipped, (
+        VectorField(flipped, lambda cid, c: np.array([(cid == "l") + c[0] ** 2])),
+        VectorField(flipped, lambda cid, c: np.array([-0.5 - c[0] * (cid == "r")]))))
+    m = lift_system(down, proj)[0]
+    kw = dict(samples=40, seed=seed, schedules=6, h=0.01)
+    report = verify_trajectory_preserving(m, down, **kw)
+    assert report == _verify_pointwise(m, down, **kw)
+    starts = plane.sample(np.random.default_rng(seed), 4)
+    report = verify_global_in_time(m, down, starts, 2.0, h=0.01)
+    assert report == _global_pointwise(m, down, starts, 2.0, h=0.01)

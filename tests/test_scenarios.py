@@ -132,6 +132,50 @@ def test_unknown_experiment_kind():
         parse_scenario({"experiments": [{"kind": "teleport"}]})
 
 
+LINE = {"atlases": {"line": {"kind": "interval", "box": [-2, 2]}},
+        "fields": {"right": {"atlas": "line", "exprs": ["1"]}},
+        "systems": {"down": {"atlas": "line", "generators": ["right"]}}}
+
+
+def test_reach_without_a_start_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"^r: a reach experiment needs 'start' or 'starts'$"):
+        parse_scenario({**LINE, "experiments": [
+            {"name": "r", "kind": "reach", "system": "down", "grid": 4, "dwell": 0.1,
+             "horizon": 1.0}]})
+
+
+def test_field_without_exprs_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"^f: missing 'exprs'$"):
+        parse_scenario({"atlases": LINE["atlases"], "fields": {"f": {"atlas": "line"}}})
+
+
+def test_map_without_exprs_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"^p: missing 'exprs'$"):
+        parse_scenario({"atlases": LINE["atlases"],
+                        "maps": {"p": {"source": "line", "target": "line"}}})
+
+
+def test_box_atlas_without_box_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"^plane: missing 'box'$"):
+        parse_scenario({"atlases": {"plane": {"kind": "box"}}})
+
+
+def test_list_for_a_reference_name_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"^down: expected a name, got \['right'\]$"):
+        parse_scenario({**LINE, "systems": {"down": {"atlas": "line",
+                                                     "generators": [["right"]]}}})
+
+
+def test_cli_parse_error_exits_two(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps({"atlases": LINE["atlases"],
+                                "fields": {"f": {"atlas": "line"}}}))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "liftreach: error: f: missing 'exprs'\n"
+    assert captured.out == ""
+
+
 def test_run_filters_by_kind_and_name(scenarios):
     s = scenarios["circle"]
     only_reach = run(s, kinds=("reach",))
