@@ -93,7 +93,9 @@ class Atlas:
     (used for overlap-compatibility checks). normalize_rows and
     jacobian_rows are the first two maps over rows (N, dim) of one raw
     chart: normalize_rows returns (chart indices, coords) as in Points,
-    jacobian_rows the (N, dim, dim) Jacobians.
+    jacobian_rows the (N, dim, dim) Jacobians. shared_coords marks charts
+    that are boxes of one coordinate system, as in a union, so that points
+    of different charts compare directly.
     """
 
     dim: int
@@ -106,6 +108,7 @@ class Atlas:
     aliases_fn: Optional[Callable[[str, np.ndarray], list[Raw]]] = None
     coord_names: tuple[str, ...] = ()
     name: str = ""
+    shared_coords: bool = False
 
     def chart(self, chart_id: str) -> Chart:
         for c in self.charts:
@@ -178,11 +181,12 @@ class Atlas:
         return pts
 
     def distance(self, p: Point, q: Point) -> float:
-        """Coordinate distance, minimized over raw representations of q."""
+        """Coordinate distance, minimized over the raw representations of q
+        in p's chart, or over all of them when the charts share coordinates."""
         reps = [(q.chart_id, q.coords)] + self.aliases(q)
         best = np.inf
         for cid, coords in reps:
-            if cid == p.chart_id:
+            if cid == p.chart_id or self.shared_coords:
                 best = min(best, float(np.linalg.norm(p.coords - np.asarray(coords))))
         return best
 
@@ -368,6 +372,7 @@ def union_atlas(charts: dict[str, Sequence], coord_names=None, name="union") -> 
         name=name,
         normalize_rows=norm_rows,
         jacobian_rows=_identity_rows(dim),
+        shared_coords=True,
     )
 
 
@@ -376,7 +381,7 @@ def distinct(a: np.ndarray) -> list:
 
     np.unique would do, but it imports numpy.ma, about 1.5 MiB of memory.
     """
-    return np.flatnonzero(np.bincount(a)).tolist()
+    return np.bincount(a).nonzero()[0].tolist()
 
 
 def _identity_rows(dim: int):
@@ -549,6 +554,24 @@ class VectorField:
 
     def tangent(self, p: Point) -> Tangent:
         return Tangent(base=p, components=self.at(p))
+
+
+@dataclass(frozen=True, eq=False)
+class Member:
+    """The func of one field of a family whose fields evaluate together.
+
+    family(chart_id, coords, members, which) is the field members[which[r]]
+    at each row r of rows coords (N, d), each row equal, bit for bit, to
+    that field alone at that row; without which it is members[0] at a
+    point or at every row. This func is family(..., (member,)); step_rows
+    steps the rows of one chart under members of one family as one array.
+    """
+
+    family: Callable
+    member: object
+
+    def __call__(self, chart_id: str, coords):
+        return self.family(chart_id, coords, (self.member,))
 
 
 def combine_fields(fields: Sequence[VectorField], coeffs, name="") -> VectorField:

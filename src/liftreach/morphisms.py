@@ -20,11 +20,13 @@ from .errors import (
 )
 from .geometry import (
     Atlas,
+    Member,
     Point,
     Points,
     SmoothMap,
     VectorField,
     differential_rank,
+    distinct,
     overlap_residual,
     pushforward,
 )
@@ -88,21 +90,36 @@ def _right_inverse(J: np.ndarray, metric, cid, coords):
     W = J @ A
     # W is positive definite exactly when dPhi has full rank here
     try:
-        d = np.diagonal(np.linalg.cholesky(W), axis1=-2, axis2=-1)
+        if W.shape[-1] == 1 and (W > 0).all():
+            # a 1x1 Cholesky factor is sqrt(W), as LAPACK computes it; where
+            # some W is not positive, LAPACK decides (nan passes some builds)
+            lo = hi = np.sqrt(W[..., 0, 0])
+        else:
+            d = np.diagonal(np.linalg.cholesky(W), axis1=-2, axis2=-1)
+            lo, hi = d.min(axis=-1), d.max(axis=-1)
     except np.linalg.LinAlgError:
-        d = np.zeros(W.shape[:-1])
-    bad = d.min(axis=-1) <= 1e-6 * np.maximum(d.max(axis=-1), 1.0)
-    if np.any(bad):
+        lo = hi = np.zeros(W.shape[:-2])
+    bad = lo <= 1e-6 * np.maximum(hi, 1.0)
+    if bad.any():
         at = np.reshape(coords, (-1, np.shape(coords)[-1]))[np.argmax(bad)]
         raise SingularGram(f"J G^-1 J^T is numerically singular at ({cid}, {at})")
     return A, W
 
 
+def _gram_solve(W: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """W^-1 B for stacked Gram matrices W. A 1x1 W with one right-hand side
+    divides, which is LAPACK's solve bit for bit, and multiplying by 1/W is
+    not; with more columns some LAPACK builds multiply by 1/W, so those stay
+    on LAPACK."""
+    if W.shape[-1] == 1 and B.shape[-1] == 1:
+        return B / W
+    return np.linalg.solve(W, B)
+
+
 def _right_inverse_apply(J: np.ndarray, metric, cid, coords, y):
     """G^-1 J^T (J G^-1 J^T)^-1 y at coords (n,) or rows (N, n) with Jacobians J."""
     A, W = _right_inverse(J, metric, cid, coords)
-    z = np.linalg.solve(W, np.asarray(y, dtype=float)[..., None])
-    return (A @ z)[..., 0]
+    return (A @ _gram_solve(W, np.asarray(y, dtype=float)[..., None]))[..., 0]
 
 
 def check_submersion(phi: SmoothMap, samples: int = 50, seed: int = 0):
@@ -120,14 +137,22 @@ def metric_lift_morphism(phi: SmoothMap, metric=None,
     check_submersion(phi, samples=samples, seed=seed)
     metric = _metric_of(phi, metric)
 
-    def lift_rule(Y: VectorField) -> VectorField:
-        def func(cid, coords):
-            coords = np.asarray(coords, float)
-            tcid, tcoords = phi.raw(cid, coords)
-            y = Y.values(tcid, tcoords)
-            return _right_inverse_apply(phi.raw_jac_at(cid, coords), metric, cid, coords, y)
+    def lifts(cid, coords, fields, which=None):
+        """The lifts of fields, row r lifting fields[which[r]]: one raw map,
+        Jacobian, Gram and solve whatever field each row lifts."""
+        coords = np.asarray(coords, float)
+        tcid, tcoords = phi.raw(cid, coords)
+        if which is None:
+            y = fields[0].values(tcid, tcoords)
+        else:
+            y = np.empty(np.shape(tcoords))
+            for j in distinct(which):
+                sel = which == j
+                y[sel] = fields[j].values(tcid, tcoords[sel])
+        return _right_inverse_apply(phi.raw_jac_at(cid, coords), metric, cid, coords, y)
 
-        return VectorField(phi.source, func, name=f"lift({Y.name})",
+    def lift_rule(Y: VectorField) -> VectorField:
+        return VectorField(phi.source, Member(lifts, Y), name=f"lift({Y.name})",
                            batched=phi.batched)
 
     return Morphism(phi=phi, lift_rule=lift_rule, kind="metric-right-inverse")
@@ -321,7 +346,7 @@ def kernel_projector(phi: SmoothMap, metric, cid, coords) -> np.ndarray:
     coords = np.asarray(coords, float)
     J = phi.raw_jac_at(cid, coords)
     A, W = _right_inverse(J, metric, cid, coords)
-    return np.eye(coords.shape[-1]) - A @ np.linalg.solve(W, J)
+    return np.eye(coords.shape[-1]) - A @ _gram_solve(W, J)
 
 
 def kernel_frame(m: Morphism, mode: str = "chartwise",

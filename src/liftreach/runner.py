@@ -262,6 +262,19 @@ def _run_geodesic(s: Scenario, exp: dict, seed: int, out_dir):
     return worst <= tol, metrics
 
 
+# keys each kind's handler reads without a default, checked at parse time
+_REQUIRED = {
+    "reach": ("system", "grid", "dwell", "horizon"),
+    "reachability-set": ("system", "points", "dwell", "horizon", "grid"),
+    "stlc": ("system", "start", "times", "grid"),
+    "verify": ("morphism", "target_system"),
+    "global-in-time": ("morphism", "target_system", "starts", "horizon"),
+    "liftable": ("upstairs", "downstairs", "map"),
+    "roundtrip": ("system",),
+    "second-order-check": ("system",),
+    "geodesic-check": ("system", "start", "c", "times"),
+}
+
 _HANDLERS = {
     "reach": _run_reach,
     "reachability-set": _run_reach_set,
@@ -295,10 +308,11 @@ def run(scenario: Scenario, seed: int = 0, out_dir=None, overrides=None,
         if experiment is not None and raw_exp.get("name") != experiment:
             continue
         exp = _apply_overrides(raw_exp, overrides)
+        exp.setdefault("name", f"experiment-{idx}")
         exp_seed = seed * 100003 + idx
         verdict, metrics = _HANDLERS[exp["kind"]](scenario, exp, exp_seed, out_path)
         record = {
-            "name": exp.get("name", f"experiment-{idx}"),
+            "name": exp["name"],
             "kind": exp["kind"],
             "verdict": bool(verdict),
             "metrics": _round(metrics),

@@ -30,7 +30,7 @@ from .morphisms import (
     lift_system,
     metric_lift_morphism,
 )
-from .runner import _HANDLERS
+from .runner import _HANDLERS, _REQUIRED
 from .second_order import (
     ConnectionSystem,
     augment_second_order,
@@ -257,13 +257,15 @@ def parse_scenario(source) -> Scenario:
 
 
 def _validate_experiments(s: Scenario):
-    for exp in s.experiments:
+    for idx, exp in enumerate(s.experiments):
         kind = exp.get("kind")
-        where = exp.get("name", "?")
+        where = exp.get("name", f"experiment-{idx}")
         if kind not in _HANDLERS:
             raise ParseError(f"unknown experiment kind {kind!r}", where=where)
+        for key in _REQUIRED[kind]:
+            _need(exp, key, where)
         if kind == "second-order-check":
-            _ref(s.second_order, exp.get("system"), where)
+            _ref(s.second_order, exp["system"], where)
         elif "system" in exp:
             _ref(s.systems, exp["system"], where)
         for key, table in (("upstairs", s.systems), ("downstairs", s.systems),

@@ -112,6 +112,7 @@ def tangent_atlas(base: Atlas, v_bound: float = 2.0) -> TangentAtlas:
         aliases_fn=aliases,
         coord_names=base.coord_names + tuple("v" + c for c in base.coord_names),
         name=f"T{base.name}",
+        shared_coords=base.shared_coords,
     )
     projection = SmoothMap(
         source=atlas,

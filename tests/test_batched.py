@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from liftreach.errors import Escape
+from liftreach.errors import Escape, SingularGram
 from liftreach.expressions import compile_vector
 from liftreach.geometry import (
     Point,
@@ -26,6 +26,8 @@ from liftreach.geometry import (
 )
 from liftreach.morphisms import (
     Morphism,
+    _right_inverse,
+    _right_inverse_apply,
     kernel_projector,
     lift_system,
     metric_lift_morphism,
@@ -52,6 +54,8 @@ SCENARIO = {
         "line": {"kind": "interval", "box": [-9, 9], "coords": ["u"]},
         "band": {"kind": "mobius"},
         "s1": {"kind": "circle", "period": 1.0},
+        "holey": {"kind": "union", "coords": ["x", "y"],
+                  "charts": {"a": [[-2, 0], [-2, 2]], "b": [[-2, 2], [-2, 0.5]]}},
     },
     "maps": {
         "bend": {"source": "plane", "target": "line",
@@ -65,15 +69,19 @@ SCENARIO = {
                   "exprs": ["x"], "jacobian": [["1", "0"]]},
         "proj": {"source": "band", "target": "s1", "exprs": ["x"],
                  "jacobian": [["1", "0"]]},
+        "hbend": {"source": "holey", "target": "line", "exprs": ["x + 0.2*y**2"],
+                  "jacobian": [["1", "0.4*y"]]},
     },
     "fields": {
         "swirl": {"atlas": "plane", "exprs": ["-y + x**2", "x*exp(-y**2) - 1"]},
         "push": {"atlas": "line", "exprs": ["1 + 0.5*sin(u)"]},
+        "pull": {"atlas": "line", "exprs": ["-0.5 - 0.2*u**2"]},
         "rot": {"atlas": "s1", "exprs": ["1"]},
         "vy": {"atlas": "plane", "exprs": ["0", "1 + x**2/3"]},
     },
     "systems": {
         "down": {"atlas": "line", "generators": ["push"]},
+        "down2": {"atlas": "line", "generators": ["push", "pull"]},
         "rotsys": {"atlas": "s1", "generators": ["rot"]},
     },
     "morphisms": {
@@ -81,6 +89,9 @@ SCENARIO = {
         "bent_fd": {"map": "bend_fd", "target_system": "down"},
         "wbent": {"map": "wbend", "target_system": "down", "kernel": {"mode": "chartwise"}},
         "mlift": {"map": "proj", "target_system": "rotsys", "kernel": {"mode": "chartwise"}},
+        # lifts of two generators, through a union and through a metric
+        "holed": {"map": "hbend", "target_system": "down2", "kernel": {"mode": "chartwise"}},
+        "wbent2": {"map": "wbend", "target_system": "down2", "kernel": {"mode": "chartwise"}},
     },
     "second_order": {
         "osc": {"base": "line", "gamma": ["-u - 0.1*vu**3"], "g": [["1 + 0.2*u**2"]],
@@ -164,6 +175,116 @@ def test_kernel_projector_rows_equal_pointwise(scenario, X):
         # a projector onto ker(dPhi), metric-weighted for wbent
         assert np.allclose(phi.raw_jac_at("c0", X) @ got, 0.0, atol=1e-12)
         assert np.allclose(got @ got, got, atol=1e-12)
+
+
+# -- the 1x1 Gram in closed form -----------------------------------------------------
+
+
+def _lapack_right_inverse(J, metric, cid, coords):
+    """_right_inverse with LAPACK's Cholesky whatever the size of the Gram matrix."""
+    Jt = np.swapaxes(J, -1, -2)
+    if metric is None:
+        A = Jt
+    else:
+        G = (np.asarray(metric(cid, coords), dtype=float) if np.ndim(coords) == 1
+             else np.array([metric(cid, x) for x in coords], dtype=float))
+        A = np.linalg.solve(G, Jt)
+    W = J @ A
+    try:
+        d = np.diagonal(np.linalg.cholesky(W), axis1=-2, axis2=-1)
+    except np.linalg.LinAlgError:
+        d = np.zeros(W.shape[:-1])
+    bad = d.min(axis=-1) <= 1e-6 * np.maximum(d.max(axis=-1), 1.0)
+    if np.any(bad):
+        at = np.reshape(coords, (-1, np.shape(coords)[-1]))[np.argmax(bad)]
+        raise SingularGram(f"J G^-1 J^T is numerically singular at ({cid}, {at})")
+    return A, W
+
+
+def _gram_outcomes(J, metric, coords, y):
+    """_right_inverse, _right_inverse_apply and kernel_projector at coords, each
+    beside its LAPACK reference; a SingularGram raised counts as its message."""
+    n = coords.shape[-1]
+    phi = SmoothMap(box_atlas([[-2, 2]] * n), interval_atlas(-9, 9),
+                    raw=lambda cid, c: ("c0", c[..., :1]),
+                    raw_jacobian=lambda cid, c: J, batched=True)
+
+    def lapack_apply():
+        A, W = _lapack_right_inverse(J, metric, "c0", coords)
+        return (A @ np.linalg.solve(W, y[..., None]))[..., 0]
+
+    def lapack_projector():
+        A, W = _lapack_right_inverse(J, metric, "c0", coords)
+        return np.eye(n) - A @ np.linalg.solve(W, J)
+
+    def outcome(fn):
+        try:
+            return fn()
+        except SingularGram as exc:
+            return str(exc)
+
+    return [
+        (outcome(lambda: _right_inverse(J, metric, "c0", coords)),
+         outcome(lambda: _lapack_right_inverse(J, metric, "c0", coords))),
+        (outcome(lambda: _right_inverse_apply(J, metric, "c0", coords, y)),
+         outcome(lapack_apply)),
+        (outcome(lambda: kernel_projector(phi, metric, "c0", coords)),
+         outcome(lapack_projector)),
+    ]
+
+
+def _bits(x):
+    """x by its bytes, nan payloads aside: messages and arrays compare exactly."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, tuple):
+        return tuple(_bits(a) for a in x)
+    return x.shape, np.isnan(x).tolist(), np.where(np.isnan(x), 0.0, x).tobytes()
+
+
+GRAM_METRICS = {
+    "euclidean": None,
+    "metric": lambda cid, x: np.eye(len(x)) + 0.5 * np.outer(x, x),
+    "negative": lambda cid, x: -np.eye(len(x)),
+}
+
+
+@pytest.mark.parametrize("metric", sorted(GRAM_METRICS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_by_one_gram_equals_lapack(metric, data):
+    """A 1-D target's Gram is solved in closed form, bit for bit as LAPACK, at
+    a point and on rows, SingularGram (its row and message) included: rows
+    with W = 0, W < 0, nan or W under the relative threshold."""
+    metric = GRAM_METRICS[metric]
+    n = data.draw(st.integers(1, 3))
+    lead = data.draw(st.sampled_from([(), (1,), (2,), (5,)]))
+    coords = data.draw(arrays(np.float64, lead + (n,), elements=st.floats(-2, 2)))
+    entry = st.one_of(st.floats(-3, 3), st.sampled_from([0.0, 1e-7, -1e-7, np.nan]))
+    J = data.draw(arrays(np.float64, lead + (1, n), elements=entry))
+    y = data.draw(arrays(np.float64, lead + (1,),
+                         elements=st.one_of(st.floats(-5, 5), st.just(np.nan))))
+    for got, want in _gram_outcomes(J, metric, coords, y):
+        assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("case, row", [("zero", 0), ("negative", 0), ("tiny", 1),
+                                       ("nan", None)])
+def test_one_by_one_gram_keeps_singular_gram_rows(case, row):
+    """A bad row in the middle of three: LAPACK's failure (W = 0, W < 0) names
+    the first row, a W under the threshold its own row, and nan what LAPACK
+    does with it."""
+    coords = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    J = np.array([[[1.0, 0.5]], [[1.0, 0.5]], [[1.0, 0.5]]])
+    J[1, 0] = {"zero": [0.0, 0.0], "negative": [1.0, 0.5], "tiny": [1e-7, 0.0],
+               "nan": [np.nan, 0.5]}[case]
+    metric = (lambda cid, x: -np.eye(2) if x[0] == 0.3 else np.eye(2)) \
+        if case == "negative" else None
+    outcomes = _gram_outcomes(J, metric, coords, np.array([[1.0], [2.0], [3.0]]))
+    for got, want in outcomes:
+        assert _bits(got) == _bits(want)
+    if row is not None:
+        assert outcomes[0][0] == f"J G^-1 J^T is numerically singular at (c0, {coords[row]})"
 
 
 def test_pointwise_user_fields_fall_back_row_by_row(scenario):
@@ -256,10 +377,23 @@ def _union_system():
                            kernel_base=swirl)
 
 
+def _pointwise_lift():
+    """The lift of two generators through a map that takes points only."""
+    plane = box_atlas([[-2, 2], [-2, 2]], coord_names=["x", "z"])
+    line = union_atlas({"l": [[-2, 0.5]], "r": [[0, 2]]})
+    bend = SmoothMap(plane, line, raw=lambda cid, c: ("l", np.array([c[0] + 0.2 * np.sin(c[1])])),
+                     raw_jacobian=lambda cid, c: np.array([[1.0, 0.2 * np.cos(c[1])]]))
+    down = GeneratedSystem(line, (
+        VectorField(line, lambda cid, c: np.array([1.0 + c[0] ** 2])),
+        VectorField(line, lambda cid, c: np.array([-0.5]))))
+    return lift_system(down, bend)[1]
+
+
 def _row_systems():
     s = parse_scenario(SCENARIO)
     return {"plane": s.systems["bent.augmented"], "mobius": s.systems["mlift.augmented"],
-            "union": _union_system()}
+            "union": _union_system(), "lift-union": s.systems["holed.augmented"],
+            "lift-metric": s.systems["wbent2.augmented"], "lift-pointwise": _pointwise_lift()}
 
 
 ROW_SYSTEMS = sorted(_row_systems())
@@ -274,9 +408,12 @@ def _alone(sys, start, sched, h):
 
 
 def _selectors(sys):
+    generators = st.integers(0, len(sys.generators) - 1)
+    if not sys.kernel_fields:
+        return generators
     coeffs = st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.7, 1.0]),
                       min_size=len(sys.kernel_fields), max_size=len(sys.kernel_fields))
-    return st.one_of(st.integers(0, len(sys.generators) - 1), coeffs)
+    return st.one_of(generators, coeffs)
 
 
 def _schedules(sys):
@@ -302,6 +439,12 @@ def test_rows_equal_integrate_alone(name, data):
     starts = [data.draw(_starts(sys)) for _ in range(n)]
     scheds = [data.draw(_schedules(sys)) for _ in range(n)]
     h = data.draw(st.sampled_from([0.03, 0.05, 0.07]))
+    if name.startswith("lift"):
+        # two more rows from one point under two generators of the lift step
+        # together, in one chart, whatever the other rows do
+        starts += [data.draw(_starts(sys))] * 2
+        scheds += [Schedule.of((g, data.draw(st.floats(h, 0.35)))).then(
+            data.draw(_schedules(sys))) for g in (0, 1)]
     rows = sys.atlas.stack(starts)
     flow = integrate_rows(sys, rows, scheds, h)
     bare = integrate_rows(sys, rows, scheds, h, record=False)
@@ -323,6 +466,31 @@ def test_rows_equal_integrate_alone(name, data):
             else:
                 assert f.escapes[r] == escape
                 assert f.ends.charts[r] == -1
+
+
+def test_lift_rows_share_one_right_inverse_per_stage(scenario):
+    """Rows of one chart under two generators of one lift step as one array:
+    one raw map per RK4 stage, not one per generator, and each row as alone."""
+    plane, line = scenario.atlases["plane"], scenario.atlases["line"]
+    calls = []
+
+    def raw(cid, c):
+        calls.append(np.shape(c))
+        return "c0", c[..., :1] + 0.3 * np.sin(c[..., 1:])
+
+    def jac(cid, c):
+        return np.stack([np.ones(np.shape(c)[:-1]), 0.3 * np.cos(c[..., 1])], axis=-1)[..., None, :]
+
+    phi = SmoothMap(plane, line, raw, raw_jacobian=jac, batched=True)
+    up = lift_system(scenario.system("down2"), phi)[1]
+    starts = [Point("c0", np.array([0.1, 0.2])), Point("c0", np.array([-0.4, 0.7]))]
+    scheds = [Schedule.of((0, 0.1)), Schedule.of((1, 0.1))]
+    calls.clear()
+    flow = integrate_rows(up, plane.stack(starts), scheds, 0.05)
+    assert calls == [(2, 2)] * 8
+    for r, (start, sched) in enumerate(zip(starts, scheds)):
+        samples, _ = _alone(up, start, sched, 0.05)
+        assert np.array_equal(flow.samples.coords[r], [p.coords for _, p in samples])
 
 
 def test_rows_escape_at_different_steps():
@@ -410,9 +578,10 @@ def _global_pointwise(m, target_sys, starts, horizon, h=1e-3):
 
 
 def _user_cases():
-    """Pointwise user maps: a metric lift into a union, and a constant wrong
-    lift whose residual ties at every point, so the first point must win,
-    and whose projected trajectories drift further at every step."""
+    """Pointwise user maps: metric lifts into a union and into an interval,
+    and constant wrong lifts into both whose residual ties at every point, so
+    the first point must win, and whose projected trajectories drift further
+    at every step, across the union's charts too."""
     plane = box_atlas([[-2, 2], [-2, 2]], coord_names=["x", "z"])
     cases = []
     for line in (union_atlas({"l": [[-2, 0.5]], "r": [[0, 2]]}), interval_atlas(-9, 9)):
@@ -423,10 +592,9 @@ def _user_cases():
             VectorField(line, lambda cid_, c: np.array([1.0 + c[0] ** 2])),
             VectorField(line, lambda cid_, c: np.array([-0.5]))))
         cases.append((lift_system(down, proj)[0], down))
-    wrong = Morphism(cases[1][0].phi,
-                     lambda Y: VectorField(plane, lambda cid, c: np.array([3.0, c[1]])),
-                     kind="user-supplied")
-    return cases + [(wrong, cases[1][1])]
+    wrong = [(Morphism(m.phi, lambda Y: VectorField(plane, lambda cid, c: np.array([3.0, c[1]])),
+                       kind="user-supplied"), down) for m, down in cases]
+    return cases + wrong
 
 
 VERIFIED = [("bundle", "blift", "rotsys"), ("circle", "cover", "rotsys"),
@@ -435,27 +603,33 @@ VERIFIED = [("bundle", "blift", "rotsys"), ("circle", "cover", "rotsys"),
             ("projection", "liftsym_user", "dsym")]
 
 
+def _two_generator_lifts(s):
+    """Scenario lifts of two generators, through a union and through a metric."""
+    return [(s.morphisms[m], s.system("down2")) for m in ("holed", "wbent2")]
+
+
 @pytest.mark.parametrize("seed", [0, 7])
-def test_row_verifiers_equal_pointwise_reference(scenarios, seed):
+def test_row_verifiers_equal_pointwise_reference(scenarios, scenario, seed):
     cases = [(scenarios[name].morphisms[m], scenarios[name].system(t))
              for name, m, t in VERIFIED]
-    cases += _user_cases()
+    cases += _user_cases() + _two_generator_lifts(scenario)
     for morphism, target in cases:
         kw = dict(samples=40, seed=seed, schedules=4, h=0.01)
         assert verify_trajectory_preserving(morphism, target, **kw) == \
             _verify_pointwise(morphism, target, **kw)
-    wrong, down = _user_cases()[-1]
-    report = verify_trajectory_preserving(wrong, down, samples=25, seed=seed)
-    first = wrong.phi.source.sample(np.random.default_rng(seed), 1)[0]
-    assert report["worst_point"] == ["c0", [float(c) for c in first.coords]]
-    assert 0.0 < report["trajectory_excess"] < np.inf
+    for wrong, down in _user_cases()[2:]:
+        report = verify_trajectory_preserving(wrong, down, samples=25, seed=seed)
+        first = wrong.phi.source.sample(np.random.default_rng(seed), 1)[0]
+        assert report["worst_point"] == ["c0", [float(c) for c in first.coords]]
+        assert 0.0 < report["trajectory_excess"] < np.inf
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-def test_row_global_in_time_equals_pointwise_reference(scenarios, seed):
+def test_row_global_in_time_equals_pointwise_reference(scenarios, scenario, seed):
     rng = np.random.default_rng(seed)
-    for name, m, t in VERIFIED + [("improper", "badlift", "dsys")]:
-        morphism, target = scenarios[name].morphisms[m], scenarios[name].system(t)
+    cases = [(scenarios[name].morphisms[m], scenarios[name].system(t))
+             for name, m, t in VERIFIED + [("improper", "badlift", "dsys")]]
+    for morphism, target in cases + _two_generator_lifts(scenario):
         starts = morphism.phi.source.sample(rng, 3)
         assert verify_global_in_time(morphism, target, starts, 0.8, h=0.02) == \
             _global_pointwise(morphism, target, starts, 0.8, h=0.02)

@@ -21,6 +21,7 @@ from liftreach.geometry import (
     torus_atlas,
     union_atlas,
 )
+from liftreach.second_order import tangent_atlas
 
 
 def test_box_atlas_identity_normalization():
@@ -83,6 +84,25 @@ def test_union_atlas_picks_first_containing_chart():
     with pytest.raises(OutOfAtlas):
         atlas.normalize("a", [1.0, 1.0])  # in the deleted corner
     assert [cid for cid, _ in atlas.aliases(p)] == ["b"]
+
+
+def test_union_distance_compares_across_charts():
+    """The charts of a union share one coordinate system: points in charts
+    that do not overlap there, as on both sides of a chart edge, are at
+    their coordinate distance, not at inf; so are those of its tangent atlas."""
+    atlas = union_atlas({"l": [[-2, 0.5]], "r": [[0, 2]]})
+    p, q = atlas.normalize("l", [0.3]), atlas.normalize("l", [0.9])
+    assert (p.chart_id, q.chart_id) == ("l", "r")
+    assert atlas.distance(p, q) == atlas.distance(q, p) == pytest.approx(0.6, abs=1e-15)
+    below, above = atlas.normalize("l", [0.5 - 1e-12]), atlas.normalize("l", [0.5 + 1e-12])
+    assert (below.chart_id, above.chart_id) == ("l", "r")
+    assert atlas.distance(below, above) == pytest.approx(2e-12, rel=1e-3)
+    tangent = tangent_atlas(atlas, v_bound=1.0).atlas
+    tp, tq = tangent.normalize("l", [0.3, 0.1]), tangent.normalize("l", [0.9, -0.2])
+    assert (tp.chart_id, tq.chart_id) == ("l", "r")
+    assert tangent.distance(tp, tq) == pytest.approx(np.hypot(0.6, 0.3), abs=1e-15)
+    # charts that do not share coordinates still compare only in p's chart
+    assert not circle_atlas().shared_coords and not mobius_atlas().shared_coords
 
 
 def test_sample_stays_canonical():

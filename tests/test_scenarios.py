@@ -166,6 +166,60 @@ def test_list_for_a_reference_name_is_a_parse_error():
                                                      "generators": [["right"]]}}})
 
 
+KINDS = {
+    "atlases": {**LINE["atlases"], "plane": {"kind": "box", "box": [[-1, 1], [-1, 1]]}},
+    "maps": {"proj": {"source": "plane", "target": "line", "exprs": ["x"],
+                      "jacobian": [["1", "0"]]}},
+    "fields": {**LINE["fields"], "drift": {"atlas": "plane", "exprs": ["1", "0"]}},
+    "systems": {**LINE["systems"], "flat": {"atlas": "plane", "generators": ["drift"]}},
+    "morphisms": {"m": {"map": "proj", "target_system": "down"}},
+    "second_order": {"di": {"base": "line", "gamma": ["0"], "g": [["1"]]}},
+}
+
+# one experiment of each kind with exactly the keys its handler cannot do without
+MINIMAL = {
+    "reach": {"system": "down", "grid": 4, "dwell": 0.5, "horizon": 1.0,
+              "start": {"coords": [0.0]}},
+    "reachability-set": {"system": "down", "points": [{"coords": [0.0]}], "grid": 4,
+                         "dwell": 0.5, "horizon": 1.0},
+    "stlc": {"system": "down", "start": {"coords": [0.0]}, "times": [0.5], "grid": 4},
+    "verify": {"morphism": "m", "target_system": "down"},
+    "global-in-time": {"morphism": "m", "target_system": "down", "horizon": 0.5,
+                       "starts": [{"coords": [0.0, 0.0]}]},
+    "liftable": {"upstairs": "m.system", "downstairs": "down", "map": "proj"},
+    "roundtrip": {"system": "down"},
+    "second-order-check": {"system": "di"},
+    "geodesic-check": {"system": "flat", "start": {"coords": [0.0, 0.0]}, "c": 0.5,
+                       "times": [0.1]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MINIMAL))
+def test_missing_experiment_key_is_a_parse_error(kind, tmp_path):
+    """Each key a handler reads without a default is checked at parse time;
+    with all of them an unnamed experiment runs under its default name."""
+    for key in MINIMAL[kind]:
+        exp = {k: v for k, v in MINIMAL[kind].items() if k != key}
+        message = ("a reach experiment needs 'start' or 'starts'"
+                   if (kind, key) == ("reach", "start") else f"missing {key!r}")
+        with pytest.raises(ParseError, match=f"^e: {message}$"):
+            parse_scenario({**KINDS, "experiments": [{"name": "e", "kind": kind, **exp}]})
+    s = parse_scenario({**KINDS, "experiments": [{"kind": kind, **MINIMAL[kind]}]})
+    result = run(s, out_dir=tmp_path)
+    assert [e["name"] for e in result.experiments] == ["experiment-0"]
+    # a reach names its CSVs after the experiment, here its default name
+    assert result.artifacts == (["experiment-0_0.csv"] if kind == "reach" else [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(result.artifacts
+                                                                + ["summary.json"])
+
+
+def test_unnamed_experiment_errors_use_the_default_name():
+    with pytest.raises(ParseError, match=r"^experiment-1: missing 'grid'$"):
+        parse_scenario({**KINDS, "experiments": [
+            {"kind": "roundtrip", "system": "down"},
+            {"kind": "stlc", "system": "down", "start": {"coords": [0.0]}, "times": [0.5]}]})
+
+
 def test_cli_parse_error_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"atlases": LINE["atlases"],
