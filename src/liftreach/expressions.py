@@ -63,53 +63,56 @@ def _float_arithmetic(node: ast.AST) -> ast.AST:
     return node
 
 
-def _compile(text: str, variables: list):
-    """The expression as a function of one positional argument per variable."""
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ParseError(f"cannot parse {text!r}: {exc.msg}") from exc
-    _validate(tree, set(variables), text)
+def _compile(texts: list, variables: list):
+    """One function fill(out, *coordinates) that sets out[..., j] to
+    expression j of texts; with no variables, any coordinates are accepted
+    and ignored."""
+    out = "_out"
+    while out in variables:
+        out = "_" + out
+    lines = []
+    for j, text in enumerate(texts):
+        try:
+            tree = ast.parse(text, mode="eval")
+        except SyntaxError as exc:
+            raise ParseError(f"cannot parse {text!r}: {exc.msg}") from exc
+        _validate(tree, set(variables), text)
+        lines.append(ast.parse(f"{out}[..., {j}] = 0").body[0])
+        lines[-1].value = _float_arithmetic(tree.body)
     bad = [v for v in variables if not v.isidentifier() or keyword.iskeyword(v)]
     if bad:
         raise ParseError(f"variable name {bad[0]!r} is not an identifier")
-    # with no variables, any coordinates are accepted and ignored
-    lam = ast.parse(f"lambda {', '.join(variables) or '*_'}: 0", mode="eval")
-    lam.body.body = _float_arithmetic(tree.body)
+    module = ast.parse(f"def fill({', '.join([out] + (variables or ['*_']))}): pass")
+    module.body[0].body = lines or module.body[0].body
     env = dict(_FUNCS)
     env.update(_CONSTS)
     env["_pow"] = np.power
     env["__builtins__"] = {}
-    return eval(compile(lam, "<expr>", "eval"), env)
+    exec(compile(ast.fix_missing_locations(module), "<expr>", "exec"), env)
+    return env["fill"]
 
 
 def compile_expr(text: str, variables):
     """Compile one expression to a callable taking (d,) or (N, d) coordinates."""
-    fn = _compile(text, list(variables))
+    value = compile_vector([text], variables)
 
     def call(coords):
-        X = np.asarray(coords, dtype=float)
-        if X.ndim == 1:
-            return float(fn(*X))
-        out = np.empty(X.shape[:-1])
-        out[...] = fn(*X.T)
-        return out
+        out = value(coords)[..., 0]
+        return float(out) if out.ndim == 0 else out
 
     return call
 
 
 def compile_vector(texts, variables):
-    """Compile a list of expressions into coords (d,) -> (k,) or (N, d) -> (N, k)."""
-    variables = list(variables)
-    fns = [_compile(t, variables) for t in texts]
+    """Compile a list of expressions into coords (d,) -> (k,) or (N, d) -> (N, k),
+    one call of one generated function filling every component."""
+    texts = list(texts)
+    fill = _compile(texts, list(variables))
 
     def call(coords):
         X = np.asarray(coords, dtype=float)
-        if X.ndim == 1:
-            return np.array([fn(*X) for fn in fns], dtype=float)
-        out = np.empty(X.shape[:-1] + (len(fns),))
-        for j, fn in enumerate(fns):
-            out[..., j] = fn(*X.T)
+        out = np.empty(X.shape[:-1] + (len(texts),))
+        fill(out, *X.T)
         return out
 
     return call

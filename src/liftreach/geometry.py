@@ -231,7 +231,7 @@ def circle_atlas(period: float = 2 * np.pi, coord_name="theta", name="circle") -
     chart = Chart("c0", np.array([[0.0, period]]), (True,))
 
     def norm(cid, coords):
-        return ("c0", np.array([coords[0] % period]))
+        return ("c0", _wrap(coords[:1], period))
 
     def aliases(cid, coords):
         return [("c0", coords + period), ("c0", coords - period)]
@@ -244,7 +244,7 @@ def circle_atlas(period: float = 2 * np.pi, coord_name="theta", name="circle") -
         aliases_fn=aliases,
         coord_names=(coord_name,),
         name=name,
-        normalize_rows=lambda cid, X: (np.zeros(len(X), int), X % period),
+        normalize_rows=lambda cid, X: (np.zeros(len(X), int), _wrap(X, period)),
         jacobian_rows=_identity_rows(1),
     )
 
@@ -255,7 +255,7 @@ def torus_atlas(periods=(2 * np.pi, 2 * np.pi), coord_names=("theta", "phi"), na
     chart = Chart("c0", np.stack([np.zeros(dim), periods], axis=1), (True,) * dim)
 
     def norm(cid, coords):
-        return ("c0", np.mod(coords, periods))
+        return ("c0", _wrap(coords, periods))
 
     def aliases(cid, coords):
         out = []
@@ -274,7 +274,7 @@ def torus_atlas(periods=(2 * np.pi, 2 * np.pi), coord_names=("theta", "phi"), na
         aliases_fn=aliases,
         coord_names=tuple(coord_names),
         name=name,
-        normalize_rows=lambda cid, X: (np.zeros(len(X), int), np.mod(X, periods)),
+        normalize_rows=lambda cid, X: (np.zeros(len(X), int), _wrap(X, periods)),
         jacobian_rows=_identity_rows(dim),
     )
 
@@ -287,30 +287,31 @@ def mobius_atlas(name="mobius") -> Atlas:
     """
     chart = Chart("c0", np.array([[0.0, 1.0], [0.0, 1.0]]), (True, False))
 
+    def turns(x):  # k = floor(x) and x - k, one more turn where x - k rounds to 1
+        k = np.floor(x)
+        up = x - k >= 1.0
+        return k + up, np.where(up, 0.0, x - k)
+
     def norm(cid, coords):
-        x, y = coords
-        k = int(np.floor(x))
-        x = x - k
-        if k % 2 != 0:
-            y = 1.0 - y
+        k, x = turns(coords[0])
+        y = 1.0 - coords[1] if k % 2 != 0 else coords[1]
         if not (0.0 < y < 1.0):
             return None
         return ("c0", np.array([x, y]))
 
     def jac(cid, coords):
-        k = int(np.floor(coords[0]))
-        return np.diag([1.0, -1.0 if k % 2 != 0 else 1.0])
+        return np.diag([1.0, -1.0 if turns(coords[0])[0] % 2 != 0 else 1.0])
 
     def norm_rows(cid, X):
-        k = np.floor(X[:, 0])
+        k, x = turns(X[:, 0])
         y = np.where(np.mod(k, 2.0) != 0, 1.0 - X[:, 1], X[:, 1])
         inside = (0.0 < y) & (y < 1.0)
-        return np.where(inside, 0, -1), np.stack([X[:, 0] - k, y], axis=1)
+        return np.where(inside, 0, -1), np.stack([x, y], axis=1)
 
     def jac_rows(cid, X):
         out = np.zeros((len(X), 2, 2))
         out[:, 0, 0] = 1.0
-        out[:, 1, 1] = np.where(np.mod(np.floor(X[:, 0]), 2.0) != 0, -1.0, 1.0)
+        out[:, 1, 1] = np.where(np.mod(turns(X[:, 0])[0], 2.0) != 0, -1.0, 1.0)
         return out
 
     def aliases(cid, coords):
@@ -382,6 +383,12 @@ def distinct(a: np.ndarray) -> list:
     np.unique would do, but it imports numpy.ma, about 1.5 MiB of memory.
     """
     return np.bincount(a).nonzero()[0].tolist()
+
+
+def _wrap(x, period):
+    """x mod period in [0, period), where a tiny negative x rounds up to period."""
+    r = np.mod(x, period)
+    return np.where(r >= period, r - period, r)
 
 
 def _identity_rows(dim: int):
@@ -560,11 +567,11 @@ class VectorField:
 class Member:
     """The func of one field of a family whose fields evaluate together.
 
-    family(chart_id, coords, members, which) is the field members[which[r]]
-    at each row r of rows coords (N, d), each row equal, bit for bit, to
-    that field alone at that row; without which it is members[0] at a
-    point or at every row. This func is family(..., (member,)); step_rows
-    steps the rows of one chart under members of one family as one array.
+    family(chart_id, coords, members, rows) is members[j] at the index array
+    rows[j] of rows coords (N, d), each row equal, bit for bit, to that
+    field alone at that row; without rows it is members[0] at a point or at
+    every row. This func is family(..., (member,)); step_rows steps the
+    rows of one chart under members of one family as one array.
     """
 
     family: Callable

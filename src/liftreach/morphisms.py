@@ -4,6 +4,7 @@ for ordinary control systems."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -26,7 +27,6 @@ from .geometry import (
     SmoothMap,
     VectorField,
     differential_rank,
-    distinct,
     overlap_residual,
     pushforward,
 )
@@ -77,8 +77,9 @@ def _right_inverse(J: np.ndarray, metric, cid, coords):
 
     J is (m, n) at coords (n,), or (N, m, n) at rows (N, n); a metric,
     when given, is evaluated at each row. Raises SingularGram naming the
-    first row where W is not numerically positive definite (the first row
-    of the stack when the factorization fails outright).
+    first row where W is not numerically positive definite: the first row
+    holding nan, else the first whose Cholesky diagonal fails the threshold
+    (the first row of the stack when the factorization fails outright).
     """
     Jt = np.swapaxes(J, -1, -2)
     if metric is None:
@@ -88,38 +89,36 @@ def _right_inverse(J: np.ndarray, metric, cid, coords):
              else np.array([metric(cid, x) for x in coords], dtype=float))
         A = np.linalg.solve(G, Jt)
     W = J @ A
-    # W is positive definite exactly when dPhi has full rank here
-    try:
-        if W.shape[-1] == 1 and (W > 0).all():
-            # a 1x1 Cholesky factor is sqrt(W), as LAPACK computes it; where
-            # some W is not positive, LAPACK decides (nan passes some builds)
-            lo = hi = np.sqrt(W[..., 0, 0])
-        else:
+    # W is positive definite exactly when dPhi has full rank here; two reductions
+    # pass a 1x1 stack, whose Cholesky factor is sqrt(W) as LAPACK computes it
+    if W.shape[-1] == 1 and W.size:
+        lo, hi = W.min(), W.max()
+        if lo > 0 and math.sqrt(lo) > 1e-6 and hi < math.inf:
+            return A, W
+    bad = np.isnan(W).any(axis=(-2, -1))
+    if not bad.any():
+        try:
             d = np.diagonal(np.linalg.cholesky(W), axis1=-2, axis2=-1)
             lo, hi = d.min(axis=-1), d.max(axis=-1)
-    except np.linalg.LinAlgError:
-        lo = hi = np.zeros(W.shape[:-2])
-    bad = lo <= 1e-6 * np.maximum(hi, 1.0)
+        except np.linalg.LinAlgError:
+            lo = hi = np.zeros(W.shape[:-2])
+        bad = lo <= 1e-6 * np.maximum(hi, 1.0)
     if bad.any():
         at = np.reshape(coords, (-1, np.shape(coords)[-1]))[np.argmax(bad)]
         raise SingularGram(f"J G^-1 J^T is numerically singular at ({cid}, {at})")
     return A, W
 
 
-def _gram_solve(W: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """W^-1 B for stacked Gram matrices W. A 1x1 W with one right-hand side
-    divides, which is LAPACK's solve bit for bit, and multiplying by 1/W is
-    not; with more columns some LAPACK builds multiply by 1/W, so those stay
-    on LAPACK."""
-    if W.shape[-1] == 1 and B.shape[-1] == 1:
-        return B / W
-    return np.linalg.solve(W, B)
-
-
 def _right_inverse_apply(J: np.ndarray, metric, cid, coords, y):
-    """G^-1 J^T (J G^-1 J^T)^-1 y at coords (n,) or rows (N, n) with Jacobians J."""
+    """G^-1 J^T (J G^-1 J^T)^-1 y at coords (n,) or rows (N, n) with Jacobians J.
+
+    For a 1x1 W, y / W is LAPACK's solve bit for bit (y * (1 / W) is not);
+    matmul computes 0 + a b, whose sign of zero the + 0.0 keeps."""
     A, W = _right_inverse(J, metric, cid, coords)
-    return (A @ _gram_solve(W, np.asarray(y, dtype=float)[..., None]))[..., 0]
+    y = np.asarray(y, dtype=float)
+    if W.shape[-1] == 1:
+        return A[..., 0] * (y / W[..., 0]) + 0.0
+    return (A @ np.linalg.solve(W, y[..., None]))[..., 0]
 
 
 def check_submersion(phi: SmoothMap, samples: int = 50, seed: int = 0):
@@ -137,18 +136,17 @@ def metric_lift_morphism(phi: SmoothMap, metric=None,
     check_submersion(phi, samples=samples, seed=seed)
     metric = _metric_of(phi, metric)
 
-    def lifts(cid, coords, fields, which=None):
-        """The lifts of fields, row r lifting fields[which[r]]: one raw map,
+    def lifts(cid, coords, fields, rows=None):
+        """The lifts of fields, rows[j] lifting fields[j]: one raw map,
         Jacobian, Gram and solve whatever field each row lifts."""
         coords = np.asarray(coords, float)
         tcid, tcoords = phi.raw(cid, coords)
-        if which is None:
+        if rows is None:
             y = fields[0].values(tcid, tcoords)
         else:
             y = np.empty(np.shape(tcoords))
-            for j in distinct(which):
-                sel = which == j
-                y[sel] = fields[j].values(tcid, tcoords[sel])
+            for Y, sel in zip(fields, rows):
+                y[sel] = Y.values(tcid, tcoords[sel])
         return _right_inverse_apply(phi.raw_jac_at(cid, coords), metric, cid, coords, y)
 
     def lift_rule(Y: VectorField) -> VectorField:
@@ -275,17 +273,23 @@ def verify_trajectory_preserving(m: Morphism, target_sys: GeneratedSystem,
     # finite-difference lifts carry O(eps/FD_STEP) derivative noise that
     # accumulates linearly along the flow
     fd_noise = 0.0 if m.phi.analytic else 1e-9
-    ids_u = [c.chart_id for c in m.phi.target.charts]
-    ids_d = [c.chart_id for c in atlas.charts]
+    ids = [c.chart_id for c in atlas.charts]
     traj_worst = 0.0
     for r in range(schedules):
         n = int(min(tu.counts[r], td.counts[r]))
-        pu = m.phi.values(Points(tu.samples.charts[r, :n], tu.samples.coords[r, :n]))
+        pu = _in_atlas(atlas, m.phi.values(Points(tu.samples.charts[r, :n],
+                                                  tu.samples.coords[r, :n])), m.phi.target)
         pd = Points(td.samples.charts[r, :n], td.samples.coords[r, :n])
-        for t, cu, xu, cd, xd in zip(tu.times[r, :n].tolist(), pu.charts.tolist(), pu.coords,
-                                     pd.charts.tolist(), pd.coords):
-            d = atlas.distance(Point(ids_u[cu], xu), Point(ids_d[cd], xd))
-            allowed = (10.0 * h ** 4 + fd_noise) * max(1.0, t)
+        times = tu.times[r, :n]
+        # only a distance over its allowance raises traj_worst, and distance never
+        # exceeds the direct one in one chart or in charts of shared coordinates
+        near = ((pu.charts == pd.charts) | atlas.shared_coords) & (
+            np.linalg.norm(pu.coords - pd.coords, axis=1)
+            <= 0.5 * (10.0 * h ** 4 + fd_noise) * np.maximum(1.0, times))
+        for i in np.flatnonzero(~near).tolist():
+            d = atlas.distance(Point(ids[pu.charts[i]], pu.coords[i]),
+                               Point(ids[pd.charts[i]], pd.coords[i]))
+            allowed = (10.0 * h ** 4 + fd_noise) * max(1.0, float(times[i]))
             traj_worst = max(traj_worst, d - allowed)
     traj_ok = traj_worst <= 0.0
 
@@ -346,7 +350,7 @@ def kernel_projector(phi: SmoothMap, metric, cid, coords) -> np.ndarray:
     coords = np.asarray(coords, float)
     J = phi.raw_jac_at(cid, coords)
     A, W = _right_inverse(J, metric, cid, coords)
-    return np.eye(coords.shape[-1]) - A @ _gram_solve(W, J)
+    return np.eye(coords.shape[-1]) - A @ np.linalg.solve(W, J)
 
 
 def kernel_frame(m: Morphism, mode: str = "chartwise",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import OutOfAtlas
 from .geometry import Atlas, Point, Points, distinct
-from .systems import GeneratedSystem, step_rows, step_schedule
+from .systems import GeneratedSystem, family_heads, plan_rows, step_rows, step_schedule
 
 CellKey = tuple  # (chart_id, idx_0, ..., idx_{d-1})
 
@@ -220,8 +220,12 @@ def _integrate(memo: _GridMemo, flows: list, flow_of: np.ndarray, start: Points,
     hits = np.full((len(X), len(steps)), -1, dtype=np.int64)
     points = {}
     live = np.arange(len(X))
+    head, plan = family_heads(funcs), None
     for s, step in enumerate(steps):
-        live = step_rows(atlas, funcs, flow_of, charts, X, live, step)
+        if plan is None:
+            plan = plan_rows(atlas, funcs, head, flow_of, charts, live)
+        if step_rows(atlas, plan, charts, X, step):
+            live, plan = live[charts[live] >= 0], None
         if not len(live):
             break
         cells = grid.cells_of(Points(charts[live], X[live]))

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from liftreach.errors import ParseError
@@ -92,3 +95,37 @@ def test_variable_names_must_be_identifiers():
     for bad in ("x=1", "lambda", "a b"):
         with pytest.raises(ParseError, match="not an identifier"):
             compile_expr("1", [bad])
+
+
+VECTORS = {
+    "functions": (["sin(x)*y**2 - 3", "exp(-x**2)/(1 + y**2)", "sqrt(abs(x*y)) - tan(0.1*x)"],
+                  ["x", "y"]),
+    "powers": (["x**2", "2**-1", "y**x", "(x - y)**3", "-x**0.5", "9**9**9"], ["x", "y"]),
+    "constants": (["1", "-0", "pi", "2*e"], ["x", "y"]),
+    "no-variables": (["1", "-0.0", "pi**2"], []),
+    "unused": (["2", "x", "-z"], ["x", "y", "z"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VECTORS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_fill_equals_each_expression(case, data):
+    """compile_vector fills every component in one call, bit for bit as each
+    expression compiled alone, at a point and on rows."""
+    texts, variables = VECTORS[case]
+    d = len(variables) or 2
+    n = data.draw(st.integers(1, 4))
+    X = data.draw(arrays(np.float64, (n, d), elements=st.one_of(
+        st.floats(-3, 3), st.sampled_from([0.0, -0.0]))))
+    vector = compile_vector(texts, variables)
+    each = [compile_expr(t, variables) for t in texts]
+    with np.errstate(all="ignore"):
+        rows = vector(X)
+        assert rows.shape == (n, len(texts))
+        assert rows.tobytes() == np.stack([f(X) for f in each], axis=-1).tobytes()
+        for x, row in zip(X, rows):
+            point = vector(x)
+            assert point.shape == (len(texts),)
+            assert point.tobytes() == np.array([f(x) for f in each]).tobytes()
+            assert point.tobytes() == row.tobytes()

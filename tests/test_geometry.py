@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from liftreach.errors import DimensionMismatch, OutOfAtlas
 from liftreach.geometry import (
+    Point,
     SmoothMap,
     VectorField,
     box_atlas,
@@ -182,3 +185,55 @@ def test_identity_map_roundtrip():
     p = atlas.normalize("c0", [1.0])
     assert f.value(p) == p
     assert_allclose(f.jacobian(p), np.eye(1))
+
+
+# -- invariants of every atlas kind ----------------------------------------------
+
+INVARIANT_ATLASES = {
+    "box": box_atlas([[-1, 1], [0, 2]]),
+    "circle": circle_atlas(),
+    "torus": torus_atlas(),
+    "mobius": mobius_atlas(),
+    "union": union_atlas({"a": [[-1, 0.5], [-1, 1]], "b": [[-0.5, 1], [-1, 0.3]]}),
+    "tangent-mobius": tangent_atlas(mobius_atlas(), v_bound=1.0).atlas,
+    "tangent-union": tangent_atlas(union_atlas({"a": [[-1, 0.5]], "b": [[-0.5, 1]]}),
+                                   v_bound=1.0).atlas,
+}
+
+
+def _canonical(atlas):
+    """Canonical points from raw coordinates of any chart: wrapped axes run
+    over three periods each way, with tiny offsets from a chart edge."""
+    def axis(lo, hi, wrapped):
+        width = hi - lo
+        if not wrapped:
+            return st.floats(lo, hi)
+        edge = st.sampled_from([lo, hi]).flatmap(
+            lambda e: st.sampled_from([-1e-20, -5e-324, 0.0, 5e-324, 1e-20]).map(lambda t: e + t))
+        return st.one_of(st.floats(lo - 3 * width, hi + 3 * width), edge)
+
+    def point(chart):
+        coords = st.tuples(*(axis(lo, hi, w) for (lo, hi), w in zip(chart.box, chart.wrap)))
+        return coords.map(lambda c: atlas.normalize_raw(chart.chart_id, np.array(c)))
+
+    return st.sampled_from(atlas.charts).flatmap(point).filter(
+        lambda out: out is not None).map(lambda out: Point(out[0], np.asarray(out[1], float)))
+
+
+@pytest.mark.parametrize("kind", sorted(INVARIANT_ATLASES))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_atlas_invariants(kind, data):
+    """normalize is idempotent; distance is symmetric (to 1e-12 of the
+    larger of 1 and the distance) and never exceeds the direct coordinate
+    distance of points in one chart, or in any charts of shared coordinates."""
+    atlas = INVARIANT_ATLASES[kind]
+    p, q = data.draw(_canonical(atlas)), data.draw(_canonical(atlas))
+    for x in (p, q):
+        again = atlas.normalize(x.chart_id, x.coords)
+        assert again.chart_id == x.chart_id
+        assert again.coords.tobytes() == x.coords.tobytes()
+    d, back = atlas.distance(p, q), atlas.distance(q, p)
+    assert abs(d - back) <= 1e-12 * max(1.0, d)
+    if p.chart_id == q.chart_id or atlas.shared_coords:
+        assert d <= np.linalg.norm(p.coords - q.coords)

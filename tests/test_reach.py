@@ -315,6 +315,23 @@ def test_memo_replays_hit_points_of_non_canonical_cells(flow_calls):
     assert any(not g.is_valid(cell) for cell in rep.arrivals)
 
 
+def test_rows_crossing_charts_mid_dwell_match_reference():
+    """Rows that cross into another chart of a union mid-dwell step on under
+    the field of that chart, as one point at a time does."""
+    def make():
+        atlas = union_atlas({"a": [[-1, 0.5], [-1, 1]], "b": [[-0.5, 1], [-1, 0.3]]})
+        fields = (lambda cid, c: np.array([0.8, 0.4 if cid == "b" else -0.3]),
+                  lambda cid, c: np.array([-0.6, 0.2]))
+        return GeneratedSystem(atlas, tuple(VectorField(atlas, f) for f in fields))
+
+    kw = dict(grid=6, dwell=0.4, horizon=1.5)
+    sys = make()
+    rep = reach(sys, _at(-0.8, -0.5)(sys), **kw)
+    assert list(rep.arrivals.items()) == \
+        list(_reference_arrivals(make(), _at(-0.8, -0.5)(sys), **kw).items())
+    assert {key[0] for key in rep.arrivals} == {"a", "b"}
+
+
 def test_mixed_pointwise_and_array_native_fields_match_reference(flow_calls):
     """A pointwise lambda generator beside compiled and kernel fields."""
     from liftreach.expressions import compile_vector

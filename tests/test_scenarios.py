@@ -1,8 +1,14 @@
 """Scenario parsing, the experiment runner, determinism, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import liftreach
 
 from liftreach.cli import main
 from liftreach.errors import ParseError, UnresolvedReference
@@ -248,6 +254,17 @@ def test_cli_list_scenarios(capsys):
     assert main(["list-scenarios"]) == 0
     out = capsys.readouterr().out.split()
     assert out == EXPECTED_NAMES
+
+
+def test_python_m_liftreach_runs_the_cli():
+    """`python -m liftreach` works from a checkout with src on the path."""
+    src = str(Path(liftreach.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "liftreach", "list-scenarios"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == EXPECTED_NAMES
 
 
 def test_cli_run_writes_summary(tmp_path, capsys):
