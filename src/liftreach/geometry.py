@@ -6,14 +6,15 @@ Quotient gluings (periodic wrap, wrap-with-flip) live entirely inside the
 normalization map, which makes point equality and grid hashing decidable.
 
 Batched work uses rows: coordinates of shape (N, d), one point per row.
-Every atlas normalizes rows in one pass, and vector fields
-flagged `batched` evaluate rows in one call; both agree bit for bit with
-their pointwise forms.
+Atlases are stated on rows only, a point being the one-row case; vector
+fields flagged `batched` evaluate rows in one call, bit for bit as their
+pointwise forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -39,23 +40,18 @@ class Chart:
     def widths(self) -> np.ndarray:
         return self.box[:, 1] - self.box[:, 0]
 
-    def contains(self, coords: np.ndarray) -> bool:
-        """Strict interior for open axes, half-open [lo, hi) for wrapped ones."""
-        for i, (lo, hi) in enumerate(self.box):
-            c = coords[i]
-            if self.wrap[i]:
-                if not (lo <= c < hi):
-                    return False
-            else:
-                if not (lo < c < hi):
-                    return False
-        return True
+    @cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) with lo < x < hi exactly on the chart: lo <= x on a wrapped
+        axis is nextafter(lo, -inf) < x."""
+        lo = self.box[:, 0]
+        return np.where(self.wrap, np.nextafter(lo, -np.inf), lo), self.box[:, 1]
 
     def contains_rows(self, X: np.ndarray) -> np.ndarray:
-        """contains() for each row of X (N, dim)."""
-        lo, hi = self.box[:, 0], self.box[:, 1]
-        above = np.where(self.wrap, lo <= X, lo < X)
-        return np.all(above & (X < hi), axis=1)
+        """Whether each row of X (N, dim) is in the chart: the strict interior
+        of open axes, [lo, hi) on wrapped ones."""
+        lo, hi = self.bounds
+        return ((lo < X) & (X < hi)).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -84,24 +80,21 @@ class Tangent:
 
 @dataclass(frozen=True)
 class Atlas:
-    """Finite chart atlas with explicit normalization.
+    """Finite chart atlas with explicit normalization, stated on rows.
 
-    normalize_raw returns the canonical (chart_id, coords) for a raw
-    representation, or None when the raw point is outside the atlas.
-    normalize_jacobian is the Jacobian of that map at the raw point.
-    aliases returns non-canonical raw representations of a canonical point
-    (used for overlap-compatibility checks). normalize_rows and
-    jacobian_rows are the first two maps over rows (N, dim) of one raw
-    chart: normalize_rows returns (chart indices, coords) as in Points,
-    jacobian_rows the (N, dim, dim) Jacobians. shared_coords marks charts
-    that are boxes of one coordinate system, as in a union, so that points
-    of different charts compare directly.
+    normalize_rows maps raw rows (N, dim) of one chart to their canonical
+    (chart indices, coords) as in Points, chart index -1 for a row outside
+    the atlas; jacobian_rows gives the (N, dim, dim) Jacobians of that map,
+    and metric_fn, when given, the (N, dim, dim) metric at canonical rows.
+    The point forms below are their one-row case. aliases returns
+    non-canonical raw representations of a canonical point (used for
+    overlap-compatibility checks). shared_coords marks charts that are boxes
+    of one coordinate system, as in a union, so that points of different
+    charts compare directly.
     """
 
     dim: int
     charts: tuple[Chart, ...]
-    normalize_raw: Callable[[str, np.ndarray], Optional[Raw]]
-    normalize_jacobian: Callable[[str, np.ndarray], np.ndarray]
     normalize_rows: Callable[[str, np.ndarray], tuple]
     jacobian_rows: Callable[[str, np.ndarray], np.ndarray]
     metric_fn: Optional[Callable[[str, np.ndarray], np.ndarray]] = None
@@ -136,6 +129,11 @@ class Atlas:
         """transition_jacobian for each row of X (N, dim)."""
         return self.jacobian_rows(chart_id, np.asarray(X, dtype=float))
 
+    def normalize_raw(self, chart_id: str, coords) -> Optional[Raw]:
+        """The canonical (chart_id, coords) of a raw point, None outside the atlas."""
+        charts, X = self.normalize_rows(chart_id, np.asarray(coords, dtype=float)[None])
+        return None if charts[0] < 0 else (self.charts[charts[0]].chart_id, X[0])
+
     def normalize(self, chart_id: str, coords) -> Point:
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (self.dim,):
@@ -152,12 +150,16 @@ class Atlas:
         return self.normalize(p.chart_id, p.coords)
 
     def transition_jacobian(self, chart_id: str, coords) -> np.ndarray:
-        return np.asarray(self.normalize_jacobian(chart_id, np.asarray(coords, float)))
+        return self.jacobian_rows(chart_id, np.asarray(coords, dtype=float)[None])[0]
 
     def metric_at(self, chart_id: str, coords) -> np.ndarray:
+        """The metric at coords (dim,) or at rows (N, dim); the identity
+        without a metric_fn."""
+        coords = np.asarray(coords, float)
         if self.metric_fn is None:
-            return np.eye(self.dim)
-        return np.asarray(self.metric_fn(chart_id, np.asarray(coords, float)), dtype=float)
+            return np.broadcast_to(np.eye(self.dim), coords.shape + (self.dim,))
+        G = self.metric_fn(chart_id, coords.reshape(-1, self.dim))
+        return np.asarray(G, dtype=float).reshape(coords.shape + (self.dim,))
 
     def aliases(self, p: Point) -> list[Raw]:
         if self.aliases_fn is None:
@@ -201,11 +203,6 @@ def box_atlas(box, coord_names=None, metric_fn=None, name="box") -> Atlas:
     dim = box.shape[0]
     chart = Chart("c0", box, (False,) * dim)
 
-    def norm(cid, coords):
-        if cid != "c0" or not chart.contains(coords):
-            return None
-        return ("c0", coords)
-
     def norm_rows(cid, X):
         inside = chart.contains_rows(X) if cid == "c0" else np.zeros(len(X), bool)
         return np.where(inside, 0, -1), X
@@ -213,8 +210,6 @@ def box_atlas(box, coord_names=None, metric_fn=None, name="box") -> Atlas:
     return Atlas(
         dim=dim,
         charts=(chart,),
-        normalize_raw=norm,
-        normalize_jacobian=lambda cid, coords: np.eye(dim),
         metric_fn=metric_fn,
         coord_names=tuple(coord_names) if coord_names else _default_names(dim),
         name=name,
@@ -230,17 +225,12 @@ def interval_atlas(lo: float, hi: float, coord_name="x", name="interval") -> Atl
 def circle_atlas(period: float = 2 * np.pi, coord_name="theta", name="circle") -> Atlas:
     chart = Chart("c0", np.array([[0.0, period]]), (True,))
 
-    def norm(cid, coords):
-        return ("c0", _wrap(coords[:1], period))
-
     def aliases(cid, coords):
         return [("c0", coords + period), ("c0", coords - period)]
 
     return Atlas(
         dim=1,
         charts=(chart,),
-        normalize_raw=norm,
-        normalize_jacobian=lambda cid, coords: np.eye(1),
         aliases_fn=aliases,
         coord_names=(coord_name,),
         name=name,
@@ -254,9 +244,6 @@ def torus_atlas(periods=(2 * np.pi, 2 * np.pi), coord_names=("theta", "phi"), na
     dim = len(periods)
     chart = Chart("c0", np.stack([np.zeros(dim), periods], axis=1), (True,) * dim)
 
-    def norm(cid, coords):
-        return ("c0", _wrap(coords, periods))
-
     def aliases(cid, coords):
         out = []
         for i in range(dim):
@@ -269,8 +256,6 @@ def torus_atlas(periods=(2 * np.pi, 2 * np.pi), coord_names=("theta", "phi"), na
     return Atlas(
         dim=dim,
         charts=(chart,),
-        normalize_raw=norm,
-        normalize_jacobian=lambda cid, coords: np.eye(dim),
         aliases_fn=aliases,
         coord_names=tuple(coord_names),
         name=name,
@@ -292,16 +277,6 @@ def mobius_atlas(name="mobius") -> Atlas:
         up = x - k >= 1.0
         return k + up, np.where(up, 0.0, x - k)
 
-    def norm(cid, coords):
-        k, x = turns(coords[0])
-        y = 1.0 - coords[1] if k % 2 != 0 else coords[1]
-        if not (0.0 < y < 1.0):
-            return None
-        return ("c0", np.array([x, y]))
-
-    def jac(cid, coords):
-        return np.diag([1.0, -1.0 if turns(coords[0])[0] % 2 != 0 else 1.0])
-
     def norm_rows(cid, X):
         k, x = turns(X[:, 0])
         y = np.where(np.mod(k, 2.0) != 0, 1.0 - X[:, 1], X[:, 1])
@@ -321,8 +296,6 @@ def mobius_atlas(name="mobius") -> Atlas:
     return Atlas(
         dim=2,
         charts=(chart,),
-        normalize_raw=norm,
-        normalize_jacobian=jac,
         aliases_fn=aliases,
         coord_names=("x", "y"),
         name=name,
@@ -343,31 +316,23 @@ def union_atlas(charts: dict[str, Sequence], coord_names=None, name="union") -> 
         for cid, box in charts.items()
     )
     dim = items[0].dim
+    lo, hi = map(np.stack, zip(*(c.bounds for c in items)))
 
-    def norm(cid, coords):
-        for chart in items:
-            if chart.contains(coords):
-                return (chart.chart_id, coords)
-        return None
+    def inside(X):  # (N, charts): whether each row is in each chart
+        return ((lo < X[:, None]) & (X[:, None] < hi)).all(axis=2)
 
     def norm_rows(cid, X):
-        charts = np.full(len(X), -1)
-        for i in reversed(range(len(items))):  # the first containing chart wins
-            charts[items[i].contains_rows(X)] = i
-        return charts, X
+        within = inside(X)
+        return np.where(within.any(axis=1), within.argmax(axis=1), -1), X
 
     def aliases(cid, coords):
-        return [
-            (chart.chart_id, coords)
-            for chart in items
-            if chart.chart_id != cid and chart.contains(coords)
-        ]
+        return [(chart.chart_id, coords)
+                for chart, within in zip(items, inside(coords[None])[0])
+                if within and chart.chart_id != cid]
 
     return Atlas(
         dim=dim,
         charts=items,
-        normalize_raw=norm,
-        normalize_jacobian=lambda cid, coords: np.eye(dim),
         aliases_fn=aliases,
         coord_names=tuple(coord_names) if coord_names else _default_names(dim),
         name=name,
@@ -392,7 +357,7 @@ def _wrap(x, period):
 
 
 def _identity_rows(dim: int):
-    return lambda cid, X: np.broadcast_to(np.eye(dim), (len(X), dim, dim))
+    return lambda cid, X, eye=np.eye(dim)[None]: eye.repeat(len(X), axis=0)
 
 
 def _default_names(dim: int) -> tuple[str, ...]:

@@ -62,32 +62,27 @@ class KernelFrame:
     global_ok: bool
 
 
-def _metric_of(phi: SmoothMap, metric):
-    """None stands for the chart-wise Euclidean metric (fast path)."""
-    if metric is not None:
-        return metric
-    if phi.source.metric_fn is None:
-        return None
-    atlas = phi.source
-    return lambda cid, coords: atlas.metric_at(cid, coords)
+def _metric_of(phi: SmoothMap):
+    """The source atlas's metric at coords or rows; None stands for the
+    chart-wise Euclidean metric (fast path)."""
+    return None if phi.source.metric_fn is None else phi.source.metric_at
 
 
 def _right_inverse(J: np.ndarray, metric, cid, coords):
     """A = G^-1 J^T and the Gram matrix W = J A, stacked over rows.
 
     J is (m, n) at coords (n,), or (N, m, n) at rows (N, n); a metric,
-    when given, is evaluated at each row. Raises SingularGram naming the
-    first row where W is not numerically positive definite: the first row
-    holding nan, else the first whose Cholesky diagonal fails the threshold
-    (the first row of the stack when the factorization fails outright).
+    when given, is evaluated once, at coords or at all the rows. Raises
+    SingularGram naming the first row where W is not numerically positive
+    definite: the first row holding nan, else the first whose Cholesky
+    diagonal fails the threshold (the first row of the stack when the
+    factorization fails outright).
     """
     Jt = np.swapaxes(J, -1, -2)
     if metric is None:
         A = Jt
     else:
-        G = (np.asarray(metric(cid, coords), dtype=float) if np.ndim(coords) == 1
-             else np.array([metric(cid, x) for x in coords], dtype=float))
-        A = np.linalg.solve(G, Jt)
+        A = np.linalg.solve(np.asarray(metric(cid, coords), dtype=float), Jt)
     W = J @ A
     # W is positive definite exactly when dPhi has full rank here; two reductions
     # pass a 1x1 stack, whose Cholesky factor is sqrt(W) as LAPACK computes it
@@ -130,11 +125,11 @@ def check_submersion(phi: SmoothMap, samples: int = 50, seed: int = 0):
             raise NotSubmersion(p, r, want)
 
 
-def metric_lift_morphism(phi: SmoothMap, metric=None,
-                         samples: int = 50, seed: int = 0) -> Morphism:
-    """Morphism whose lift is the metric-orthogonal right inverse of dPhi."""
+def metric_lift_morphism(phi: SmoothMap, samples: int = 50, seed: int = 0) -> Morphism:
+    """Morphism whose lift is the right inverse of dPhi orthogonal in the
+    metric of phi's source atlas."""
     check_submersion(phi, samples=samples, seed=seed)
-    metric = _metric_of(phi, metric)
+    metric = _metric_of(phi)
 
     def lifts(cid, coords, fields, rows=None):
         """The lifts of fields, rows[j] lifting fields[j]: one raw map,
@@ -156,13 +151,13 @@ def metric_lift_morphism(phi: SmoothMap, metric=None,
     return Morphism(phi=phi, lift_rule=lift_rule, kind="metric-right-inverse")
 
 
-def lift_system(target_sys: GeneratedSystem, phi: SmoothMap, metric=None,
+def lift_system(target_sys: GeneratedSystem, phi: SmoothMap,
                 samples: int = 50, seed: int = 0):
     """Lift every generator through the metric-orthogonal right inverse.
 
     Returns (morphism, lifted system on the source manifold).
     """
-    m = metric_lift_morphism(phi, metric=metric, samples=samples, seed=seed)
+    m = metric_lift_morphism(phi, samples=samples, seed=seed)
     gens = tuple(m.lift(Y) for Y in target_sys.generators)
     lifted = GeneratedSystem(phi.source, gens, label=f"lift({target_sys.label})")
     return m, lifted
@@ -355,7 +350,7 @@ def kernel_projector(phi: SmoothMap, metric, cid, coords) -> np.ndarray:
 
 def kernel_frame(m: Morphism, mode: str = "chartwise",
                  generators: Optional[Sequence[VectorField]] = None,
-                 metric=None, samples: int = 50, seed: int = 0) -> KernelFrame:
+                 samples: int = 50, seed: int = 0) -> KernelFrame:
     """Fields spanning ker(dPhi).
 
     chartwise mode projects the coordinate frame through the metric
@@ -364,7 +359,7 @@ def kernel_frame(m: Morphism, mode: str = "chartwise",
     expected rank.
     """
     phi = m.phi
-    metric = _metric_of(phi, metric)
+    metric = _metric_of(phi)
     rng = np.random.default_rng(seed)
     pts = phi.source.sample(rng, samples)
     rank = phi.source.dim - differential_rank(phi, pts[0])

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, UnresolvedReference
-from .expressions import compile_expr, compile_vector
+from .expressions import compile_vector
 from .geometry import (
     Atlas,
     SmoothMap,
@@ -97,28 +97,33 @@ def _build_atlas(name: str, spec: dict) -> Atlas:
     else:
         raise ParseError(f"unknown atlas kind {kind!r}", where=name)
     if metric_exprs:
-        names = atlas.coord_names
-        rows = [[compile_expr(e, names) for e in row] for row in metric_exprs]
-
-        def metric_fn(cid, c):
-            return np.array([[f(c) for f in row] for row in rows])
-
-        atlas = replace(atlas, metric_fn=metric_fn)
+        shape = (atlas.dim, atlas.dim)
+        entries = compile_vector(_entries(metric_exprs, shape, "metric", name),
+                                 atlas.coord_names)
+        atlas = replace(atlas, metric_fn=lambda cid, X: entries(X).reshape(-1, *shape))
     return atlas
+
+
+def _entries(exprs, shape: tuple, what: str, where: str) -> list:
+    """The expressions of exprs, nested lists of the given shape, row-major;
+    DimensionMismatch when they nest otherwise."""
+    entries = np.array(exprs, dtype=object)
+    if entries.shape != shape or any(isinstance(e, list) for e in entries.flat):
+        raise DimensionMismatch(
+            f"{what} of {where!r} must be {' x '.join(map(str, shape))} expressions")
+    return entries.ravel().tolist()
 
 
 def _build_map(name: str, spec: dict, atlases: dict) -> SmoothMap:
     src = _ref(atlases, _need(spec, "source", name), name)
     tgt = _ref(atlases, _need(spec, "target", name), name)
-    exprs = _need(spec, "exprs", name)
-    if len(exprs) != tgt.dim:
-        raise DimensionMismatch(f"map {name!r} must have {tgt.dim} output expressions")
-    value = compile_vector(exprs, src.coord_names)
+    value = compile_vector(_entries(_need(spec, "exprs", name), (tgt.dim,), "exprs", name),
+                           src.coord_names)
     tgt_chart = tgt.charts[0].chart_id
     jac = None
     if "jacobian" in spec:
-        shape = (len(spec["jacobian"]), len(spec["jacobian"][0]))
-        entries = compile_vector([e for row in spec["jacobian"] for e in row],
+        shape = (tgt.dim, src.dim)
+        entries = compile_vector(_entries(spec["jacobian"], shape, "jacobian", name),
                                  src.coord_names)
 
         def jac(cid, coords):
@@ -133,10 +138,8 @@ def _build_map(name: str, spec: dict, atlases: dict) -> SmoothMap:
 
 def _build_field(name: str, spec: dict, atlases: dict) -> VectorField:
     atlas = _ref(atlases, _need(spec, "atlas", name), name)
-    exprs = _need(spec, "exprs", name)
-    if len(exprs) != atlas.dim:
-        raise DimensionMismatch(f"field {name!r} must have {atlas.dim} components")
-    value = compile_vector(exprs, atlas.coord_names)
+    value = compile_vector(_entries(_need(spec, "exprs", name), (atlas.dim,), "exprs", name),
+                           atlas.coord_names)
     return VectorField(atlas, lambda cid, coords: value(coords), name=name, batched=True)
 
 
@@ -183,24 +186,23 @@ def parse_scenario(source) -> Scenario:
         base = _ref(atlases, _need(v, "base", k), k)
         ta = tangent_atlas(base, v_bound=v.get("v_bound", 2.0))
         var_names = ta.atlas.coord_names
-        n = base.dim
-        gamma_fn = compile_vector(_need(v, "gamma", k), var_names)
-        g_fns = [compile_vector(row, var_names) for row in v.get("g", [])]
+        g_exprs, n = v.get("g", []), base.dim
+        gamma_fn = compile_vector(_entries(_need(v, "gamma", k), (n,), "gamma", k), var_names)
+        g_fn = compile_vector(_entries(g_exprs, (len(g_exprs), n), "g", k) if g_exprs else [],
+                              var_names)
 
         def gamma(cid, x, y, fn=gamma_fn):
             return fn(np.concatenate([x, y], axis=-1))
 
-        def gmat(cid, x, y, fns=g_fns, n=n):
-            if not fns:
-                return np.zeros(np.shape(x)[:-1] + (0, n))
-            return np.stack([fn(np.concatenate([x, y], axis=-1)) for fn in fns], axis=-2)
+        def gmat(cid, x, y, fn=g_fn, shape=(len(g_exprs), n)):
+            return fn(np.concatenate([x, y], axis=-1)).reshape(np.shape(x)[:-1] + shape)
 
-        so = second_order_system(ta, gamma, gmat, len(g_fns), label=k, batched=True)
+        so = second_order_system(ta, gamma, gmat, len(g_exprs), label=k, batched=True)
         second_order[k] = so
         # generated system of affine slices at sampled control values
         samples = v.get("control_samples")
-        if samples is None and g_fns:
-            samples = [list(u) for u in np.eye(len(g_fns))]
+        if samples is None and g_exprs:
+            samples = [list(u) for u in np.eye(len(g_exprs))]
         if samples is not None:
             gens = []
             for u in samples:
@@ -229,13 +231,12 @@ def parse_scenario(source) -> Scenario:
     connections = {}
     for k, v in data.get("connections", {}).items():
         atlas = _ref(atlases, _need(v, "atlas", k), k)
-        n = atlas.dim
-        chr_fns = [[[compile_expr(e, atlas.coord_names) for e in row] for row in mat]
-                   for mat in _need(v, "christoffel", k)]
+        shape = (atlas.dim,) * 3
+        chr_fn = compile_vector(_entries(_need(v, "christoffel", k), shape, "christoffel", k),
+                                atlas.coord_names)
 
-        def christoffel(cid, x, fns=chr_fns):
-            G = np.array([[[f(x) for f in row] for row in mat] for mat in fns])
-            return G if G.ndim == 3 else G.transpose(3, 0, 1, 2)
+        def christoffel(cid, x, fn=chr_fn, shape=shape):
+            return fn(x).reshape(np.shape(x)[:-1] + shape)
 
         controls = tuple(_ref(fields, g, k) for g in v.get("controls", []))
         cs = ConnectionSystem(atlas, christoffel, controls,

@@ -48,18 +48,6 @@ def tangent_atlas(base: Atlas, v_bound: float = 2.0) -> TangentAtlas:
         for c in base.charts
     )
 
-    def norm(cid, coords):
-        x, y = coords[:n], coords[n:]
-        out = base.normalize_raw(cid, np.asarray(x, float))
-        if out is None:
-            return None
-        bcid, bx = out
-        J = base.transition_jacobian(cid, np.asarray(x, float))
-        y2 = J @ np.asarray(y, float)
-        if np.any(np.abs(y2) >= v_bound):
-            return None
-        return (bcid, np.concatenate([np.asarray(bx, float), y2]))
-
     def norm_rows(cid, X):
         x, y = X[:, :n], X[:, n:]
         charts, bx = base.normalize_many(cid, x)
@@ -67,20 +55,10 @@ def tangent_atlas(base: Atlas, v_bound: float = 2.0) -> TangentAtlas:
         charts = np.where(np.any(np.abs(y2) >= v_bound, axis=1), -1, charts)
         return charts, np.concatenate([bx, y2], axis=1)
 
-    def jac(cid, coords):
-        x, y = np.asarray(coords[:n], float), np.asarray(coords[n:], float)
-        J = base.transition_jacobian(cid, x)
-        # d/dx of (J(x) y), zero whenever the gluing Jacobian is constant
-        off = finite_difference_jacobian(
-            lambda xs: base.transition_jacobian(cid, xs) @ y, x, n
-        )
-        top = np.hstack([J, np.zeros((n, n))])
-        bot = np.hstack([off, J])
-        return np.vstack([top, bot])
-
     def jac_rows(cid, X):
         x, y = X[:, :n], X[:, n:]
         J = base.transition_jacobians(cid, x)
+        # d/dx of (J(x) y), zero whenever the gluing Jacobian is constant
         off = finite_difference_jacobian(
             lambda xs: (base.transition_jacobians(cid, xs) @ y[:, :, None])[:, :, 0], x, n
         )
@@ -105,8 +83,6 @@ def tangent_atlas(base: Atlas, v_bound: float = 2.0) -> TangentAtlas:
     atlas = Atlas(
         dim=2 * n,
         charts=charts,
-        normalize_raw=norm,
-        normalize_jacobian=jac,
         normalize_rows=norm_rows,
         jacobian_rows=jac_rows,
         aliases_fn=aliases,
@@ -193,23 +169,24 @@ def is_second_order(sys: SecondOrderSystem, samples: int = 200, seed: int = 0):
 
 
 def tangent_map(phi: SmoothMap, tp: TangentAtlas, tq: TangentAtlas) -> SmoothMap:
-    """T(phi) for an adapted coordinate projection phi: P -> Q."""
+    """T(phi) for an adapted coordinate projection phi: P -> Q, on rows
+    when phi is."""
     m = phi.target.dim
     n = phi.source.dim
 
     def raw(cid, coords):
         coords = np.asarray(coords, float)
-        tcid, _ = phi.raw(cid, coords[:n])
-        return (tcid, np.concatenate([coords[:m], coords[n:n + m]]))
+        tcid, _ = phi.raw(cid, coords[..., :n])
+        return (tcid, np.concatenate([coords[..., :m], coords[..., n:n + m]], axis=-1))
 
     def jac(cid, coords):
-        J = np.zeros((2 * m, 2 * n))
-        J[:m, :m] = np.eye(m)
-        J[m:, n:n + m] = np.eye(m)
+        J = np.zeros(np.shape(coords)[:-1] + (2 * m, 2 * n))
+        J[..., :m, :m] = np.eye(m)
+        J[..., m:, n:n + m] = np.eye(m)
         return J
 
     return SmoothMap(source=tp.atlas, target=tq.atlas, raw=raw, raw_jacobian=jac,
-                     name=f"T{phi.name}")
+                     name=f"T{phi.name}", batched=phi.batched)
 
 
 def second_order_lift(sys2: SecondOrderSystem, phi: SmoothMap,

@@ -246,12 +246,10 @@ def step_rows(atlas: Atlas, plan: RowPlan, charts: np.ndarray, X: np.ndarray, st
     column = isinstance(step, np.ndarray)
     if plan.lone:
         (r, cid, func), (_, c, _) = plan.groups[0], plan.charts[0]
-        out = atlas.normalize_raw(cid, rk4_step(func, cid, X[r],
-                                                float(step[r, 0]) if column else step))
-        charts[r] = -1 if out is None else atlas.chart_index(out[0])
-        if out is not None:
-            X[r] = out[1]
-        return charts[r] != c
+        x = rk4_step(func, cid, X[r], float(step[r, 0]) if column else step)
+        to, Y = atlas.normalize_rows(cid, x[None])
+        charts[r], X[r] = to[0], Y[0]
+        return to[0] != c
     for rows, cid, func in plan.groups:
         X[rows] = rk4_step(func, cid, X[rows], step[rows] if column else step)
     moved = False

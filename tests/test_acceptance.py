@@ -199,7 +199,7 @@ def test_criterion_8_numerical_hygiene(scenarios):
     proj_worst = 0.0
     for s in scenarios.values():
         for m in s.morphisms.values():
-            metric = _metric_of(m.phi, None)
+            metric = _metric_of(m.phi)
             for p in m.phi.source.sample(rng, 20):
                 P = kernel_projector(m.phi, metric, p.chart_id, p.coords)
                 proj_worst = max(proj_worst, float(np.max(np.abs(P @ P - P))))

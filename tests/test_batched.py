@@ -12,12 +12,14 @@ from hypothesis.extra.numpy import arrays
 from liftreach.errors import Escape, SingularGram
 from liftreach.expressions import compile_vector
 from liftreach.geometry import (
+    FD_STEP,
     Point,
     Points,
     SmoothMap,
     VectorField,
     box_atlas,
     circle_atlas,
+    finite_difference_jacobian,
     interval_atlas,
     mobius_atlas,
     pushforward,
@@ -177,6 +179,28 @@ def test_kernel_projector_rows_equal_pointwise(scenario, X):
         assert np.allclose(got @ got, got, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(X=_rows(4))
+def test_tangent_map_rows_equal_pointwise(scenario, X):
+    """T(phi) of a scenario map takes rows: its raw map, raw Jacobian, values
+    and Jacobians equal those of each point alone, bit for bit."""
+    tphi = scenario.morphisms["oscl"].phi
+    assert tphi.batched
+    tcid, Y = tphi.raw("c0", X)
+    J = tphi.raw_jac_at("c0", X)
+    for x, y, j in zip(X, Y, J):
+        assert tphi.raw("c0", x)[0] == tcid
+        assert np.array_equal(tphi.raw("c0", x)[1], y)
+        assert np.array_equal(tphi.raw_jac_at("c0", x), j)
+    rows = tphi.source.normalize_many("c0", X)
+    pts = [Point("c0", x) for x in rows.coords]
+    values = tphi.values(rows)
+    assert [tphi.target.charts[c].chart_id for c in values.charts] == \
+        [tphi.value(p).chart_id for p in pts]
+    assert np.array_equal(values.coords, [tphi.value(p).coords for p in pts])
+    assert np.array_equal(tphi.jacobians(rows), [tphi.jacobian(p) for p in pts])
+
+
 # -- the 1x1 Gram in closed form -----------------------------------------------------
 
 
@@ -247,8 +271,8 @@ def _bits(x):
 
 GRAM_METRICS = {
     "euclidean": None,
-    "metric": lambda cid, x: np.eye(len(x)) + 0.5 * np.outer(x, x),
-    "negative": lambda cid, x: -np.eye(len(x)),
+    "metric": lambda cid, X: np.eye(X.shape[-1]) + 0.5 * (X[..., :, None] * X[..., None, :]),
+    "negative": lambda cid, X: np.broadcast_to(-np.eye(X.shape[-1]), X.shape + X.shape[-1:]),
 }
 
 
@@ -285,8 +309,8 @@ def test_one_by_one_gram_keeps_singular_gram_rows(case, row):
     J = np.array([[[1.0, 0.5]], [[1.0, 0.5]], [[1.0, 0.5]]])
     J[1, 0] = {"zero": [0.0, 0.0], "negative": [1.0, 0.5], "tiny": [1e-7, 0.0],
                "nan": [np.nan, 0.5]}[case]
-    metric = (lambda cid, x: -np.eye(2) if x[0] == 0.3 else np.eye(2)) \
-        if case == "negative" else None
+    flip = lambda cid, X: np.where((X[..., 0] == 0.3)[..., None, None], -np.eye(2), np.eye(2))
+    metric = flip if case == "negative" else None
     outcomes = _gram_outcomes(J, metric, coords, np.array([[1.0], [2.0], [3.0]]))
     for got, want in outcomes:
         assert _bits(got) == _bits(want)
@@ -327,6 +351,8 @@ ATLASES = {
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_normalize_rows_equal_pointwise(kind, data):
+    """Each row of a stack normalizes as if alone: normalize_raw is the
+    one-row case of normalize_rows."""
     atlas, (lo, hi) = ATLASES[kind]
     X = data.draw(_rows(atlas.dim, lo, hi))
     for chart in atlas.charts:
@@ -344,6 +370,7 @@ def test_normalize_rows_equal_pointwise(kind, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_transition_jacobian_rows_equal_pointwise(kind, data):
+    """Each row of a stack gets the Jacobian it gets alone."""
     atlas, (lo, hi) = ATLASES[kind]
     X = data.draw(_rows(atlas.dim, lo, hi))
     for chart in atlas.charts:
@@ -351,6 +378,86 @@ def test_transition_jacobian_rows_equal_pointwise(kind, data):
         assert got.shape == (len(X), atlas.dim, atlas.dim)
         for i, x in enumerate(X):
             assert np.array_equal(got[i], atlas.transition_jacobian(chart.chart_id, x.copy()))
+
+
+@pytest.mark.parametrize("kind", sorted(ATLASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_aliases_normalize_to_their_point(kind, data):
+    """Every alias of a canonical point normalizes back onto that point, up
+    to rounding, which may carry it across a wrap point. Only a point within
+    rounding of an open edge may lose its alias: Mobius maps y to 1 - y, and
+    1 - (1 - y) is 0 for y < 2**-54."""
+    atlas, (lo, hi) = ATLASES[kind]
+    X = data.draw(_rows(atlas.dim, lo, hi))
+    for chart in atlas.charts:
+        rows = atlas.normalize_many(chart.chart_id, X)
+        for c, x in zip(rows.charts, rows.coords):
+            if c < 0:
+                continue
+            p = Point(atlas.charts[c].chart_id, x)
+            open_axes = ~np.array(atlas.charts[c].wrap)
+            for cid, coords in atlas.aliases(p):
+                out = atlas.normalize_raw(cid, coords)
+                if out is None:
+                    edges = atlas.charts[c].box[open_axes]
+                    assert np.min(np.abs(edges - x[open_axes, None])) <= 1e-15
+                    continue
+                q = Point(out[0], out[1])
+                assert atlas.distance(p, q) <= 1e-12 * max(1.0, float(np.abs(x).max()))
+
+
+def _fd_normalize(atlas, cid, X):
+    """Central differences of normalize_rows at rows X, and whether each row's
+    stencil stays in its chart and off the wrap points, where normalization
+    jumps by a period."""
+    charts = atlas.normalize_many(cid, X).charts
+    smooth = charts >= 0
+    chart = atlas.chart(cid)
+    phase = np.mod(X - chart.box[:, 0], chart.widths()) / chart.widths()
+    smooth &= np.all(~np.array(chart.wrap) | ((1e-3 < phase) & (phase < 1 - 1e-3)), axis=1)
+    for j in range(atlas.dim):
+        for sign in (-1.0, 1.0):
+            Z = X.copy()
+            Z[:, j] += sign * FD_STEP * np.maximum(1.0, np.abs(X[:, j]))
+            smooth &= atlas.normalize_many(cid, Z).charts == charts
+    fd = finite_difference_jacobian(lambda Z: atlas.normalize_many(cid, Z).coords,
+                                    X.copy(), atlas.dim)
+    return fd, smooth
+
+
+def _box_rows(chart):
+    """Rows in a chart's box, off its edges, wrapped axes up to three turns
+    away either way."""
+    def axis(wrapped):
+        return st.tuples(st.integers(-3, 3) if wrapped else st.just(0), st.floats(0.01, 0.99))
+
+    row = st.tuples(*(axis(w) for w in chart.wrap)).map(
+        lambda a: chart.box[:, 0] + chart.widths() * np.array([k + f for k, f in a]))
+    return st.lists(row, min_size=1, max_size=6).map(np.array)
+
+
+@pytest.mark.parametrize("kind", sorted(ATLASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_jacobian_rows_are_derivatives_of_normalize_rows(kind, data):
+    atlas = ATLASES[kind][0]
+    for chart in atlas.charts:
+        X = data.draw(_box_rows(chart))
+        fd, smooth = _fd_normalize(atlas, chart.chart_id, X)
+        J = atlas.transition_jacobians(chart.chart_id, X)
+        assert np.allclose(fd[smooth], J[smooth], rtol=0.0, atol=1e-6)
+
+
+def test_mobius_jacobian_flips_at_negative_x():
+    """An odd number of turns flips y, counted downwards too: floor(-0.25) = -1."""
+    atlas = ATLASES["mobius"][0]
+    X = np.array([[-0.25, 0.3], [-1.25, 0.3], [-2.75, 0.6], [0.5, 0.3]])
+    fd, smooth = _fd_normalize(atlas, "c0", X)
+    J = atlas.transition_jacobians("c0", X)
+    assert smooth.all()
+    assert J[:, 1, 1].tolist() == [-1.0, 1.0, -1.0, 1.0]
+    assert np.allclose(fd, J, rtol=0.0, atol=1e-6)
 
 
 @pytest.mark.parametrize("kind", sorted(ATLASES))

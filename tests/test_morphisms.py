@@ -1,5 +1,7 @@
 """Lifts across submersions, kernel frames, and the lifting correspondence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,8 @@ from liftreach.errors import (
     UnmappedControl,
 )
 from liftreach.geometry import (
+    Atlas,
+    Chart,
     SmoothMap,
     VectorField,
     box_atlas,
@@ -75,8 +79,9 @@ def test_metric_lift_with_nontrivial_metric():
     """Metric diag(1, 4) tilts nothing for this projection: the minimizer of
     the G-norm over J v = 1 is still (1, 0)."""
     plane, line, proj, down = _projection_setup()
-    metric = lambda cid, c: np.diag([1.0, 4.0])
-    m, lifted = lift_system(down, proj, metric=metric)
+    plane = replace(plane, metric_fn=lambda cid, X: np.broadcast_to(np.diag([1.0, 4.0]),
+                                                                  (len(X), 2, 2)))
+    m, lifted = lift_system(down, replace(proj, source=plane))
     p = plane.normalize("c0", [0.0, 0.0])
     assert_allclose(lifted.generators[0].at(p), [1.0, 0.0], atol=1e-12)
 
@@ -148,6 +153,38 @@ def test_verify_finite_difference_tolerance():
     report = verify_trajectory_preserving(m, down, samples=200, schedules=3)
     assert report["pass"]
     assert report["tolerance"] == 1e-6
+
+
+def _two_chart_circle():
+    """A circle of length 2 from two charts that share no coordinates: leaving
+    chart a at x = 1 enters chart b at x = 0, and leaving b enters a."""
+    def norm_rows(cid, X):
+        turns = np.floor(X[:, 0])
+        charts = (np.mod(turns, 2.0) != 0) != (cid == "b")
+        return charts.astype(int), X - turns[:, None]
+
+    charts = tuple(Chart(cid, np.array([[0.0, 1.0]]), (True,)) for cid in "ab")
+    return Atlas(dim=1, charts=charts, normalize_rows=norm_rows,
+                 jacobian_rows=lambda cid, X: np.ones((len(X), 1, 1)), name="two-chart")
+
+
+def test_verify_compares_charts_without_shared_coordinates():
+    """A map from the unit circle that forgets which chart of the two-chart
+    circle its image is in: past the wrap, the projected trajectory is back
+    in chart a at the very coordinate where the downstairs one has gone on
+    into chart b. The residual is exact and the coordinates agree, so only
+    the chart condition of the trajectory comparison sees it."""
+    two = _two_chart_circle()
+    phi = SmoothMap(circle_atlas(period=1.0), two, raw=lambda cid, c: ("a", c),
+                    raw_jacobian=lambda cid, c: np.ones(np.shape(c)[:-1] + (1, 1)),
+                    batched=True)
+    down = GeneratedSystem(two, (VectorField(two, lambda cid, c: np.ones(np.shape(c)),
+                                             batched=True),))
+    report = verify_trajectory_preserving(metric_lift_morphism(phi), down,
+                                          samples=50, schedules=10)
+    assert report["worst_residual"] == 0.0
+    assert report["trajectory_excess"] == np.inf
+    assert not report["pass"]
 
 
 def test_global_in_time_detects_improper_escape():

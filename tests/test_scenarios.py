@@ -11,7 +11,7 @@ import pytest
 import liftreach
 
 from liftreach.cli import main
-from liftreach.errors import ParseError, UnresolvedReference
+from liftreach.errors import DimensionMismatch, ParseError, UnresolvedReference
 from liftreach.runner import run
 from liftreach.scenario import (
     builtin_scenario_names,
@@ -164,6 +164,36 @@ def test_map_without_exprs_is_a_parse_error():
 def test_box_atlas_without_box_is_a_parse_error():
     with pytest.raises(ParseError, match=r"^plane: missing 'box'$"):
         parse_scenario({"atlases": {"plane": {"kind": "box"}}})
+
+
+PLANE = {"atlases": {**LINE["atlases"], "plane": {"kind": "box", "box": [[-1, 1], [-1, 1]]}}}
+
+
+def _connection(christoffel):
+    return {"atlases": LINE["atlases"],
+            "connections": {"c": {"atlas": "line", "christoffel": christoffel}}}
+
+
+def _bent(jacobian):
+    return {**PLANE, "maps": {"p": {"source": "plane", "target": "line", "exprs": ["x"],
+                                    "jacobian": jacobian}}}
+
+
+@pytest.mark.parametrize("spec, where", [
+    pytest.param(_connection([[["0"]], [["0"]]]), "'c'", id="christoffel-2x1x1"),
+    pytest.param(_connection([[["0"], ["0"]]]), "'c'", id="christoffel-1x2x1"),
+    pytest.param(_connection([["0.1"]]), "'c'", id="christoffel-1x1"),
+    pytest.param({"atlases": {"plane": {"kind": "box", "box": [[-1, 1], [-1, 1]],
+                                        "metric": [["1", "0"]]}}}, "'plane'",
+                 id="metric-1x2"),
+    pytest.param(_bent([["1"]]), "'p'", id="jacobian-1x1"),
+    pytest.param(_bent([["1", "0", "0"]]), "'p'", id="jacobian-1x3"),
+])
+def test_misshapen_expression_arrays_are_dimension_mismatches(spec, where):
+    """A metric is d x d, a map Jacobian target dim x source dim and Christoffel
+    symbols n x n x n; any other nesting is named at parse time."""
+    with pytest.raises(DimensionMismatch, match=f"of {where} must be"):
+        parse_scenario(spec)
 
 
 def test_list_for_a_reference_name_is_a_parse_error():
