@@ -67,11 +67,9 @@ from .systems import (
     GeneratedSystem,
     Schedule,
     Trajectory,
-    affine_control_system,
     control_system_from_tcs,
     integrate,
     integrate_rows,
-    restrict,
     tcs_from_control_system,
 )
 

@@ -167,19 +167,27 @@ class Atlas:
         return self.aliases_fn(p.chart_id, p.coords)
 
     def sample(self, rng: np.random.Generator, n: int, margin: float = 0.02) -> list[Point]:
-        """Uniform canonical points, charts weighted by box volume."""
+        """Uniform canonical points, charts weighted by box volume.
+
+        Each round draws the chart and coordinates of every missing point, one
+        candidate after another as if alone, and normalizes them per chart as
+        rows; candidates outside the atlas are dropped."""
         vols = np.array([float(np.prod(c.widths())) for c in self.charts])
         probs = vols / vols.sum()
         pts = []
         while len(pts) < n:
-            chart = self.charts[rng.choice(len(self.charts), p=probs)]
-            lo = chart.box[:, 0] + margin * chart.widths()
-            hi = chart.box[:, 1] - margin * chart.widths()
-            coords = rng.uniform(lo, hi)
-            try:
-                pts.append(self.normalize(chart.chart_id, coords))
-            except OutOfAtlas:
-                continue
+            picks, draws = [], []
+            for _ in range(n - len(pts)):
+                picks.append(rng.choice(len(self.charts), p=probs))
+                c = self.charts[picks[-1]]
+                draws.append(rng.uniform(c.box[:, 0] + margin * c.widths(),
+                                         c.box[:, 1] - margin * c.widths()))
+            picks, draws = np.array(picks), np.array(draws)
+            charts = np.full(len(picks), -1)
+            for c in distinct(picks):
+                charts[picks == c], draws[picks == c] = self.normalize_rows(
+                    self.charts[c].chart_id, draws[picks == c])
+            pts += [Point(self.charts[c].chart_id, x) for c, x in zip(charts, draws) if c >= 0]
         return pts
 
     def distance(self, p: Point, q: Point) -> float:

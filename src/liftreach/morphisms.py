@@ -33,8 +33,9 @@ from .geometry import (
 from .systems import (
     ControlSystem,
     GeneratedSystem,
+    RowRequest,
     Schedule,
-    integrate_rows,
+    drive,
 )
 
 
@@ -152,12 +153,14 @@ def metric_lift_morphism(phi: SmoothMap, samples: int = 50, seed: int = 0) -> Mo
 
 
 def lift_system(target_sys: GeneratedSystem, phi: SmoothMap,
-                samples: int = 50, seed: int = 0):
+                samples: int = 50, seed: int = 0, morphism: Optional[Morphism] = None):
     """Lift every generator through the metric-orthogonal right inverse.
 
-    Returns (morphism, lifted system on the source manifold).
+    morphism, a metric_lift_morphism of phi, is reused when given, so that
+    lifts through one map share one family. Returns (morphism, lifted
+    system on the source manifold).
     """
-    m = metric_lift_morphism(phi, samples=samples, seed=seed)
+    m = morphism or metric_lift_morphism(phi, samples=samples, seed=seed)
     gens = tuple(m.lift(Y) for Y in target_sys.generators)
     lifted = GeneratedSystem(phi.source, gens, label=f"lift({target_sys.label})")
     return m, lifted
@@ -233,6 +236,14 @@ def verify_trajectory_preserving(m: Morphism, target_sys: GeneratedSystem,
     points as rows, and every schedule is a row of one integration on each
     side; the report equals that of one point and one schedule at a time.
     """
+    return drive([trajectory_body(m, target_sys, samples, seed, tolerance, schedules, h)])[0]
+
+
+def trajectory_body(m: Morphism, target_sys: GeneratedSystem, samples: int = 1000,
+                    seed: int = 0, tolerance: Optional[float] = None,
+                    schedules: int = 10, h: float = 1e-3):
+    """verify_trajectory_preserving as a body for systems.drive: it yields the
+    upstairs and downstairs RowRequests and returns the report."""
     if tolerance is None:
         tolerance = 1e-9 if m.phi.analytic else 1e-6
     rng = np.random.default_rng(seed)
@@ -251,7 +262,7 @@ def verify_trajectory_preserving(m: Morphism, target_sys: GeneratedSystem,
             i = int(np.argmax(r))
             worst, worst_point = float(r[i]), pts[i]
     residual_ok = worst <= tolerance
-
+    del pts, rows  # bodies driven together all wait at the yield below
     up = GeneratedSystem(m.phi.source, tuple(lifted), label="lifted")
     k = len(target_sys.generators)
     scheds, starts = [], []
@@ -261,10 +272,9 @@ def verify_trajectory_preserving(m: Morphism, target_sys: GeneratedSystem,
         scheds.append(Schedule.of(*segs))
         starts.append(m.phi.source.sample(rng, 1)[0])
     starts = m.phi.source.stack(starts)
-    tu = integrate_rows(up, starts, scheds, h)
     atlas = target_sys.atlas
-    td = integrate_rows(target_sys, _in_atlas(atlas, m.phi.values(starts), m.phi.target),
-                        scheds, h)
+    tu, td = yield [RowRequest(up, starts, scheds, h), RowRequest(
+        target_sys, _in_atlas(atlas, m.phi.values(starts), m.phi.target), scheds, h)]
     # finite-difference lifts carry O(eps/FD_STEP) derivative noise that
     # accumulates linearly along the flow
     fd_noise = 0.0 if m.phi.analytic else 1e-9
@@ -309,14 +319,21 @@ def verify_global_in_time(m: Morphism, target_sys: GeneratedSystem,
     Every (generator, start) pair is a row of one integration on each side;
     a row that stays in the atlas up to the horizon escapes at the horizon.
     """
+    return drive([global_body(m, target_sys, starts, horizon, h)])[0]
+
+
+def global_body(m: Morphism, target_sys: GeneratedSystem, starts: Sequence[Point],
+                horizon: float, h: float = 1e-3):
+    """verify_global_in_time as a body for systems.drive: it yields the
+    upstairs and downstairs RowRequests, unrecorded, and returns the report."""
     up = GeneratedSystem(m.phi.source, tuple(m.lift(Y) for Y in target_sys.generators))
     pairs = [(gi, x) for gi in range(len(target_sys.generators)) for x in starts]
     scheds = [Schedule.of((gi, horizon)) for gi, _ in pairs]
     rows = m.phi.source.stack([x for _, x in pairs])
-    escapes = zip(integrate_rows(up, rows, scheds, h, record=False).escapes.tolist(),
-                  integrate_rows(target_sys,
-                                 _in_atlas(target_sys.atlas, m.phi.values(rows), m.phi.target),
-                                 scheds, h, record=False).escapes.tolist())
+    flows = yield [RowRequest(up, rows, scheds, h, False), RowRequest(
+        target_sys, _in_atlas(target_sys.atlas, m.phi.values(rows), m.phi.target), scheds, h,
+        False)]
+    escapes = zip(*(flow.escapes.tolist() for flow in flows))
     details = []
     ok = True
     for (gi, x), (t_up, t_down) in zip(pairs, escapes):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import GeneratorType
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -14,16 +16,17 @@ from .errors import Escape
 from .geometry import Atlas, Point
 from .morphisms import (
     check_liftable,
+    global_body,
     morphism_from_lifting,
-    verify_global_in_time,
-    verify_trajectory_preserving,
+    trajectory_body,
 )
 from .reach import is_reachability_set, reach, stlc_probe
 from .second_order import is_second_order
 from .systems import (
+    RowRequest,
     Schedule,
     control_system_from_tcs,
-    integrate_rows,
+    drive,
     tcs_from_control_system,
 )
 
@@ -39,6 +42,8 @@ class RunResult:
     artifacts: list = field(default_factory=list)
     wall_clock: float = 0.0
     summary_path: Optional[str] = None
+    # work of the run's integrations: integrations, rows, rk4_steps
+    stats: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -148,7 +153,7 @@ def _run_stlc(s: Scenario, exp: dict, seed: int, out_dir):
 def _run_verify(s: Scenario, exp: dict, seed: int, out_dir):
     m = s.morphisms[exp["morphism"]]
     target = s.system(exp["target_system"])
-    report = verify_trajectory_preserving(
+    report = yield from trajectory_body(
         m, target,
         samples=exp.get("samples", 300),
         schedules=exp.get("schedules", 5),
@@ -171,8 +176,8 @@ def _run_global(s: Scenario, exp: dict, seed: int, out_dir):
     m = s.morphisms[exp["morphism"]]
     target = s.system(exp["target_system"])
     starts = [_point(m.phi.source, spec) for spec in exp["starts"]]
-    report = verify_global_in_time(m, target, starts, exp["horizon"],
-                                   h=exp.get("step", 1e-3))
+    report = yield from global_body(m, target, starts, exp["horizon"],
+                                    h=exp.get("step", 1e-3))
     expect = exp.get("expect", True)
     if isinstance(expect, str):
         expect = expect == "pass"
@@ -205,7 +210,7 @@ def _run_liftable(s: Scenario, exp: dict, seed: int, out_dir):
     }
     if ok and exp.get("verify", False):
         m = morphism_from_lifting(mapping, sigma1, sigma2, phi, seed=seed)
-        report = verify_trajectory_preserving(
+        report = yield from trajectory_body(
             m, down, samples=exp.get("samples", 200),
             schedules=exp.get("schedules", 3), seed=seed)
         metrics["verify_pass"] = report["pass"]
@@ -247,8 +252,8 @@ def _run_geodesic(s: Scenario, exp: dict, seed: int, out_dir):
     tol = exp.get("tol", 1e-6)
     h = exp.get("step", 1e-3)
     scheds = [Schedule.of((0, float(t))) for t in exp["times"]]
-    flow = integrate_rows(sys, sys.atlas.stack([start] * len(scheds)), scheds, h,
-                          record=False)
+    flow, = yield [RowRequest(sys, sys.atlas.stack([start] * len(scheds)), scheds, h,
+                              record=False)]
     left = np.flatnonzero(~np.isnan(flow.escapes))
     if len(left):
         raise Escape(float(flow.escapes[left[0]]))
@@ -275,6 +280,7 @@ _REQUIRED = {
     "geodesic-check": ("system", "start", "c", "times"),
 }
 
+# verify, global-in-time, liftable and geodesic-check are bodies for systems.drive
 _HANDLERS = {
     "reach": _run_reach,
     "reachability-set": _run_reach_set,
@@ -292,7 +298,10 @@ def run(scenario: Scenario, seed: int = 0, out_dir=None, overrides=None,
         kinds=None, experiment=None, echo=None) -> RunResult:
     """Run scenario experiments, optionally filtered by kind or name.
 
-    Writes summary.json (plus reach CSVs) to out_dir when given. The summary
+    Handlers that are generator bodies are driven together (systems.drive)
+    after the others, so their rows that share an atlas and a step size are
+    one integration; records and echo lines keep experiment order. Writes
+    summary.json (plus reach CSVs) to out_dir when given. The summary
     excludes wall-clock time so a fixed (scenario, seed) pair reproduces
     byte-identical output.
     """
@@ -302,6 +311,7 @@ def run(scenario: Scenario, seed: int = 0, out_dir=None, overrides=None,
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
     result = RunResult(scenario=scenario.name, seed=seed)
+    selected, outcomes, bodies = [], [], {}
     for idx, raw_exp in enumerate(scenario.experiments):
         if kinds is not None and raw_exp["kind"] not in kinds:
             continue
@@ -310,7 +320,16 @@ def run(scenario: Scenario, seed: int = 0, out_dir=None, overrides=None,
         exp = _apply_overrides(raw_exp, overrides)
         exp.setdefault("name", f"experiment-{idx}")
         exp_seed = seed * 100003 + idx
-        verdict, metrics = _HANDLERS[exp["kind"]](scenario, exp, exp_seed, out_path)
+        out = _HANDLERS[exp["kind"]](scenario, exp, exp_seed, out_path)
+        if isinstance(out, GeneratorType):
+            bodies[len(outcomes)] = out
+        selected.append(exp)
+        outcomes.append(out)
+    stats = Counter(integrations=0, rows=0, rk4_steps=0)
+    for i, outcome in zip(bodies, drive(list(bodies.values()), stats)):
+        outcomes[i] = outcome
+    result.stats = dict(stats)
+    for exp, (verdict, metrics) in zip(selected, outcomes):
         record = {
             "name": exp["name"],
             "kind": exp["kind"],

@@ -166,11 +166,12 @@ def parse_scenario(source) -> Scenario:
 
     morphisms = {}
     kernels = {}
+    lifts = {}  # map name -> its one metric-lift morphism: lifts through it share a family
     for k, v in data.get("morphisms", {}).items():
         phi = _ref(maps, _need(v, "map", k), k)
         target = _ref(systems, _need(v, "target_system", k), k)
-        m, lifted = lift_system(target, phi)
-        morphisms[k] = m
+        m, lifted = lift_system(target, phi, morphism=lifts.get(v["map"]))
+        morphisms[k] = lifts[v["map"]] = m
         systems[f"{k}.system"] = lifted
         kspec = v.get("kernel")
         if kspec:
@@ -219,7 +220,7 @@ def parse_scenario(source) -> Scenario:
         morphisms[k] = m
         kspec = v.get("kernel")
         if kspec:
-            base_m = metric_lift_morphism(phi)
+            base_m = lifts.get(v["map"]) or metric_lift_morphism(phi)
             gens = None
             if kspec.get("generators"):
                 gens = [_ref(fields, g, k) for g in kspec["generators"]]

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import (
     ControlOutOfSet,
-    EmptyRestriction,
     Escape,
     OutOfAtlas,
     UnresolvedSelector,
@@ -25,7 +24,6 @@ from .geometry import (
     Point,
     Points,
     VectorField,
-    box_atlas,
     combine_fields,
     distinct,
 )
@@ -288,6 +286,17 @@ class RowFlow(NamedTuple):
     samples: Optional[Points]
 
 
+class RowRequest(NamedTuple):
+    """Starts of one system under their schedules, to integrate with step h;
+    record asks for samples."""
+
+    system: GeneratedSystem
+    starts: Points
+    schedules: Sequence[Schedule]
+    h: float
+    record: bool = True
+
+
 def _selector_key(selector):
     if isinstance(selector, (int, np.integer)):
         return int(selector)
@@ -307,78 +316,127 @@ def integrate_rows(sys: GeneratedSystem, starts: Points, schedules: Sequence[Sch
     field, or a row changes chart or leaves; a step that every row still
     scheduled takes is passed as a float.
     """
-    funcs, index, plans = [], {}, []
-    for sched in schedules:
-        fields, steps, times, t = [], [], [], 0.0
-        for seg in sched.segments:
-            key = _selector_key(seg.selector)
-            if key not in index:
-                field = sys.resolve(seg.selector)
-                index[key] = len(funcs)
-                funcs.append(field.func if field.batched else field.values)
-            seg_steps, seg_times = step_schedule(seg.duration, h, t)
-            fields += [index[key]] * len(seg_steps)
-            steps += seg_steps
-            times += seg_times
-            t += seg.duration
-        plans.append((fields, steps, times))
-    n = np.array([len(steps) for _, steps, _ in plans], dtype=int)
-    N, S = len(plans), int(n.max(initial=0))
-    F, H, T = np.zeros((N, S), dtype=int), np.zeros((N, S)), np.zeros((N, S + 1))
-    for r, (fields, steps, times) in enumerate(plans):
-        F[r, :n[r]], H[r, :n[r]], T[r, 1:n[r] + 1] = fields, steps, times
+    return integrate_requests([RowRequest(sys, starts, schedules, h, record)])[0]
 
-    charts = np.array(starts.charts, dtype=int)
-    X = np.array(starts.coords, dtype=float).reshape(N, sys.atlas.dim)
-    escapes, counts = np.full(N, np.nan), n + 1
-    samples = None
-    if record:
-        samples = Points(np.full((N, S + 1), -1), np.zeros((N, S + 1, sys.atlas.dim)))
-        samples.charts[:, 0], samples.coords[:, 0] = charts, X
-    live = np.flatnonzero(n > 0)
-    done = set(n.tolist())  # steps at which some row's schedule is over
+
+def integrate_requests(requests: Sequence[RowRequest], stats=None) -> list:
+    """The RowFlow of each request, equal to integrate_rows of it alone. Requests
+    whose systems share an atlas and a step size are rows of one integration;
+    stats, a Counter, counts integrations, rows and RK4 steps."""
+    groups, flows = {}, {}
+    for i, req in enumerate(requests):
+        groups.setdefault((id(req.system.atlas), req.h), []).append(i)
+    for idx in groups.values():
+        flows.update(zip(idx, _integrate([requests[i] for i in idx], stats)))
+    return [flows[i] for i in range(len(requests))]
+
+
+def drive(bodies: Sequence, stats=None) -> list:
+    """The return value of each generator body. A body yields lists of
+    RowRequests and is sent their RowFlows; each round, the requests of
+    every body still running go to one integrate_requests."""
+    results, asks, flows = [None] * len(bodies), dict.fromkeys(range(len(bodies))), {}
+    while asks:
+        for i in list(asks):
+            try:
+                asks[i] = bodies[i].send(flows.get(i))
+            except StopIteration as stop:
+                del asks[i]
+                results[i] = stop.value
+        out = iter(integrate_requests([req for reqs in asks.values() for req in reqs], stats))
+        flows = {i: [next(out) for _ in reqs] for i, reqs in asks.items()}
+    return results
+
+
+def _integrate(requests: Sequence[RowRequest], stats=None) -> list:
+    """integrate_requests of requests that share an atlas and a step size; only the
+    rows of requests that asked for samples are recorded, up to their last step."""
+    atlas, h = requests[0].system.atlas, requests[0].h
+    fields, index, rows = [], {}, []
+    for req in requests:
+        resolved = {}  # selector key -> index into fields
+        for sched in req.schedules:
+            segs, t = [], 0.0  # (field index, duration, start time) per segment
+            for seg in sched.segments:
+                key = _selector_key(seg.selector)
+                if key not in resolved:
+                    field = req.system.resolve(seg.selector)
+                    # one func for one field, or for members of a family lifting one field
+                    f = field.func
+                    same = (id(f.family), id(f.member)) if isinstance(f, Member) else id(field)
+                    resolved[key] = index.setdefault(same, len(fields))
+                    if resolved[key] == len(fields):
+                        fields.append(field)
+                segs.append((resolved[key], seg.duration, t))
+                t += seg.duration
+            rows.append(segs)
+    funcs = [f.func if f.batched else f.values for f in fields]
+    # steps are drawn twice, to count and to fill: kept lists set the peak memory
+    n = np.array([sum(len(step_schedule(d, h, t)[0]) for _, d, t in segs) for segs in rows],
+                 dtype=int)
+    N, S = len(rows), int(n.max(initial=0))
+    F, H, T = np.zeros((N, S), dtype=int), np.zeros((N, S)), np.zeros((N, S + 1))
+    for r, segs in enumerate(rows):
+        k = 0
+        for j, d, t in segs:
+            steps, times = step_schedule(d, h, t)
+            F[r, k:k + len(steps)], H[r, k:k + len(steps)] = j, steps
+            T[r, k + 1:k + 1 + len(steps)] = times
+            k += len(steps)
     scheduled = np.arange(S) < n[:, None]
+    lo = H.min(axis=0, initial=np.inf, where=scheduled)
+    steps = lo.tolist()
+    for s in np.flatnonzero(H.max(axis=0, initial=-np.inf, where=scheduled) != lo).tolist():
+        steps[s] = H[:, s, None].copy()
+    del H
+    charts = np.concatenate([np.asarray(req.starts.charts, dtype=int) for req in requests])
+    X = np.concatenate([np.asarray(req.starts.coords, dtype=float).reshape(-1, atlas.dim)
+                        for req in requests])
+    escapes, counts = np.full(N, np.nan), n + 1
+    bounds = np.cumsum([0] + [len(req.schedules) for req in requests])
+    kept = np.repeat([req.record for req in requests], np.diff(bounds))
+    slot, R, S_kept = np.cumsum(kept) - 1, int(kept.sum()), int(n[kept].max(initial=0))
+    samples = Points(np.full((R, S_kept + 1), -1), np.zeros((R, S_kept + 1, atlas.dim)))
+    samples.charts[:, 0], samples.coords[:, 0] = charts[kept], X[kept]
+
+    def recorded(live):  # the live rows recorded, and their rows of samples
+        rows = live[kept[live]]
+        return (slice(None),) * 2 if len(rows) == N else (rows, slot[rows])
+
+    live = np.flatnonzero(n > 0)
+    at, into = recorded(live)
+    done = set(n.tolist())  # steps at which some row's schedule is over
     # steps at which a row still scheduled changes field
     turns = set((np.flatnonzero(((F[:, 1:] != F[:, :-1]) & scheduled[:, 1:]).any(axis=0))
                  + 1).tolist())
-    lo = H.min(axis=0, initial=np.inf, where=scheduled).tolist()
-    hi = H.max(axis=0, initial=-np.inf, where=scheduled).tolist()
-    steps = [a if a == b else H[:, s, None] for s, (a, b) in enumerate(zip(lo, hi))]
     head, plan = family_heads(funcs), None
     for s in range(S):
         if s in done:
             live, plan = live[n[live] > s], None
             if not len(live):
                 break
+            at, into = recorded(live)
         if plan is None or s in turns:
-            plan = plan_rows(sys.atlas, funcs, head, F[:, s], charts, live)
-        if step_rows(sys.atlas, plan, charts, X, steps[s]):
+            plan = plan_rows(atlas, funcs, head, F[:, s], charts, live)
+        if step_rows(atlas, plan, charts, X, steps[s]):
             plan, left = None, live[charts[live] < 0]
             escapes[left], counts[left] = T[left, s + 1], s + 1
             live = live[charts[live] >= 0]
             if not len(live):
                 break
-        if record:
-            at = slice(None) if len(live) == N else live
-            samples.charts[at, s + 1], samples.coords[at, s + 1] = charts[at], X[at]
-    return RowFlow(Points(charts, X), escapes, counts, T, samples)
-
-
-def restrict(sys: GeneratedSystem, chart_id: str, box) -> GeneratedSystem:
-    """Presheaf restriction of the generator family to an open sub-box."""
-    box = np.asarray(box, dtype=float)
-    if np.any(box[:, 1] <= box[:, 0]):
-        raise EmptyRestriction("restriction box is empty")
-    chart = sys.atlas.chart(chart_id)
-    if np.any(box[:, 0] < chart.box[:, 0]) or np.any(box[:, 1] > chart.box[:, 1]):
-        raise EmptyRestriction("restriction box exceeds the chart box")
-    sub = box_atlas(box, coord_names=sys.atlas.coord_names,
-                    name=f"{sys.atlas.name}|{chart_id}")
-    gens = tuple(replace(g, atlas=sub) for g in sys.generators)
-    kers = tuple(replace(k, atlas=sub) for k in sys.kernel_fields)
-    base = (replace(sys.kernel_base, atlas=sub)
-            if sys.kernel_base is not None else None)
-    return GeneratedSystem(sub, gens, kers, base, label=f"{sys.label}|restricted")
+            at, into = recorded(live)
+        if s < S_kept:
+            samples.charts[into, s + 1], samples.coords[into, s + 1] = charts[at], X[at]
+    if stats is not None:
+        stats.update(integrations=1, rows=N,
+                     rk4_steps=int((counts - np.isnan(escapes)).max(initial=0)))
+    flows = []
+    for req, a, b in zip(requests, bounds[:-1], bounds[1:]):
+        w, k = int(n[a:b].max(initial=0)) + 1, slice(int(kept[:a].sum()), int(kept[:b].sum()))
+        flows.append(RowFlow(Points(charts[a:b], X[a:b]), escapes[a:b], counts[a:b], T[a:b, :w],
+                             Points(samples.charts[k, :w], samples.coords[k, :w])
+                             if req.record else None))
+    return flows
 
 
 # ---------------------------------------------------------------------------
@@ -431,41 +489,6 @@ def _control_eq(a, b) -> bool:
                                 rtol=0.0, atol=1e-12))
     except (TypeError, ValueError):
         return a == b
-
-
-def affine_control_system(atlas: Atlas, drift: VectorField,
-                          control_fields: Sequence[VectorField],
-                          control_set, label="affine") -> ControlSystem:
-    control_fields = tuple(control_fields)
-
-    def field_map(cid, coords, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.asarray(drift.func(cid, coords), float)
-        for ui, f in zip(u, control_fields):
-            if ui != 0.0:
-                out = out + ui * np.asarray(f.func(cid, coords), float)
-        return out
-
-    return ControlSystem(atlas, control_set, field_map,
-                         affine=(drift, control_fields), label=label)
-
-
-def slice_signal(cs: ControlSystem, mu: Sequence[tuple]) -> list[tuple[VectorField, float]]:
-    """Freeze a piecewise-constant control signal into per-segment fields."""
-    out = []
-    for u, duration in mu:
-        if not cs.admits(u):
-            raise ControlOutOfSet(f"control {u!r} not in control set")
-        out.append((cs.slice_at(u), float(duration)))
-    return out
-
-
-def integrate_control(cs: ControlSystem, start: Point, mu: Sequence[tuple], h: float) -> Trajectory:
-    """Integrate under a piecewise-constant control signal."""
-    fields = slice_signal(cs, mu)
-    sys = GeneratedSystem(cs.atlas, tuple(f for f, _ in fields), label=cs.label)
-    sched = Schedule.of(*((i, d) for i, (_, d) in enumerate(fields)))
-    return integrate(sys, start, sched, h)
 
 
 def tcs_from_control_system(cs: ControlSystem, controls=None) -> GeneratedSystem:

@@ -3,6 +3,8 @@ at a time gives, for every array-native library field builder, every atlas
 kind's normalization and transition Jacobian, the grid's cell lookup, the
 row integrator and the certificates built on it."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,10 +43,14 @@ from liftreach.scenario import parse_scenario
 from liftreach.second_order import tangent_atlas, vertical_lift
 from liftreach.systems import (
     GeneratedSystem,
+    RowRequest,
     Schedule,
+    family_heads,
     flow_field,
     integrate,
+    integrate_requests,
     integrate_rows,
+    plan_rows,
 )
 
 SCENARIO = {
@@ -458,6 +464,103 @@ def test_mobius_jacobian_flips_at_negative_x():
     assert smooth.all()
     assert J[:, 1, 1].tolist() == [-1.0, 1.0, -1.0, 1.0]
     assert np.allclose(fd, J, rtol=0.0, atol=1e-6)
+
+
+def _sample_alone(atlas, rng, n, margin):
+    """Atlas.sample normalizing one candidate at a time; also the number of
+    candidates dropped."""
+    vols = np.array([float(np.prod(c.widths())) for c in atlas.charts])
+    probs = vols / vols.sum()
+    pts, dropped = [], 0
+    while len(pts) < n:
+        chart = atlas.charts[rng.choice(len(atlas.charts), p=probs)]
+        lo = chart.box[:, 0] + margin * chart.widths()
+        hi = chart.box[:, 1] - margin * chart.widths()
+        out = atlas.normalize_raw(chart.chart_id, rng.uniform(lo, hi))
+        if out is None:
+            dropped += 1
+        else:
+            pts.append(Point(out[0], out[1]))
+    return pts, dropped
+
+
+# a union with a hole between its charts, where candidates drawn beyond a
+# chart's box by a negative margin are dropped
+SAMPLED = {**ATLASES, "union-holes": (union_atlas({"a": [[-1, -0.2], [-1, 1]],
+                                                   "b": [[0.3, 1], [-1, 0.5]]}), None)}
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLED))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40), margin=st.floats(-0.4, 0.3))
+def test_sample_equals_one_candidate_at_a_time(kind, seed, n, margin):
+    """Candidates normalized as rows give the points, bit for bit, and leave
+    the generator in the state that one candidate at a time does."""
+    atlas = SAMPLED[kind][0]
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = atlas.sample(rng, n, margin)
+    want, _ = _sample_alone(atlas, ref, n, margin)
+    assert [p.chart_id for p in got] == [p.chart_id for p in want]
+    assert [p.coords.tobytes() for p in got] == [p.coords.tobytes() for p in want]
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_sample_drops_candidates_outside_the_atlas():
+    """The cases above do drop candidates: here about half of them."""
+    atlas = SAMPLED["union-holes"][0]
+    pts, dropped = _sample_alone(atlas, np.random.default_rng(0), 40, -0.4)
+    assert dropped > 10
+    got = atlas.sample(np.random.default_rng(0), 40, -0.4)
+    assert [p.coords.tobytes() for p in got] == [p.coords.tobytes() for p in pts]
+
+
+def test_lifts_through_one_map_share_one_family(scenarios):
+    """A scenario builds one metric-lift morphism per map: projection's
+    liftsym, liftsym_user and afflift all lift through projx, so their lifts
+    are members of one family, and rows of one chart under any of them step
+    as one group. One downstairs field lifted twice is one func."""
+    s = scenarios["projection"]
+    assert s.morphisms["liftsym"] is s.morphisms["liftsym_user"] is s.morphisms["afflift"]
+    sym, user = s.system("liftsym.system"), s.system("liftsym_user.system")
+    lifts = sym.generators + user.generators + s.system("afflift.system").generators
+    assert len({X.func.family for X in lifts}) == 1
+    funcs = [X.func for X in sym.generators + user.generators]
+    rows = np.arange(len(funcs))
+    plan = plan_rows(sym.atlas, funcs, family_heads(funcs), rows, np.zeros_like(rows), rows)
+    assert len(plan.groups) == 1 and len(plan.charts) == 1
+
+    starts = sym.atlas.stack(sym.atlas.sample(np.random.default_rng(0), 2))
+    scheds = [Schedule.of((0, 0.1), (1, 0.1)), Schedule.of((1, 0.2))]
+    requests = [RowRequest(sym, starts, scheds, 0.01), RowRequest(user, starts, scheds, 0.01)]
+    stats = Counter()
+    a, b = integrate_requests(requests, stats)
+    assert stats == Counter(integrations=1, rows=4, rk4_steps=20)
+    alone = integrate_rows(sym, starts, scheds, 0.01)
+    for flow in (a, b):
+        assert np.array_equal(flow.samples.coords, alone.samples.coords)
+        assert np.array_equal(flow.times, alone.times)
+
+
+def test_pooled_requests_record_only_where_asked():
+    """Requests pooled into one integration each get the RowFlow of
+    integrate_rows alone, samples only where asked, cut to their own steps."""
+    sys = _union_system()
+    starts = sys.atlas.stack([sys.atlas.normalize("a", [x, -0.5]) for x in (0.9, -0.9)])
+    short, long_ = [Schedule.of((1, 0.2))] * 2, [Schedule.of((1, 0.6))] * 2
+    requests = [RowRequest(sys, starts, short, 0.01),
+                RowRequest(sys, starts, long_, 0.01, record=False),
+                RowRequest(sys, starts, long_, 0.01)]
+    stats = Counter()
+    flows = integrate_requests(requests, stats)
+    assert stats == Counter(integrations=1, rows=6, rk4_steps=60)
+    assert flows[1].samples is None
+    for req, flow in zip(requests, flows):
+        for got, want in zip(flow, integrate_rows(*req)):
+            if got is None or want is None:
+                assert got is want
+                continue
+            for g, w in zip(got, want) if isinstance(got, Points) else [(got, want)]:
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(ATLASES))

@@ -11,7 +11,7 @@ import pytest
 import liftreach
 
 from liftreach.cli import main
-from liftreach.errors import DimensionMismatch, ParseError, UnresolvedReference
+from liftreach.errors import DimensionMismatch, ParseError, SingularGram, UnresolvedReference
 from liftreach.runner import run
 from liftreach.scenario import (
     builtin_scenario_names,
@@ -20,6 +20,8 @@ from liftreach.scenario import (
     parse_scenario,
 )
 
+RANK_DROP = Path(__file__).parent / "data" / "rank_drop.json"
+POOLED = {"verify", "global-in-time", "liftable"}
 EXPECTED_NAMES = ["bundle", "circle", "connection-1d", "double-integrator",
                   "improper", "mobius", "projection"]
 
@@ -343,3 +345,64 @@ def test_cli_unknown_scenario_exits_two(capsys):
 def test_cli_no_matching_experiments(capsys):
     assert main(["liftable", "connection-1d"]) == 1
     assert "no matching experiments" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("name", ["bundle", "improper", "mobius", "projection"])
+def test_pooled_records_equal_each_experiment_alone(scenarios, name, seed):
+    """Pooling the rows of every verify, global-in-time and liftable
+    experiment into one integration per atlas and step changes no record."""
+    s = scenarios[name]
+    pooled = run(s, seed=seed, kinds=POOLED)
+    alone = [run(s, seed=seed, experiment=e["name"])
+             for e in s.experiments if e["kind"] in POOLED]
+    assert json.dumps(pooled.experiments) == json.dumps(
+        [r for a in alone for r in a.experiments])
+    assert pooled.stats["integrations"] == 2 < sum(a.stats["integrations"] for a in alone)
+
+
+def test_run_counts_its_integrations(scenarios, tmp_path):
+    """improper's verify and two escape checks share an atlas and a step on
+    each side: two integrations, where one per side and experiment made six.
+    The counts stay in memory; the output directory holds the summary only."""
+    result = run(scenarios["improper"], seed=0, out_dir=tmp_path)
+    assert result.stats == {"integrations": 2, "rows": 12, "rk4_steps": 4002}
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+
+
+def test_liftable_without_rows_asks_for_no_integration(scenarios):
+    """A liftable experiment integrates only when it verifies a lift it found."""
+    s = scenarios["projection"]
+    cube = run(s, experiment="liftable-cube")
+    assert cube.experiments[0]["verdict"] and not cube.experiments[0]["metrics"]["liftable"]
+    assert cube.stats == {"integrations": 0, "rows": 0, "rk4_steps": 0}
+    affine = next(e for e in s.raw["experiments"] if e["name"] == "liftable-affine")
+    bare = parse_scenario({**s.raw, "experiments": [
+        {k: v for k, v in affine.items() if k != "verify"}]})
+    result = run(bare)
+    assert result.experiments[0]["verdict"]
+    assert "verify_pass" not in result.experiments[0]["metrics"]
+    assert result.stats["integrations"] == 0
+    assert run(s, experiment="liftable-affine").stats["integrations"] == 2
+
+
+def test_singular_gram_in_a_pooled_integration(capsys):
+    """cross-drop's lift crosses the rank drop of x**3 at x = 0 in the
+    integration it shares with verify-flat: the run raises the typed error,
+    and the CLI exits 2 with one line and no verdict lines."""
+    s = parse_scenario(RANK_DROP)
+    assert run(s, experiment="verify-flat").passed
+    with pytest.raises(SingularGram, match=r"^J G\^-1 J\^T is numerically singular at \(c0, "):
+        run(s)
+    assert main(["run", str(RANK_DROP)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("liftreach: error: J G^-1 J^T is numerically singular")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_echo_lines_follow_experiment_order(capsys):
+    assert main(["verify", "improper"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines[:3]] == [
+        "verify-badlift", "escape-match", "escape-mismatch"]

@@ -14,13 +14,12 @@ from liftreach.geometry import VectorField, box_atlas, circle_atlas, interval_at
 from liftreach.systems import (
     GeneratedSystem,
     Schedule,
-    affine_control_system,
     control_system_from_tcs,
     integrate,
-    integrate_control,
-    restrict,
     tcs_from_control_system,
 )
+
+from constructions import affine_control_system, integrate_control, restrict
 
 
 def _line_system(lo=-4.0, hi=4.0):
