@@ -22,7 +22,6 @@ from .geometry import (
     Chart,
     Point,
     SmoothMap,
-    Tangent,
     VectorField,
     box_atlas,
     circle_atlas,
@@ -30,7 +29,6 @@ from .geometry import (
     differential_rank,
     interval_atlas,
     mobius_atlas,
-    pushforward,
     torus_atlas,
     union_atlas,
 )
@@ -39,7 +37,6 @@ from .morphisms import (
     Morphism,
     augment_with_kernel,
     check_liftable,
-    horizontal_lift,
     kernel_frame,
     kernel_projector,
     lift_system,

@@ -6,9 +6,9 @@ Quotient gluings (periodic wrap, wrap-with-flip) live entirely inside the
 normalization map, which makes point equality and grid hashing decidable.
 
 Batched work uses rows: coordinates of shape (N, d), one point per row.
-Atlases are stated on rows only, a point being the one-row case; vector
-fields flagged `batched` evaluate rows in one call, bit for bit as their
-pointwise forms.
+Atlases, smooth maps and vector fields are stated on coordinates (..., d):
+a point (d,) is the one-row case, and each row of a stack evaluates, bit
+for bit, as that row alone.
 """
 
 from __future__ import annotations
@@ -70,12 +70,6 @@ class Points(NamedTuple):
 
     charts: np.ndarray
     coords: np.ndarray
-
-
-@dataclass(frozen=True)
-class Tangent:
-    base: Point
-    components: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -145,9 +139,6 @@ class Atlas:
             raise OutOfAtlas(f"({chart_id}, {coords}) has no chart in atlas {self.name!r}")
         cid, c = out
         return Point(cid, np.array(c, dtype=float))
-
-    def normalize_point(self, p: Point) -> Point:
-        return self.normalize(p.chart_id, p.coords)
 
     def transition_jacobian(self, chart_id: str, coords) -> np.ndarray:
         return self.jacobian_rows(chart_id, np.asarray(coords, dtype=float)[None])[0]
@@ -358,6 +349,12 @@ def distinct(a: np.ndarray) -> list:
     return np.bincount(a).nonzero()[0].tolist()
 
 
+def scan_max(r) -> float:
+    """The largest of r, 0.0 for none; nan never wins, as in a scan of
+    worst = max(worst, r_i) from 0.0."""
+    return float(np.fmax.reduce(np.ravel(r), initial=0.0))
+
+
 def _wrap(x, period):
     """x mod period in [0, period), where a tiny negative x rounds up to period."""
     r = np.mod(x, period)
@@ -396,6 +393,15 @@ def finite_difference_jacobian(func, coords: np.ndarray, out_dim: int) -> np.nda
     return J
 
 
+def _checked(out, shape: tuple, what: str, *args) -> np.ndarray:
+    """out as floats; DimensionMismatch naming what % args unless it has the shape."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        raise DimensionMismatch(f"{what % args} gave shape {out.shape} where {shape} was due: "
+                                f"it must take coordinates (..., d), a point or rows")
+    return out
+
+
 @dataclass(frozen=True)
 class SmoothMap:
     """Chart-wise smooth map between atlases.
@@ -403,9 +409,8 @@ class SmoothMap:
     raw maps (chart_id, coords) to a raw target representation and must be
     continuous in coords on the chart's extended domain; value() normalizes
     the output. raw_jacobian, when given, is the analytic Jacobian of raw.
-    batched marks a map whose raw and raw_jacobian also take rows (N, n):
-    raw then returns one raw chart id and rows (N, m), raw_jacobian
-    (N, m, n).
+    Both take coords (..., n), a point or rows: raw returns one raw target
+    chart id per call and coords (..., m), raw_jacobian (..., m, n).
     """
 
     source: Atlas
@@ -413,7 +418,6 @@ class SmoothMap:
     raw: Callable[[str, np.ndarray], Raw]
     raw_jacobian: Optional[Callable[[str, np.ndarray], np.ndarray]] = None
     name: str = ""
-    batched: bool = False
 
     @property
     def analytic(self) -> bool:
@@ -436,26 +440,20 @@ class SmoothMap:
 
     def _raw_rows(self, rows: Points):
         """raw over rows: (row indices, source chart id, raw target chart id,
-        raw target rows) for each source chart and raw target chart present.
-        A map that is not batched is called row by row."""
+        raw target rows) for each source chart present."""
         for c in distinct(rows.charts):
             idx = np.flatnonzero(rows.charts == c)
             cid = self.source.charts[c].chart_id
-            if self.batched:
-                tcid, Y = self.raw(cid, rows.coords[idx])
-                yield idx, cid, tcid, np.asarray(Y, dtype=float)
-                continue
-            outs = [self.raw(cid, x) for x in rows.coords[idx]]
-            for tcid in dict.fromkeys(t for t, _ in outs):
-                k = [i for i, (t, _) in enumerate(outs) if t == tcid]
-                yield idx[k], cid, tcid, np.array([outs[i][1] for i in k], dtype=float)
+            tcid, Y = self.raw(cid, rows.coords[idx])
+            yield idx, cid, tcid, _checked(Y, (len(idx), self.target.dim), "map %r", self.name)
 
     def raw_jac_at(self, chart_id: str, coords: np.ndarray) -> np.ndarray:
-        if self.raw_jacobian is not None:
-            return np.asarray(self.raw_jacobian(chart_id, coords), dtype=float)
-        return finite_difference_jacobian(
-            lambda c: np.asarray(self.raw(chart_id, c)[1], float), coords, self.target.dim
-        )
+        if self.raw_jacobian is None:
+            return finite_difference_jacobian(
+                lambda c: np.asarray(self.raw(chart_id, c)[1], float), coords, self.target.dim)
+        return _checked(self.raw_jacobian(chart_id, coords),
+                        np.shape(coords)[:-1] + (self.target.dim, self.source.dim),
+                        "raw_jacobian of map %r", self.name)
 
     def jacobian(self, p: Point) -> np.ndarray:
         """dPhi in canonical chart frames (normalization correction included)."""
@@ -468,72 +466,50 @@ class SmoothMap:
         """jacobian() at each canonical row: (N, m, n)."""
         out = np.empty((len(rows.coords), self.target.dim, self.source.dim))
         for idx, cid, tcid, Y in self._raw_rows(rows):
-            X = rows.coords[idx]
-            J = (self.raw_jac_at(cid, X) if self.batched
-                 else np.array([self.raw_jac_at(cid, x) for x in X]))
-            out[idx] = self.target.transition_jacobians(tcid, Y) @ J
+            out[idx] = self.target.transition_jacobians(tcid, Y) @ self.raw_jac_at(
+                cid, rows.coords[idx])
         return out
 
 
-def identity_map(atlas: Atlas, name="id") -> SmoothMap:
-    return SmoothMap(
-        source=atlas,
-        target=atlas,
-        raw=lambda cid, coords: (cid, coords),
-        raw_jacobian=lambda cid, coords: np.eye(atlas.dim),
-        name=name,
-    )
-
-
-def pushforward(f: SmoothMap, v: Tangent) -> Tangent:
-    """Differential of f applied to a tangent vector."""
-    if v.components.shape != (f.source.dim,):
-        raise DimensionMismatch("tangent components do not match source dimension")
-    return Tangent(base=f.value(v.base), components=f.jacobian(v.base) @ v.components)
-
-
-def differential_rank(f: SmoothMap, p: Point) -> int:
-    """Numerical rank of dPhi with threshold 1e-8 times the top singular value."""
-    s = np.linalg.svd(f.jacobian(p), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > 1e-8 * s[0]))
+def differential_rank(f: SmoothMap, rows: Points) -> np.ndarray:
+    """Numerical rank of dPhi at each canonical row, with threshold 1e-8
+    times the top singular value; 0 where dPhi is 0 or not finite."""
+    J = f.jacobians(rows)
+    s = np.linalg.svd(np.where(np.isfinite(J).all(axis=(1, 2), keepdims=True), J, 0.0),
+                      compute_uv=False)
+    return np.sum(s > 1e-8 * s[:, :1], axis=1)
 
 
 @dataclass(frozen=True)
 class VectorField:
     """Chart-wise vector field; func must accept raw (extended-domain) coords.
 
-    batched marks an array-native func: it maps rows (N, d) to (N, d) with
-    each row equal, bit for bit, to its value at that row alone. values()
-    evaluates any field on rows, calling a pointwise func row by row.
+    func maps coords (..., d), a point or rows, to vectors of the same shape,
+    each row equal, bit for bit, to its value at that row alone.
     """
 
     atlas: Atlas
     func: Callable[[str, np.ndarray], np.ndarray]
     name: str = ""
-    batched: bool = False
 
     def values(self, chart_id: str, X) -> np.ndarray:
-        """The field at coords (d,) or at rows (N, d)."""
+        """The field at coords (d,) or at rows (N, d); DimensionMismatch when
+        func gives another shape."""
         X = np.asarray(X, dtype=float)
-        if self.batched or X.ndim == 1:
-            return np.asarray(self.func(chart_id, X), dtype=float)
-        return np.array([self.func(chart_id, x) for x in X], dtype=float).reshape(X.shape)
+        return _checked(self.func(chart_id, X), X.shape, "field %r", self.name)
 
     def at(self, p: Point) -> np.ndarray:
-        return np.asarray(self.func(p.chart_id, p.coords), dtype=float)
+        return self.values(p.chart_id, p.coords)
 
-    def at_rows(self, rows: Points) -> np.ndarray:
-        """The field at each canonical row of rows, one call per chart."""
+    def at_rows(self, rows: Points, of: Optional[Atlas] = None) -> np.ndarray:
+        """The field at each canonical row of rows, one call per chart; rows
+        index the charts of atlas of, this field's atlas by default."""
+        charts = (of or self.atlas).charts
         out = np.empty(rows.coords.shape)
         for c in distinct(rows.charts):
             sel = rows.charts == c
-            out[sel] = self.values(self.atlas.charts[c].chart_id, rows.coords[sel])
+            out[sel] = self.values(charts[c].chart_id, rows.coords[sel])
         return out
-
-    def tangent(self, p: Point) -> Tangent:
-        return Tangent(base=p, components=self.at(p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -555,7 +531,7 @@ class Member:
 
 
 def combine_fields(fields: Sequence[VectorField], coeffs, name="") -> VectorField:
-    """Pointwise linear combination sum_i coeffs[i] * fields[i] (array-native)."""
+    """Pointwise linear combination sum_i coeffs[i] * fields[i]."""
     coeffs = np.asarray(coeffs, dtype=float)
     atlas = fields[0].atlas
 
@@ -566,7 +542,7 @@ def combine_fields(fields: Sequence[VectorField], coeffs, name="") -> VectorFiel
                 out = out + c * f.values(cid, coords)
         return out
 
-    return VectorField(atlas, func, name=name, batched=True)
+    return VectorField(atlas, func, name=name)
 
 
 def overlap_residual(field: VectorField, points: Sequence[Point]) -> float:
@@ -582,6 +558,6 @@ def overlap_residual(field: VectorField, points: Sequence[Point]) -> float:
         for cid, coords in atlas.aliases(p):
             coords = np.asarray(coords, float)
             J = atlas.transition_jacobian(cid, coords)
-            got = J @ np.asarray(field.func(cid, coords), float)
+            got = J @ field.values(cid, coords)
             worst = max(worst, float(np.max(np.abs(got - ref))))
     return worst

@@ -28,7 +28,7 @@ from .geometry import (
     VectorField,
     differential_rank,
     overlap_residual,
-    pushforward,
+    scan_max,
 )
 from .systems import (
     ControlSystem,
@@ -118,12 +118,12 @@ def _right_inverse_apply(J: np.ndarray, metric, cid, coords, y):
 
 
 def check_submersion(phi: SmoothMap, samples: int = 50, seed: int = 0):
-    rng = np.random.default_rng(seed)
-    want = phi.target.dim
-    for p in phi.source.sample(rng, samples):
-        r = differential_rank(phi, p)
-        if r < want:
-            raise NotSubmersion(p, r, want)
+    """Raise NotSubmersion at the first sampled point where dPhi drops rank."""
+    pts = phi.source.sample(np.random.default_rng(seed), samples)
+    ranks = differential_rank(phi, phi.source.stack(pts))
+    low = np.flatnonzero(ranks < phi.target.dim)
+    if len(low):
+        raise NotSubmersion(pts[low[0]], int(ranks[low[0]]), phi.target.dim)
 
 
 def metric_lift_morphism(phi: SmoothMap, samples: int = 50, seed: int = 0) -> Morphism:
@@ -135,7 +135,6 @@ def metric_lift_morphism(phi: SmoothMap, samples: int = 50, seed: int = 0) -> Mo
     def lifts(cid, coords, fields, rows=None):
         """The lifts of fields, rows[j] lifting fields[j]: one raw map,
         Jacobian, Gram and solve whatever field each row lifts."""
-        coords = np.asarray(coords, float)
         tcid, tcoords = phi.raw(cid, coords)
         if rows is None:
             y = fields[0].values(tcid, tcoords)
@@ -146,8 +145,7 @@ def metric_lift_morphism(phi: SmoothMap, samples: int = 50, seed: int = 0) -> Mo
         return _right_inverse_apply(phi.raw_jac_at(cid, coords), metric, cid, coords, y)
 
     def lift_rule(Y: VectorField) -> VectorField:
-        return VectorField(phi.source, Member(lifts, Y), name=f"lift({Y.name})",
-                           batched=phi.batched)
+        return VectorField(phi.source, Member(lifts, Y), name=f"lift({Y.name})")
 
     return Morphism(phi=phi, lift_rule=lift_rule, kind="metric-right-inverse")
 
@@ -166,45 +164,13 @@ def lift_system(target_sys: GeneratedSystem, phi: SmoothMap,
     return m, lifted
 
 
-def horizontal_lift(target_sys: GeneratedSystem, bundle: SmoothMap,
-                    connection=None, samples: int = 30, seed: int = 0):
-    """Linear-connection horizontal lift on a vector bundle in adapted charts.
-
-    The bundle map must be the coordinate projection onto the first
-    base-dim coordinates; connection(cid, x) has shape
-    (fiber_dim, base_dim, fiber_dim) and defaults to flat (zero).
-    """
-    base_dim = bundle.target.dim
-    fiber_dim = bundle.source.dim - base_dim
-    check_adapted(bundle, samples=samples, seed=seed)
-    if connection is None:
-        connection = lambda cid, x: np.zeros((fiber_dim, base_dim, fiber_dim))
-
-    def lift_rule(Y: VectorField) -> VectorField:
-        def func(cid, coords):
-            coords = np.asarray(coords, float)
-            x, v = coords[:base_dim], coords[base_dim:]
-            tcid, _ = bundle.raw(cid, coords)
-            y = np.asarray(Y.func(tcid, x), float)
-            A = np.asarray(connection(cid, x), float)
-            fiber = -np.einsum("aib,i,b->a", A, y, v)
-            return np.concatenate([y, fiber])
-
-        return VectorField(bundle.source, func, name=f"hlift({Y.name})")
-
-    m = Morphism(phi=bundle, lift_rule=lift_rule, kind="horizontal-connection")
-    gens = tuple(m.lift(Y) for Y in target_sys.generators)
-    return m, GeneratedSystem(bundle.source, gens, label=f"hlift({target_sys.label})")
-
-
 def check_adapted(phi: SmoothMap, samples: int = 30, seed: int = 0):
     """Raise NotAdapted unless phi is the coordinate projection onto the
     first phi.target.dim axes at sampled source points."""
     base_dim = phi.target.dim
-    rng = np.random.default_rng(seed)
-    for p in phi.source.sample(rng, samples):
-        _, out = phi.raw(p.chart_id, p.coords)
-        if np.max(np.abs(np.asarray(out, float) - p.coords[:base_dim])) > 1e-9:
+    rows = phi.source.stack(phi.source.sample(np.random.default_rng(seed), samples))
+    for idx, _, _, Y in phi._raw_rows(rows):
+        if np.any(np.max(np.abs(Y - rows.coords[idx, :base_dim]), axis=1) > 1e-9):
             raise NotAdapted(
                 f"map is not the coordinate projection onto the first {base_dim} axes"
             )
@@ -228,7 +194,7 @@ def verify_trajectory_preserving(m: Morphism, target_sys: GeneratedSystem,
                                  samples: int = 1000, seed: int = 0,
                                  tolerance: Optional[float] = None,
                                  schedules: int = 10, h: float = 1e-3) -> dict:
-    """Pointwise pushforward identity plus schedule-level projection check.
+    """Pointwise Phi-relatedness of the lifts plus schedule-level projection check.
 
     Residual at x is |dPhi(liftY)(x) - Y(Phi(x))|; trajectories of random
     schedules upstairs must project onto the downstairs integration within
@@ -254,8 +220,7 @@ def trajectory_body(m: Morphism, target_sys: GeneratedSystem, samples: int = 100
     lifted = [m.lift(Y) for Y in target_sys.generators]
     for Y, X in zip(target_sys.generators, lifted):
         v = (m.phi.jacobians(rows) @ X.at_rows(rows)[..., None])[..., 0]
-        base = _in_atlas(Y.atlas, m.phi.values(rows), m.phi.target)
-        r = np.max(np.abs(v - Y.at_rows(base)), axis=1)
+        r = np.max(np.abs(v - Y.at_rows(m.phi.values(rows), m.phi.target)), axis=1)
         # the first maximum wins and nan never does, as in a point-by-point scan
         r = np.where(np.isnan(r), -np.inf, r)
         if len(r) and r.max() > worst:
@@ -377,35 +342,35 @@ def kernel_frame(m: Morphism, mode: str = "chartwise",
     """
     phi = m.phi
     metric = _metric_of(phi)
-    rng = np.random.default_rng(seed)
-    pts = phi.source.sample(rng, samples)
-    rank = phi.source.dim - differential_rank(phi, pts[0])
+    pts = phi.source.sample(np.random.default_rng(seed), samples)
+    rows = phi.source.stack(pts)
+    rank = phi.source.dim - int(differential_rank(phi, rows)[0])
 
     if mode == "chartwise":
         def column(j):
             return lambda cid, coords: kernel_projector(phi, metric, cid, coords)[..., j]
 
-        fields = tuple(
-            VectorField(phi.source, column(j), name=f"ker-frame-{j}", batched=phi.batched)
-            for j in range(phi.source.dim)
-        )
+        fields = tuple(VectorField(phi.source, column(j), name=f"ker-frame-{j}")
+                       for j in range(phi.source.dim))
     elif mode == "global":
         fields = tuple(generators or ())
         if rank == 0 and fields:
             raise RankDeficient(pts[0], "kernel has rank 0 but generators were supplied")
-        for p in pts:
-            J = phi.jacobian(p)
-            vals = []
-            for i, X in enumerate(fields):
-                v = X.at(p)
-                r = float(np.max(np.abs(J @ v)))
-                if r > 1e-8:
-                    raise NotInKernel(i, p, r)
-                vals.append(v)
-            if fields:
-                s = np.linalg.svd(np.stack(vals, axis=1), compute_uv=False)
-                if len(s) < rank or s[rank - 1] < 1e-6:
-                    raise RankDeficient(p)
+        if fields:
+            V = np.stack([X.at_rows(rows, phi.source) for X in fields], axis=-1)
+            r = np.max(np.abs(phi.jacobians(rows) @ V), axis=1)
+            # the first point that fails, as one point and then one field at a time;
+            # values that are not finite span nothing
+            out = r > 1e-8
+            stop = int(np.argmax(out.any(axis=1))) if out.any() else len(pts)
+            V = np.where(np.isfinite(V).all(axis=(1, 2), keepdims=True), V, 0.0)
+            s = np.linalg.svd(V[:stop], compute_uv=False)
+            thin = np.full(stop, True) if s.shape[-1] < rank else s[:, rank - 1] < 1e-6
+            if thin.any():
+                raise RankDeficient(pts[int(np.argmax(thin))])
+            if stop < len(pts):
+                i = int(np.argmax(out[stop]))
+                raise NotInKernel(i, pts[stop], float(r[stop, i]))
     else:
         raise ValueError(f"unknown kernel frame mode {mode!r}")
 
@@ -431,12 +396,6 @@ def augment_with_kernel(sys: GeneratedSystem, frame: KernelFrame) -> GeneratedSy
 # lifting correspondence for ordinary control systems
 
 
-def _slice_values(fields: Sequence[VectorField], pts: Sequence[Point]) -> np.ndarray:
-    return np.stack([
-        np.concatenate([f.at(p) for p in pts]) for f in fields
-    ])
-
-
 def check_liftable(sigma1: ControlSystem, sigma2: ControlSystem, phi: SmoothMap,
                    tol: float = 1e-6, samples: int = 60, seed: int = 0):
     """Search for a lifting map l with dPhi(F1^{l(u)}) = F2^u o Phi.
@@ -445,13 +404,13 @@ def check_liftable(sigma1: ControlSystem, sigma2: ControlSystem, phi: SmoothMap,
     downstairs slices must be linearly independent as sampled fields.
     """
     rng = np.random.default_rng(seed)
-    pts1 = phi.source.sample(rng, samples)
-    pts2 = phi.target.sample(rng, samples)
+    rows1 = phi.source.stack(phi.source.sample(rng, samples))
+    rows2 = phi.target.stack(phi.target.sample(rng, samples))
 
     controls2 = sigma2.controls()
     slices2 = [u if isinstance(u, VectorField) else sigma2.slice_at(u)
                for u in controls2]
-    vals = _slice_values(slices2, pts2)
+    vals = np.stack([Y.at_rows(rows2, phi.target).ravel() for Y in slices2])
     s = np.linalg.svd(vals, compute_uv=False)
     if s.size == 0 or s[-1] <= 1e-6 * max(s[0], 1.0):
         raise IndependenceViolated("downstairs slices are linearly dependent")
@@ -460,42 +419,33 @@ def check_liftable(sigma1: ControlSystem, sigma2: ControlSystem, phi: SmoothMap,
     slices1 = [u if isinstance(u, VectorField) else sigma1.slice_at(u)
                for u in controls1]
 
+    base, J = phi.values(rows1), phi.jacobians(rows1)
+    pushed = [(J @ X.at_rows(rows1, phi.source)[..., None])[..., 0] for X in slices1]
     mapping = []
-    ok = True
     for u, Y in zip(controls2, slices2):
-        match = None
-        for ubar, X in zip(controls1, slices1):
-            worst = 0.0
-            for p in pts1:
-                v = pushforward(phi, X.tangent(p))
-                worst = max(worst, float(np.max(np.abs(v.components - Y.at(v.base)))))
-                if worst > tol:
-                    break
-            if worst <= tol:
-                match = ubar
-                break  # ties broken by first match in control-list order
-        if match is None:
-            ok = False
-        mapping.append((u, match))
-    return ok, mapping
+        want = Y.at_rows(base, phi.target)
+        # each slice's worst row, nan never winning; the first fit in control-list order wins
+        fits = [ubar for ubar, v in zip(controls1, pushed)
+                if scan_max(np.max(np.abs(v - want), axis=1)) <= tol]
+        mapping.append((u, fits[0] if fits else None))
+    return all(match is not None for _, match in mapping), mapping
 
 
 def morphism_from_lifting(l: Sequence[tuple], sigma1: ControlSystem,
                           sigma2: ControlSystem, phi: SmoothMap,
                           samples: int = 30, seed: int = 0) -> Morphism:
     """Morphism whose lift maps each downstairs slice to its lifted slice."""
-    rng = np.random.default_rng(seed)
-    pts = phi.target.sample(rng, samples)
+    rows = phi.target.stack(phi.target.sample(np.random.default_rng(seed), samples))
     table = []
     for u, ubar in l:
         if ubar is None:
             raise UnmappedControl(f"control {u!r} has no lift")
         Y = u if isinstance(u, VectorField) else sigma2.slice_at(u)
         X = ubar if isinstance(ubar, VectorField) else sigma1.slice_at(ubar)
-        table.append((np.concatenate([Y.at(p) for p in pts]), X))
+        table.append((Y.at_rows(rows, phi.target).ravel(), X))
 
     def lift_rule(Y: VectorField) -> VectorField:
-        sig = np.concatenate([Y.at(p) for p in pts])
+        sig = Y.at_rows(rows, phi.target).ravel()
         for ref, X in table:
             if np.max(np.abs(sig - ref)) <= 1e-9:
                 return X

@@ -246,7 +246,7 @@ def _expand_layer(memo: _GridMemo, flows: list, cells: list, reps: Points,
         moving = np.zeros(len(cells), dtype=bool)
         for c in distinct(reps.charts):
             sel = reps.charts == c
-            k1 = field.func(atlas.charts[c].chart_id, reps.coords[sel])
+            k1 = field.values(atlas.charts[c].chart_id, reps.coords[sel])
             moving[sel] = ~(np.max(np.abs(k1), axis=1) < 1e-13)
         row_of[f, moving] = np.arange(len(flow_of), len(flow_of) + int(moving.sum()))
         flow_of += [f] * int(moving.sum())

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import Escape
-from .geometry import Atlas, Point
+from .geometry import Atlas, Point, scan_max
 from .morphisms import (
     check_liftable,
     global_body,
@@ -224,12 +224,9 @@ def _run_roundtrip(s: Scenario, exp: dict, seed: int, out_dir):
     cs = control_system_from_tcs(sys)
     back = tcs_from_control_system(cs)
     same = back.generators == sys.generators
-    rng = np.random.default_rng(seed)
-    pts = sys.atlas.sample(rng, exp.get("samples", 40))
-    worst = 0.0
-    for g, b in zip(sys.generators, back.generators):
-        for p in pts:
-            worst = max(worst, float(np.max(np.abs(g.at(p) - b.at(p)))))
+    rows = sys.atlas.stack(sys.atlas.sample(np.random.default_rng(seed), exp.get("samples", 40)))
+    worst = scan_max([np.max(np.abs(g.at_rows(rows, sys.atlas) - b.at_rows(rows, sys.atlas)),
+                             axis=1) for g, b in zip(sys.generators, back.generators)])
     metrics = {"generators": len(sys.generators), "exact": bool(same),
                "max_residual": worst}
     return bool(same) and worst == 0.0, metrics

@@ -77,6 +77,19 @@ def _need(spec: dict, key: str, where: str):
     return spec[key]
 
 
+def _section(data: dict, key: str, kind=dict):
+    """data[key], empty when absent: an object whose entries are objects, or
+    for kind list a list of objects; ParseError naming the section or the
+    entry otherwise."""
+    section = data.get(key, kind())
+    if not isinstance(section, kind):
+        raise ParseError(f"must be {'a list' if kind is list else 'an object'}", where=key)
+    for name, entry in section.items() if kind is dict else enumerate(section):
+        if not isinstance(entry, dict):
+            raise ParseError("must be an object", where=f"{key}[{name!r}]")
+    return section
+
+
 def _build_atlas(name: str, spec: dict) -> Atlas:
     kind = spec.get("kind")
     coords = spec.get("coords")
@@ -132,7 +145,7 @@ def _build_map(name: str, spec: dict, atlases: dict) -> SmoothMap:
     return SmoothMap(
         source=src, target=tgt,
         raw=lambda cid, coords: (tgt_chart, value(coords)),
-        raw_jacobian=jac, name=name, batched=True,
+        raw_jacobian=jac, name=name,
     )
 
 
@@ -140,7 +153,7 @@ def _build_field(name: str, spec: dict, atlases: dict) -> VectorField:
     atlas = _ref(atlases, _need(spec, "atlas", name), name)
     value = compile_vector(_entries(_need(spec, "exprs", name), (atlas.dim,), "exprs", name),
                            atlas.coord_names)
-    return VectorField(atlas, lambda cid, coords: value(coords), name=name, batched=True)
+    return VectorField(atlas, lambda cid, coords: value(coords), name=name)
 
 
 def parse_scenario(source) -> Scenario:
@@ -154,12 +167,12 @@ def parse_scenario(source) -> Scenario:
         data = source
     name = data.get("name", "scenario")
 
-    atlases = {k: _build_atlas(k, v) for k, v in data.get("atlases", {}).items()}
-    maps = {k: _build_map(k, v, atlases) for k, v in data.get("maps", {}).items()}
-    fields = {k: _build_field(k, v, atlases) for k, v in data.get("fields", {}).items()}
+    atlases = {k: _build_atlas(k, v) for k, v in _section(data, "atlases").items()}
+    maps = {k: _build_map(k, v, atlases) for k, v in _section(data, "maps").items()}
+    fields = {k: _build_field(k, v, atlases) for k, v in _section(data, "fields").items()}
 
     systems = {}
-    for k, v in data.get("systems", {}).items():
+    for k, v in _section(data, "systems").items():
         atlas = _ref(atlases, _need(v, "atlas", k), k)
         gens = tuple(_ref(fields, g, k) for g in _need(v, "generators", k))
         systems[k] = GeneratedSystem(atlas, gens, label=k)
@@ -167,7 +180,7 @@ def parse_scenario(source) -> Scenario:
     morphisms = {}
     kernels = {}
     lifts = {}  # map name -> its one metric-lift morphism: lifts through it share a family
-    for k, v in data.get("morphisms", {}).items():
+    for k, v in _section(data, "morphisms").items():
         phi = _ref(maps, _need(v, "map", k), k)
         target = _ref(systems, _need(v, "target_system", k), k)
         m, lifted = lift_system(target, phi, morphism=lifts.get(v["map"]))
@@ -183,7 +196,7 @@ def parse_scenario(source) -> Scenario:
             systems[f"{k}.augmented"] = augment_with_kernel(lifted, frame)
 
     second_order = {}
-    for k, v in data.get("second_order", {}).items():
+    for k, v in _section(data, "second_order").items():
         base = _ref(atlases, _need(v, "base", k), k)
         ta = tangent_atlas(base, v_bound=v.get("v_bound", 2.0))
         var_names = ta.atlas.coord_names
@@ -198,7 +211,7 @@ def parse_scenario(source) -> Scenario:
         def gmat(cid, x, y, fn=g_fn, shape=(len(g_exprs), n)):
             return fn(np.concatenate([x, y], axis=-1)).reshape(np.shape(x)[:-1] + shape)
 
-        so = second_order_system(ta, gamma, gmat, len(g_exprs), label=k, batched=True)
+        so = second_order_system(ta, gamma, gmat, len(g_exprs), label=k)
         second_order[k] = so
         # generated system of affine slices at sampled control values
         samples = v.get("control_samples")
@@ -212,7 +225,7 @@ def parse_scenario(source) -> Scenario:
                     name=f"{k}^{u}"))
             systems[f"{k}.tcs"] = GeneratedSystem(ta.atlas, tuple(gens), label=f"{k}.tcs")
 
-    for k, v in data.get("so_lifts", {}).items():
+    for k, v in _section(data, "so_lifts").items():
         so = _ref(second_order, _need(v, "source", k), k)
         phi = _ref(maps, _need(v, "map", k), k)
         lifted, m = second_order_lift(so, phi)
@@ -230,7 +243,7 @@ def parse_scenario(source) -> Scenario:
                 lifted, frame, control_amplitude=v.get("control_amplitude", 1.0))
 
     connections = {}
-    for k, v in data.get("connections", {}).items():
+    for k, v in _section(data, "connections").items():
         atlas = _ref(atlases, _need(v, "atlas", k), k)
         shape = (atlas.dim,) * 3
         chr_fn = compile_vector(_entries(_need(v, "christoffel", k), shape, "christoffel", k),
@@ -241,14 +254,14 @@ def parse_scenario(source) -> Scenario:
 
         controls = tuple(_ref(fields, g, k) for g in v.get("controls", []))
         cs = ConnectionSystem(atlas, christoffel, controls,
-                              v_bound=v.get("v_bound", 2.0), label=k, batched=True)
+                              v_bound=v.get("v_bound", 2.0), label=k)
         connections[k] = cs
         spray = geodesic_spray(cs)
         second_order[f"{k}.spray"] = spray
         systems[f"{k}.spray.drift"] = GeneratedSystem(
             spray.tangent_atlas.atlas, (spray.drift,), label=f"{k}.spray.drift")
 
-    experiments = list(data.get("experiments", []))
+    experiments = list(_section(data, "experiments", list))
     scenario = Scenario(
         name=name, atlases=atlases, maps=maps, fields=fields, systems=systems,
         morphisms=morphisms, kernels=kernels, second_order=second_order,

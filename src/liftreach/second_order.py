@@ -16,7 +16,9 @@ from .geometry import (
     SmoothMap,
     VectorField,
     combine_fields,
+    distinct,
     finite_difference_jacobian,
+    scan_max,
 )
 from .morphisms import KernelFrame, Morphism, check_adapted
 from .systems import GeneratedSystem
@@ -24,7 +26,7 @@ from .systems import GeneratedSystem
 
 @dataclass(frozen=True)
 class TangentAtlas:
-    """Tangent bundle atlas induced from a base atlas.
+    """The atlas of a tangent bundle, induced from a base atlas.
 
     Chart coordinates are (x, y) with y the fiber components; normalizing
     transports y by the base transition Jacobian. Fiber coordinates live in
@@ -97,7 +99,6 @@ def tangent_atlas(base: Atlas, v_bound: float = 2.0) -> TangentAtlas:
         raw_jacobian=lambda cid, coords: np.broadcast_to(
             np.hstack([np.eye(n), np.zeros((n, n))]), np.shape(coords)[:-1] + (n, 2 * n)),
         name=f"pi_T{base.name}",
-        batched=True,
     )
     return TangentAtlas(base=base, atlas=atlas, projection=projection, v_bound=v_bound)
 
@@ -108,9 +109,8 @@ class SecondOrderSystem:
     identity on velocities and whose control fields are vertical.
 
     local_data, when present, is (gamma, gmat): gamma(cid, x, y) gives the
-    drift accelerations, gmat(cid, x, y) the (k, n) control accelerations.
-    When the fields are batched, both also take rows x, y (N, n) and
-    return (N, n) and (N, k, n).
+    drift accelerations (..., n), gmat(cid, x, y) the control accelerations
+    (..., k, n), at base coords and velocities x, y (..., n).
     """
 
     tangent_atlas: TangentAtlas
@@ -121,33 +121,27 @@ class SecondOrderSystem:
 
 
 def second_order_system(ta: TangentAtlas, gamma, gmat, k: int,
-                        label="second-order", batched: bool = False) -> SecondOrderSystem:
-    """Build a SecondOrderSystem from its local form (accelerations).
-
-    batched says that gamma and gmat take rows, which makes the drift and
-    control fields array-native.
-    """
+                        label="second-order") -> SecondOrderSystem:
+    """Build a SecondOrderSystem from its local form (accelerations)."""
     n = ta.base.dim
 
     def drift_func(cid, coords):
-        coords = np.asarray(coords, float)
         x, y = coords[..., :n], coords[..., n:]
         return np.concatenate([y, np.asarray(gamma(cid, x, y), float)], axis=-1)
 
     def control_func(cid, coords, j):
-        coords = np.asarray(coords, float)
         x, y = coords[..., :n], coords[..., n:]
         acc = np.asarray(gmat(cid, x, y), float)[..., j, :]
         return np.concatenate([np.zeros_like(x), acc], axis=-1)
 
     controls = tuple(
         VectorField(ta.atlas, lambda cid, coords, j=j: control_func(cid, coords, j),
-                    name=f"{label}-g{j}", batched=batched)
+                    name=f"{label}-g{j}")
         for j in range(k)
     )
     return SecondOrderSystem(
         tangent_atlas=ta,
-        drift=VectorField(ta.atlas, drift_func, name=f"{label}-drift", batched=batched),
+        drift=VectorField(ta.atlas, drift_func, name=f"{label}-drift"),
         control_fields=controls,
         local_data=(gamma, gmat),
         label=label,
@@ -157,25 +151,21 @@ def second_order_system(ta: TangentAtlas, gamma, gmat, k: int,
 def is_second_order(sys: SecondOrderSystem, samples: int = 200, seed: int = 0):
     """Check the drift projects to the velocity identity and controls are
     vertical. Returns (verdict, worst residual)."""
-    rng = np.random.default_rng(seed)
+    atlas = sys.tangent_atlas.atlas
     n = sys.tangent_atlas.base.dim
-    worst = 0.0
-    for p in sys.tangent_atlas.atlas.sample(rng, samples):
-        y = p.coords[n:]
-        worst = max(worst, float(np.max(np.abs(sys.drift.at(p)[:n] - y))))
-        for f in sys.control_fields:
-            worst = max(worst, float(np.max(np.abs(f.at(p)[:n]))))
+    rows = atlas.stack(atlas.sample(np.random.default_rng(seed), samples))
+    r = [np.abs(sys.drift.at_rows(rows, atlas)[:, :n] - rows.coords[:, n:])]
+    r += [np.abs(f.at_rows(rows, atlas)[:, :n]) for f in sys.control_fields]
+    worst = scan_max(np.max(r, axis=2))
     return worst <= 1e-9, worst
 
 
 def tangent_map(phi: SmoothMap, tp: TangentAtlas, tq: TangentAtlas) -> SmoothMap:
-    """T(phi) for an adapted coordinate projection phi: P -> Q, on rows
-    when phi is."""
+    """T(phi) for an adapted coordinate projection phi: P -> Q."""
     m = phi.target.dim
     n = phi.source.dim
 
     def raw(cid, coords):
-        coords = np.asarray(coords, float)
         tcid, _ = phi.raw(cid, coords[..., :n])
         return (tcid, np.concatenate([coords[..., :m], coords[..., n:n + m]], axis=-1))
 
@@ -186,7 +176,7 @@ def tangent_map(phi: SmoothMap, tp: TangentAtlas, tq: TangentAtlas) -> SmoothMap
         return J
 
     return SmoothMap(source=tp.atlas, target=tq.atlas, raw=raw, raw_jacobian=jac,
-                     name=f"T{phi.name}", batched=phi.batched)
+                     name=f"T{phi.name}")
 
 
 def second_order_lift(sys2: SecondOrderSystem, phi: SmoothMap,
@@ -221,20 +211,17 @@ def second_order_lift(sys2: SecondOrderSystem, phi: SmoothMap,
         return G
 
     lifted = second_order_system(tp, lifted_gamma, lifted_gmat, k,
-                                 label=f"lift({sys2.label})",
-                                 batched=sys2.drift.batched and phi.batched)
+                                 label=f"lift({sys2.label})")
     tphi = tangent_map(phi, tp, tq)
 
     # match a downstairs field to its affine slice, then map the coefficients
-    rng = np.random.default_rng(seed)
-    pts = tq.atlas.sample(rng, 20)
-    drift_vals = np.concatenate([sys2.drift.at(p) for p in pts])
-    ctrl_vals = np.stack([
-        np.concatenate([f.at(p) for p in pts]) for f in sys2.control_fields
-    ]) if k else np.zeros((0, drift_vals.size))
+    rows = tq.atlas.stack(tq.atlas.sample(np.random.default_rng(seed), 20))
+    drift_vals = sys2.drift.at_rows(rows, tq.atlas).ravel()
+    ctrl_vals = np.stack([f.at_rows(rows, tq.atlas).ravel() for f in sys2.control_fields]
+                         ) if k else np.zeros((0, drift_vals.size))
 
     def lift_rule(Y: VectorField) -> VectorField:
-        sig = np.concatenate([Y.at(p) for p in pts]) - drift_vals
+        sig = Y.at_rows(rows, tq.atlas).ravel() - drift_vals
         if k:
             u, res, *_ = np.linalg.lstsq(ctrl_vals.T, sig, rcond=None)
             resid = float(np.max(np.abs(ctrl_vals.T @ u - sig)))
@@ -259,7 +246,7 @@ def vertical_lift(X: VectorField, tp: TangentAtlas) -> VectorField:
         x = np.asarray(coords, float)[..., :n]
         return np.concatenate([np.zeros_like(x), X.values(cid, x)], axis=-1)
 
-    return VectorField(tp.atlas, func, name=f"vlft({X.name})", batched=True)
+    return VectorField(tp.atlas, func, name=f"vlft({X.name})")
 
 
 def augment_second_order(lifted: SecondOrderSystem, frame: KernelFrame,
@@ -274,13 +261,15 @@ def augment_second_order(lifted: SecondOrderSystem, frame: KernelFrame,
     """
     tp = lifted.tangent_atlas
     phi = frame.morphism.phi
-    rng = np.random.default_rng(seed)
-    for p in phi.source.sample(rng, samples):
-        J = phi.jacobian(p)
-        for X in frame.fields:
-            r = float(np.max(np.abs(J @ X.at(p))))
-            if r > 1e-8:
-                raise FrameNotKernel(f"frame field {X.name!r} leaves ker(dPhi) at {p}")
+    pts = phi.source.sample(np.random.default_rng(seed), samples)
+    rows = phi.source.stack(pts)
+    if frame.fields:
+        V = np.stack([X.at_rows(rows, phi.source) for X in frame.fields], axis=-1)
+        out = np.max(np.abs(phi.jacobians(rows) @ V), axis=1) > 1e-8
+        if out.any():  # the first point, then the first field, as one at a time
+            p, i = np.unravel_index(np.argmax(out), out.shape)
+            raise FrameNotKernel(f"frame field {frame.fields[i].name!r} leaves ker(dPhi) "
+                                 f"at {pts[p]}")
     vlfts = tuple(vertical_lift(X, tp) for X in frame.fields)
     gens = [lifted.drift]
     for f in lifted.control_fields:
@@ -305,9 +294,8 @@ class ConnectionSystem:
     """Affine-connection control system on a base manifold.
 
     christoffel(cid, x) has shape (n, n, n) indexed [i, j, k] and must be
-    symmetric in (j, k); controls act through vertical lifts on TQ.
-    batched says that christoffel also takes rows x (N, n), returning
-    (N, n, n, n), which makes the geodesic spray array-native.
+    symmetric in (j, k), and takes rows x (..., n) to (..., n, n, n);
+    controls act through vertical lifts on TQ.
     """
 
     atlas: Atlas
@@ -315,22 +303,20 @@ class ConnectionSystem:
     controls: tuple[VectorField, ...] = ()
     v_bound: float = 2.0
     label: str = "connection"
-    batched: bool = False
 
 
 def validate_connection(cs: ConnectionSystem, samples: int = 50, seed: int = 0):
-    rng = np.random.default_rng(seed)
-    for p in cs.atlas.sample(rng, samples):
-        G = np.asarray(cs.christoffel(p.chart_id, p.coords), float)
-        if np.max(np.abs(G - np.swapaxes(G, 1, 2))) > 1e-12:
+    rows = cs.atlas.stack(cs.atlas.sample(np.random.default_rng(seed), samples))
+    for c in distinct(rows.charts):
+        G = np.asarray(cs.christoffel(cs.atlas.charts[c].chart_id,
+                                      rows.coords[rows.charts == c]), float)
+        D = np.abs(G - np.swapaxes(G, -2, -1)).reshape(len(G), -1)
+        if np.any(np.max(D, axis=1) > 1e-12):
             raise ValueError("christoffel symbols must be symmetric in the lower indices")
 
 
 def geodesic_spray(cs: ConnectionSystem) -> SecondOrderSystem:
-    """Second-order drift of the connection plus vertically lifted controls.
-
-    The spray takes rows when the connection does.
-    """
+    """Second-order drift of the connection plus vertically lifted controls."""
     validate_connection(cs)
     ta = tangent_atlas(cs.atlas, v_bound=cs.v_bound)
     n = cs.atlas.dim
@@ -347,5 +333,4 @@ def geodesic_spray(cs: ConnectionSystem) -> SecondOrderSystem:
         return np.stack([g.values(cid, x) for g in cs.controls], axis=-2)
 
     return second_order_system(ta, gamma, gmat, len(cs.controls),
-                               label=f"spray({cs.label})",
-                               batched=cs.batched and all(g.batched for g in cs.controls))
+                               label=f"spray({cs.label})")

@@ -7,7 +7,7 @@ coefficients by schedule selectors (optionally on top of a base drift).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .geometry import (
     Point,
     Points,
     VectorField,
+    _checked,
     combine_fields,
     distinct,
 )
@@ -65,16 +66,13 @@ class GeneratedSystem:
         return self._kernel_flow(coeffs)
 
     def flows(self) -> list[VectorField]:
-        """Every field reach integrates from a cell, all array-native.
+        """Every field reach integrates from a cell.
 
         The generators come first, then each kernel field in both signs,
         riding on kernel_base when one is declared.
         """
-        flows = [g if g.batched else replace(g, func=g.values, batched=True)
-                 for g in self.generators]
-        for unit in np.eye(len(self.kernel_fields)):
-            flows += [self._kernel_flow(sign * unit) for sign in (1.0, -1.0)]
-        return flows
+        signed = [sign * unit for unit in np.eye(len(self.kernel_fields)) for sign in (1.0, -1.0)]
+        return list(self.generators) + [self._kernel_flow(c) for c in signed]
 
     def _kernel_flow(self, coeffs) -> VectorField:
         """kernel_base + sum_j coeffs[j] K_j."""
@@ -131,7 +129,9 @@ class Trajectory:
 
 
 def rk4_step(func, chart_id: str, coords: np.ndarray, h: float) -> np.ndarray:
-    k1 = np.asarray(func(chart_id, coords), float)
+    """One classical RK4 step of func at coords (d,) or rows (N, d);
+    DimensionMismatch when func gives another shape."""
+    k1 = _checked(func(chart_id, coords), coords.shape, "a field in chart %r", chart_id)
     k2 = np.asarray(func(chart_id, coords + 0.5 * h * k1), float)
     k3 = np.asarray(func(chart_id, coords + 0.5 * h * k2), float)
     k4 = np.asarray(func(chart_id, coords + h * k3), float)
@@ -370,7 +370,7 @@ def _integrate(requests: Sequence[RowRequest], stats=None) -> list:
                 segs.append((resolved[key], seg.duration, t))
                 t += seg.duration
             rows.append(segs)
-    funcs = [f.func if f.batched else f.values for f in fields]
+    funcs = [f.func for f in fields]
     # steps are drawn twice, to count and to fill: kept lists set the peak memory
     n = np.array([sum(len(step_schedule(d, h, t)[0]) for _, d, t in segs) for segs in rows],
                  dtype=int)
@@ -448,14 +448,12 @@ class ControlSystem:
     """Ordinary control system: state manifold, control set, parameterized field.
 
     control_set is ("finite", list_of_controls) or ("box", bounds array).
-    affine, when present, is (drift, control_fields) with
-    field(x, u) = drift(x) + sum_i u[i] * control_fields[i](x).
+    field_map(cid, coords, u) takes coords (..., d) and returns (..., d).
     """
 
     atlas: Atlas
     control_set: tuple
     field_map: Callable[[str, np.ndarray, object], np.ndarray]
-    affine: Optional[tuple[VectorField, tuple[VectorField, ...]]] = None
     label: str = ""
 
     def controls(self) -> list:

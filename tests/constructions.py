@@ -1,7 +1,9 @@
 """Constructions that no library code or scenario calls, kept as test
 helpers: the presheaf restriction of a generated system to a sub-box, the
-control-affine system of a drift and control fields, and integration under
-a piecewise-constant control signal."""
+control-affine system of a drift and control fields, integration under a
+piecewise-constant control signal, the identity map of an atlas, and the
+horizontal lift of a linear connection. Each takes coordinates (..., d), a
+point or rows, as every library field and map does."""
 
 from dataclasses import replace
 from typing import Sequence
@@ -9,7 +11,8 @@ from typing import Sequence
 import numpy as np
 
 from liftreach.errors import ControlOutOfSet, EmptyRestriction
-from liftreach.geometry import Atlas, Point, VectorField, box_atlas
+from liftreach.geometry import Atlas, Point, SmoothMap, VectorField, box_atlas
+from liftreach.morphisms import Morphism, check_adapted
 from liftreach.systems import (
     ControlSystem,
     GeneratedSystem,
@@ -43,14 +46,13 @@ def affine_control_system(atlas: Atlas, drift: VectorField,
 
     def field_map(cid, coords, u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.asarray(drift.func(cid, coords), float)
+        out = drift.values(cid, coords)
         for ui, f in zip(u, control_fields):
             if ui != 0.0:
-                out = out + ui * np.asarray(f.func(cid, coords), float)
+                out = out + ui * f.values(cid, coords)
         return out
 
-    return ControlSystem(atlas, control_set, field_map,
-                         affine=(drift, control_fields), label=label)
+    return ControlSystem(atlas, control_set, field_map, label=label)
 
 
 def slice_signal(cs: ControlSystem, mu: Sequence[tuple]) -> list[tuple[VectorField, float]]:
@@ -69,3 +71,44 @@ def integrate_control(cs: ControlSystem, start: Point, mu: Sequence[tuple], h: f
     sys = GeneratedSystem(cs.atlas, tuple(f for f, _ in fields), label=cs.label)
     sched = Schedule.of(*((i, d) for i, (_, d) in enumerate(fields)))
     return integrate(sys, start, sched, h)
+
+
+def identity_map(atlas: Atlas, name="id") -> SmoothMap:
+    return SmoothMap(
+        source=atlas,
+        target=atlas,
+        raw=lambda cid, coords: (cid, coords),
+        raw_jacobian=lambda cid, coords: np.broadcast_to(
+            np.eye(atlas.dim), np.shape(coords)[:-1] + (atlas.dim, atlas.dim)),
+        name=name,
+    )
+
+
+def horizontal_lift(target_sys: GeneratedSystem, bundle: SmoothMap,
+                    connection=None, samples: int = 30, seed: int = 0):
+    """Linear-connection horizontal lift on a vector bundle in adapted charts.
+
+    The bundle map must be the coordinate projection onto the first
+    base-dim coordinates; connection(cid, x) takes base coordinates
+    (..., base_dim), gives (..., fiber_dim, base_dim, fiber_dim) and
+    defaults to flat (zero).
+    """
+    base_dim = bundle.target.dim
+    fiber_dim = bundle.source.dim - base_dim
+    check_adapted(bundle, samples=samples, seed=seed)
+    if connection is None:
+        connection = lambda cid, x: np.zeros(np.shape(x)[:-1] + (fiber_dim, base_dim, fiber_dim))
+
+    def lift_rule(Y: VectorField) -> VectorField:
+        def func(cid, coords):
+            x, v = coords[..., :base_dim], coords[..., base_dim:]
+            y = Y.values(bundle.raw(cid, coords)[0], x)
+            A = np.asarray(connection(cid, x), float)
+            fiber = -np.einsum("...aib,...i,...b->...a", A, y, v)
+            return np.concatenate([y, fiber], axis=-1)
+
+        return VectorField(bundle.source, func, name=f"hlift({Y.name})")
+
+    m = Morphism(phi=bundle, lift_rule=lift_rule, kind="horizontal-connection")
+    gens = tuple(m.lift(Y) for Y in target_sys.generators)
+    return m, GeneratedSystem(bundle.source, gens, label=f"hlift({target_sys.label})")

@@ -183,7 +183,7 @@ def test_criterion_8_numerical_hygiene(scenarios):
     scenario."""
     # RK4 order on x' = x over [0, 1]
     atlas = interval_atlas(-4, 4)
-    expo = GeneratedSystem(atlas, (VectorField(atlas, lambda cid, c: np.array([c[0]])),))
+    expo = GeneratedSystem(atlas, (VectorField(atlas, lambda cid, c: 1.0 * c),))
     start = atlas.normalize("c0", [0.5])
     exact = 0.5 * np.e
 

@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from liftreach.errors import Escape, SingularGram
+from liftreach.errors import (
+    DimensionMismatch,
+    Escape,
+    FrameNotKernel,
+    NotInKernel,
+    NotSubmersion,
+    RankDeficient,
+    SingularGram,
+)
 from liftreach.expressions import compile_vector
 from liftreach.geometry import (
     FD_STEP,
@@ -24,14 +32,17 @@ from liftreach.geometry import (
     finite_difference_jacobian,
     interval_atlas,
     mobius_atlas,
-    pushforward,
     torus_atlas,
     union_atlas,
 )
 from liftreach.morphisms import (
+    KernelFrame,
     Morphism,
     _right_inverse,
     _right_inverse_apply,
+    check_liftable,
+    check_submersion,
+    kernel_frame,
     kernel_projector,
     lift_system,
     metric_lift_morphism,
@@ -40,9 +51,17 @@ from liftreach.morphisms import (
 )
 from liftreach.reach import Grid
 from liftreach.scenario import parse_scenario
-from liftreach.second_order import tangent_atlas, vertical_lift
+from liftreach.second_order import (
+    SecondOrderSystem,
+    augment_second_order,
+    is_second_order,
+    second_order_lift,
+    tangent_atlas,
+    vertical_lift,
+)
 from liftreach.systems import (
     GeneratedSystem,
+    control_system_from_tcs,
     RowRequest,
     Schedule,
     family_heads,
@@ -162,7 +181,6 @@ def _rows(dim, lo=-1.9, hi=1.9):
 @given(data=st.data())
 def test_field_rows_equal_pointwise(scenario, name, data):
     field = _library_fields(scenario)[name]
-    assert field.batched
     X = data.draw(_rows(field.atlas.dim, lo=-0.99, hi=0.99))
     cid = field.atlas.charts[0].chart_id
     got = field.values(cid, X)
@@ -191,7 +209,6 @@ def test_tangent_map_rows_equal_pointwise(scenario, X):
     """T(phi) of a scenario map takes rows: its raw map, raw Jacobian, values
     and Jacobians equal those of each point alone, bit for bit."""
     tphi = scenario.morphisms["oscl"].phi
-    assert tphi.batched
     tcid, Y = tphi.raw("c0", X)
     J = tphi.raw_jac_at("c0", X)
     for x, y, j in zip(X, Y, J):
@@ -240,7 +257,7 @@ def _gram_outcomes(J, metric, coords, y):
     n = coords.shape[-1]
     phi = SmoothMap(box_atlas([[-2, 2]] * n), interval_atlas(-9, 9),
                     raw=lambda cid, c: ("c0", c[..., :1]),
-                    raw_jacobian=lambda cid, c: J, batched=True)
+                    raw_jacobian=lambda cid, c: J)
 
     def lapack_apply():
         A, W = _lapack_right_inverse(J, metric, "c0", coords)
@@ -323,17 +340,32 @@ def test_one_by_one_gram_keeps_singular_gram_rows(case, row):
     assert outcomes[0][0] == f"J G^-1 J^T is numerically singular at (c0, {coords[row]})"
 
 
-def test_pointwise_user_fields_fall_back_row_by_row(scenario):
+def test_pointwise_user_fields_raise_on_rows(scenario):
+    """A func that reads one point as c[0] is wrong on rows, where c[0] is the
+    first row: it raises DimensionMismatch naming the field or the map
+    wherever rows are evaluated, rather than giving every row the value of
+    row 0. A user map written for coordinates (..., d) lifts bit for bit as
+    one point at a time."""
     line = scenario.atlases["line"]
-    user = SmoothMap(line, line, raw=lambda cid, c: ("c0", np.array([2.0 * c[0]])),
-                     raw_jacobian=lambda cid, c: np.array([[2.0]]))
+    pointwise = VectorField(line, lambda cid, c: np.array([c[0]]), name="pointwise")
+    X = np.array([[0.1], [0.5], [-0.3]])
+    with pytest.raises(DimensionMismatch, match="field 'pointwise'"):
+        pointwise.values("c0", X)
+    down = GeneratedSystem(line, (pointwise,))
+    with pytest.raises(DimensionMismatch):
+        integrate_rows(down, line.normalize_many("c0", X), [Schedule.of((0, 0.5))] * 3, 0.1)
+    user = SmoothMap(line, line, raw=lambda cid, c: ("c0", 2.0 * c),
+                     raw_jacobian=lambda cid, c: np.full(np.shape(c) + (1,), 2.0), name="twice")
+    with pytest.raises(DimensionMismatch, match="field 'pointwise'"):
+        verify_trajectory_preserving(metric_lift_morphism(user), down, samples=5)
+    one_row = SmoothMap(line, line, raw=lambda cid, c: ("c0", np.array([2.0 * c[0]])), name="pw")
+    with pytest.raises(DimensionMismatch, match="map 'pw'"):
+        one_row.values(line.normalize_many("c0", X))
+
     lifted = metric_lift_morphism(user).lift(scenario.fields["push"])
-    assert not lifted.batched
     X = np.array([[0.5], [-1.25], [3.0]])
     assert np.array_equal(lifted.values("c0", X),
                           np.array([lifted.func("c0", x) for x in X]))
-    field = VectorField(line, lambda cid, c: [c[0] ** 2])
-    assert np.array_equal(field.values("c0", X), X ** 2)
 
 
 # -- normalization and cells ---------------------------------------------------
@@ -583,25 +615,26 @@ def test_row_cell_of_equals_pointwise(kind, data, n):
 
 def _union_system():
     """Rows in both charts of a union, leaving it at different steps, under a
-    pointwise lambda, a compiled field and kernel combinations on a base."""
+    lambda, a compiled field and kernel combinations on a base."""
     atlas = union_atlas({"a": [[-1, 0.5], [-1, 1]], "b": [[-0.5, 1], [-1, 0.3]]})
     compiled = compile_vector(["1 + x**2", "0.5*y - 0.2"], ["x", "y"])
-    swirl = VectorField(atlas, lambda cid, c: np.array([-c[1] + 0.3, c[0]]))
-    drift = VectorField(atlas, lambda cid, c: compiled(c), batched=True)
-    lean = VectorField(atlas, lambda cid, c: compiled(c[..., ::-1]), batched=True)
+    swirl = VectorField(atlas, lambda cid, c: np.stack([-c[..., 1] + 0.3, c[..., 0]], -1))
+    drift = VectorField(atlas, lambda cid, c: compiled(c))
+    lean = VectorField(atlas, lambda cid, c: compiled(c[..., ::-1]))
     return GeneratedSystem(atlas, (swirl, drift), kernel_fields=(drift, lean),
                            kernel_base=swirl)
 
 
 def _pointwise_lift():
-    """The lift of two generators through a map that takes points only."""
+    """The lift of two generators through a user map given as lambdas."""
     plane = box_atlas([[-2, 2], [-2, 2]], coord_names=["x", "z"])
     line = union_atlas({"l": [[-2, 0.5]], "r": [[0, 2]]})
-    bend = SmoothMap(plane, line, raw=lambda cid, c: ("l", np.array([c[0] + 0.2 * np.sin(c[1])])),
-                     raw_jacobian=lambda cid, c: np.array([[1.0, 0.2 * np.cos(c[1])]]))
+    bend = SmoothMap(plane, line, raw=lambda cid, c: ("l", c[..., :1] + 0.2 * np.sin(c[..., 1:])),
+                     raw_jacobian=lambda cid, c: np.stack(
+                         [np.ones_like(c[..., :1]), 0.2 * np.cos(c[..., 1:])], axis=-1))
     down = GeneratedSystem(line, (
-        VectorField(line, lambda cid, c: np.array([1.0 + c[0] ** 2])),
-        VectorField(line, lambda cid, c: np.array([-0.5]))))
+        VectorField(line, lambda cid, c: 1.0 + c ** 2),
+        VectorField(line, lambda cid, c: np.full_like(c, -0.5))))
     return lift_system(down, bend)[1]
 
 
@@ -697,7 +730,7 @@ def _tilted(holey):
         return np.stack([np.ones(c.shape[:-1]),
                          np.full(c.shape[:-1], 0.4 if cid == "b" else -0.3)], axis=-1)
 
-    return GeneratedSystem(holey, (VectorField(holey, tilt, batched=True),))
+    return GeneratedSystem(holey, (VectorField(holey, tilt),))
 
 
 def test_kept_plans_end_where_rows_change(scenario):
@@ -747,7 +780,7 @@ def test_lift_rows_share_one_right_inverse_per_stage(scenario):
     def jac(cid, c):
         return np.stack([np.ones(np.shape(c)[:-1]), 0.3 * np.cos(c[..., 1])], axis=-1)[..., None, :]
 
-    phi = SmoothMap(plane, line, raw, raw_jacobian=jac, batched=True)
+    phi = SmoothMap(plane, line, raw, raw_jacobian=jac)
     up = lift_system(scenario.system("down2"), phi)[1]
     starts = [Point("c0", np.array([0.1, 0.2])), Point("c0", np.array([-0.4, 0.7]))]
     scheds = [Schedule.of((0, 0.1)), Schedule.of((1, 0.1))]
@@ -790,8 +823,8 @@ def _verify_pointwise(m, target_sys, samples, seed, tolerance=None, schedules=10
     lifted = [m.lift(Y) for Y in target_sys.generators]
     for Y, X in zip(target_sys.generators, lifted):
         for p in pts:
-            v = pushforward(m.phi, X.tangent(p))
-            r = float(np.max(np.abs(v.components - Y.at(v.base))))
+            v = m.phi.jacobian(p) @ X.at(p)
+            r = float(np.max(np.abs(v - Y.at(m.phi.value(p)))))
             if r > worst:
                 worst, worst_point = r, p
     up = GeneratedSystem(m.phi.source, tuple(lifted))
@@ -844,7 +877,7 @@ def _global_pointwise(m, target_sys, starts, horizon, h=1e-3):
 
 
 def _user_cases():
-    """Pointwise user maps: metric lifts into a union and into an interval,
+    """User maps given as lambdas: metric lifts into a union and into an interval,
     and constant wrong lifts into both whose residual ties at every point, so
     the first point must win, and whose projected trajectories drift further
     at every step, across the union's charts too."""
@@ -852,14 +885,16 @@ def _user_cases():
     cases = []
     for line in (union_atlas({"l": [[-2, 0.5]], "r": [[0, 2]]}), interval_atlas(-9, 9)):
         cid = line.charts[0].chart_id
-        proj = SmoothMap(plane, line, raw=lambda cid_, c, cid=cid: (cid, np.array([c[0]])),
-                         raw_jacobian=lambda cid_, c: np.array([[1.0, 0.0]]))
+        proj = SmoothMap(plane, line, raw=lambda cid_, c, cid=cid: (cid, c[..., :1]),
+                         raw_jacobian=lambda cid_, c: np.broadcast_to(
+                             [[1.0, 0.0]], np.shape(c)[:-1] + (1, 2)))
         down = GeneratedSystem(line, (
-            VectorField(line, lambda cid_, c: np.array([1.0 + c[0] ** 2])),
-            VectorField(line, lambda cid_, c: np.array([-0.5]))))
+            VectorField(line, lambda cid_, c: 1.0 + c ** 2),
+            VectorField(line, lambda cid_, c: np.full_like(c, -0.5))))
         cases.append((lift_system(down, proj)[0], down))
-    wrong = [(Morphism(m.phi, lambda Y: VectorField(plane, lambda cid, c: np.array([3.0, c[1]])),
-                       kind="user-supplied"), down) for m, down in cases]
+    const = lambda cid, c: np.stack([np.full_like(c[..., 1], 3.0), c[..., 1]], axis=-1)
+    wrong = [(Morphism(m.phi, lambda Y: VectorField(plane, const), kind="user-supplied"), down)
+             for m, down in cases]
     return cases + wrong
 
 
@@ -910,17 +945,21 @@ def test_row_global_in_time_equals_pointwise_reference(scenarios, scenario, seed
 @pytest.mark.parametrize("seed", [0, 7])
 def test_row_verifiers_match_charts_by_id(seed):
     """A target system may list the charts of its map's target in another
-    order; the certificates match charts by id, as one point at a time does."""
-    plane = box_atlas([[-2, 2], [-2, 2]], coord_names=["x", "z"])
+    order; the certificates match charts by id, as one point at a time does.
+    The map picks its raw target chart by source chart: L maps into l, R
+    into r."""
+    plane = union_atlas({"L": [[-2, 0], [-2, 2]], "R": [[0, 2], [-2, 2]]},
+                        coord_names=["x", "z"])
     charts = {"l": [[-2, 0]], "r": [[0, 2]]}
     line, flipped = union_atlas(charts), union_atlas(dict(reversed(charts.items())))
     assert [c.chart_id for c in flipped.charts] == ["r", "l"]
-    proj = SmoothMap(plane, line, raw=lambda cid, c: ("l" if c[0] < 0 else "r", c[:1]),
-                     raw_jacobian=lambda cid, c: np.array([[1.0, 0.0]]))
+    proj = SmoothMap(plane, line, raw=lambda cid, c: (cid.lower(), c[..., :1]),
+                     raw_jacobian=lambda cid, c: np.broadcast_to(
+                         [[1.0, 0.0]], np.shape(c)[:-1] + (1, 2)))
     # fields that differ from chart to chart show a row read in the wrong chart
     down = GeneratedSystem(flipped, (
-        VectorField(flipped, lambda cid, c: np.array([(cid == "l") + c[0] ** 2])),
-        VectorField(flipped, lambda cid, c: np.array([-0.5 - c[0] * (cid == "r")]))))
+        VectorField(flipped, lambda cid, c: (cid == "l") + c ** 2),
+        VectorField(flipped, lambda cid, c: -0.5 - c * (cid == "r"))))
     m = lift_system(down, proj)[0]
     kw = dict(samples=40, seed=seed, schedules=6, h=0.01)
     report = verify_trajectory_preserving(m, down, **kw)
@@ -928,3 +967,167 @@ def test_row_verifiers_match_charts_by_id(seed):
     starts = plane.sample(np.random.default_rng(seed), 4)
     report = verify_global_in_time(m, down, starts, 2.0, h=0.01)
     assert report == _global_pointwise(m, down, starts, 2.0, h=0.01)
+
+
+# -- structural checks against their point-by-point definitions ---------------------
+#
+# Each check samples once and evaluates as rows; the references below scan one
+# point, then one field, at a time. Fields and maps that fail or give nan on
+# part of the plane show that the first failing point is the same and that
+# nan never wins a comparison. A matrix that is not finite has rank 0 where
+# numpy's SVD would raise LinAlgError, naming no point.
+
+
+def _svd(A):
+    return np.linalg.svd(A if np.isfinite(A).all() else np.zeros_like(A), compute_uv=False)
+
+
+def _outcome(fn):
+    """What fn returns, or the class and the first point of what it raises."""
+    try:
+        return fn()
+    except (NotSubmersion, NotInKernel, RankDeficient) as exc:
+        return type(exc).__name__, getattr(exc, "index", None), str(exc.point)
+    except FrameNotKernel as exc:
+        return "FrameNotKernel", str(exc)
+
+
+def _submersion_pointwise(phi, samples=50, seed=0):
+    for p in phi.source.sample(np.random.default_rng(seed), samples):
+        s = _svd(phi.jacobian(p))
+        rank = 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > 1e-8 * s[0]))
+        if rank < phi.target.dim:
+            raise NotSubmersion(p, rank, phi.target.dim)
+
+
+def _global_frame_pointwise(m, fields, samples=50, seed=0):
+    pts = m.phi.source.sample(np.random.default_rng(seed), samples)
+    s = _svd(m.phi.jacobian(pts[0]))
+    rank = m.phi.source.dim - int(np.sum(s > 1e-8 * s[0]))
+    for p in pts:
+        J, vals = m.phi.jacobian(p), []
+        for i, X in enumerate(fields):
+            v = X.at(p)
+            r = float(np.max(np.abs(J @ v)))
+            if r > 1e-8:
+                raise NotInKernel(i, p, r)
+            vals.append(v)
+        s = _svd(np.stack(vals, axis=1))
+        if len(s) < rank or s[rank - 1] < 1e-6:
+            raise RankDeficient(p)
+    return rank
+
+
+def _frame_check_pointwise(phi, fields, samples=30, seed=0):
+    for p in phi.source.sample(np.random.default_rng(seed), samples):
+        for X in fields:
+            if float(np.max(np.abs(phi.jacobian(p) @ X.at(p)))) > 1e-8:
+                raise FrameNotKernel(f"frame field {X.name!r} leaves ker(dPhi) at {p}")
+
+
+def _second_order_pointwise(sys, samples=200, seed=0):
+    n, worst = sys.tangent_atlas.base.dim, 0.0
+    for p in sys.tangent_atlas.atlas.sample(np.random.default_rng(seed), samples):
+        worst = max(worst, float(np.max(np.abs(sys.drift.at(p)[:n] - p.coords[n:]))))
+        for f in sys.control_fields:
+            worst = max(worst, float(np.max(np.abs(f.at(p)[:n]))))
+    return worst <= 1e-9, worst
+
+
+def _liftable_pointwise(sigma1, sigma2, phi, tol=1e-6, samples=60, seed=0):
+    """check_liftable's matching, after its independence test."""
+    rng = np.random.default_rng(seed)
+    pts1 = phi.source.sample(rng, samples)
+    phi.target.sample(rng, samples)
+    mapping = []
+    for u in sigma2.controls():
+        Y, match = sigma2.slice_at(u) if not isinstance(u, VectorField) else u, None
+        for ubar in sigma1.controls():
+            X, worst = sigma1.slice_at(ubar) if not isinstance(ubar, VectorField) else ubar, 0.0
+            for p in pts1:
+                v = phi.jacobian(p) @ X.at(p)
+                worst = max(worst, float(np.max(np.abs(v - Y.at(phi.value(p))))))
+            if worst <= tol:
+                match = ubar
+                break
+        mapping.append((u, match))
+    return all(match is not None for _, match in mapping), mapping
+
+
+def _patchy_plane():
+    """A projection of the plane onto a line, and fields on the plane that
+    leave its kernel, lose rank or turn nan on parts of it."""
+    plane = box_atlas([[-2, 2], [-2, 2]], coord_names=["x", "z"])
+    line = interval_atlas(-2, 2)
+    proj = SmoothMap(plane, line, raw=lambda cid, c: ("c0", c[..., :1]),
+                     raw_jacobian=lambda cid, c: np.broadcast_to(
+                         [[1.0, 0.0]], np.shape(c)[:-1] + (1, 2)), name="proj")
+
+    def field(name, fn):
+        return VectorField(plane, lambda cid, c: np.stack(fn(c[..., 0], c[..., 1]), -1), name)
+
+    one, zero = np.ones_like, np.zeros_like
+    fields = {
+        "vert": field("vert", lambda x, z: (zero(x), one(x))),
+        "tilt": field("tilt", lambda x, z: (np.where(z > 0.5, 0.2 * z, 0.0), one(x))),
+        "fade": field("fade", lambda x, z: (zero(x), np.where(x > 0.7, 0.0, 1.0))),
+        "blot": field("blot", lambda x, z: (np.where(x < -1.0, np.nan, 0.0), one(x))),
+        # slices over the line's d/dx: on part of the plane only, and off a nan region
+        "half": field("half", lambda x, z: (np.where(z > 0.5, 2.0, 1.0), zero(x))),
+        "nanx": field("nanx", lambda x, z: (np.where(x < -1.0, np.nan, 1.0), zero(x))),
+    }
+    return plane, line, proj, fields
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_row_structural_checks_equal_pointwise_reference(scenarios, seed):
+    plane, line, proj, fields = _patchy_plane()
+    # rank drops and a nan Jacobian on parts of the plane, and the scenario maps
+    flat = SmoothMap(plane, line, raw=lambda cid, c: ("c0", np.minimum(c[..., :1], 0.4)),
+                     raw_jacobian=lambda cid, c: np.stack(
+                         [np.where(c[..., :1] < 0.4, 1.0, 0.0), np.zeros_like(c[..., :1])], -1))
+    holed = SmoothMap(plane, line, raw=lambda cid, c: ("c0", c[..., :1]),
+                      raw_jacobian=lambda cid, c: np.stack(
+                          [np.where(c[..., :1] > 1.5, np.nan, 1.0), c[..., 1:] ** 2], -1))
+    maps = [flat, holed, proj] + [phi for s in scenarios.values() for phi in s.maps.values()]
+    for phi in maps:
+        assert _outcome(lambda: check_submersion(phi, seed=seed)) == \
+            _outcome(lambda: _submersion_pointwise(phi, seed=seed))
+
+    m = metric_lift_morphism(proj)
+    for names in (["vert"], ["tilt"], ["fade"], ["blot"], ["vert", "tilt"], ["fade", "vert"],
+                  ["blot", "fade"], ["vert", "vert"]):
+        frame = [fields[k] for k in names]
+        got = _outcome(lambda: kernel_frame(m, "global", frame, seed=seed).rank)
+        assert got == _outcome(lambda: _global_frame_pointwise(m, frame, seed=seed))
+
+    di = scenarios["double-integrator"].second_order["di"]
+    lifted, _ = second_order_lift(di, proj)
+    for names in (["vert"], ["tilt", "vert"], ["blot"], ["vert", "tilt", "fade"]):
+        frame = KernelFrame(m, "global", tuple(fields[k] for k in names), 1, True)
+        assert _outcome(lambda: augment_second_order(lifted, frame, seed=seed).label) == \
+            _outcome(lambda: _frame_check_pointwise(proj, frame.fields, seed=seed) or
+                     augment_second_order(lifted, frame, seed=seed).label)
+
+    so = [so for s in scenarios.values() for so in s.second_order.values()]
+    ta = lifted.tangent_atlas
+    # velocities off by 0.3 x where x <= 0.5 and nan beyond: the worst is a number,
+    # 0.3 |x| for some x in (-2, 0.5]
+    skew = VectorField(ta.atlas, lambda cid, c: np.concatenate(
+        [c[..., 2:] + np.where(c[..., :1] > 0.5, np.nan, 0.3 * c[..., :1]), 0.0 * c[..., 2:]],
+        -1))
+    so.append(SecondOrderSystem(ta, skew, lifted.control_fields))
+    for sys in so:
+        assert is_second_order(sys, seed=seed) == _second_order_pointwise(sys, seed=seed)
+    assert 0.0 < is_second_order(so[-1], seed=seed)[1] <= 0.6
+
+    s = scenarios["projection"]
+    ups = GeneratedSystem(plane, (fields["half"], fields["nanx"]))
+    downs = GeneratedSystem(line, (VectorField(line, lambda cid, c: np.ones_like(c)),))
+    for up, dn, phi in ((s.system("afflift.system"), s.system("daff"), s.maps["projx"]),
+                        (s.system("ups_cube"), s.system("dcube"), s.maps["cube"]),
+                        (ups, downs, proj)):
+        sigma1, sigma2 = control_system_from_tcs(up), control_system_from_tcs(dn)
+        got = check_liftable(sigma1, sigma2, phi, seed=seed)
+        assert got == _liftable_pointwise(sigma1, sigma2, phi, seed=seed)
+    assert got == (True, [(downs.generators[0], fields["nanx"])])

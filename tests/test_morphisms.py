@@ -22,7 +22,6 @@ from liftreach.geometry import (
     VectorField,
     box_atlas,
     circle_atlas,
-    identity_map,
     interval_atlas,
     mobius_atlas,
     union_atlas,
@@ -32,7 +31,6 @@ from liftreach.morphisms import (
     _right_inverse_apply,
     augment_with_kernel,
     check_liftable,
-    horizontal_lift,
     kernel_frame,
     kernel_projector,
     lift_system,
@@ -43,23 +41,31 @@ from liftreach.morphisms import (
 )
 from liftreach.systems import GeneratedSystem, control_system_from_tcs
 
+from constructions import horizontal_lift, identity_map
+
+
+def _rows_of(row):
+    """A constant Jacobian of one row, at coords (..., n)."""
+    row = np.array([row], dtype=float)
+    return lambda cid, c: np.broadcast_to(row, np.shape(c)[:-1] + row.shape)
+
 
 def _projection_setup(analytic=True):
     plane = box_atlas([[-2, 2], [-2, 2]], coord_names=["x", "z"])
     line = interval_atlas(-2, 2)
     proj = SmoothMap(
         source=plane, target=line,
-        raw=lambda cid, coords: ("c0", coords[:1]),
-        raw_jacobian=(lambda cid, coords: np.array([[1.0, 0.0]])) if analytic else None,
+        raw=lambda cid, coords: ("c0", coords[..., :1]),
+        raw_jacobian=_rows_of([1.0, 0.0]) if analytic else None,
     )
-    Y = VectorField(line, lambda cid, c: np.array([1.0]), name="Y")
+    Y = VectorField(line, lambda cid, c: np.ones_like(c), name="Y")
     down = GeneratedSystem(line, (Y,), label="down")
     return plane, line, proj, down
 
 
 def test_identity_lift_is_identity():
     atlas = interval_atlas(-2, 2)
-    Y = VectorField(atlas, lambda cid, c: np.array([c[0] + 1.0]))
+    Y = VectorField(atlas, lambda cid, c: c + 1.0)
     sys = GeneratedSystem(atlas, (Y,))
     m, lifted = lift_system(sys, identity_map(atlas))
     p = atlas.normalize("c0", [0.3])
@@ -91,10 +97,10 @@ def test_skewed_map_lift_satisfies_pushforward():
     line = interval_atlas(-5, 5)
     phi = SmoothMap(
         source=plane, target=line,
-        raw=lambda cid, c: ("c0", np.array([c[0] + 0.5 * c[1]])),
-        raw_jacobian=lambda cid, c: np.array([[1.0, 0.5]]),
+        raw=lambda cid, c: ("c0", c[..., :1] + 0.5 * c[..., 1:]),
+        raw_jacobian=_rows_of([1.0, 0.5]),
     )
-    Y = VectorField(line, lambda cid, c: np.array([np.sin(c[0])]))
+    Y = VectorField(line, lambda cid, c: np.sin(c))
     m, lifted = lift_system(GeneratedSystem(line, (Y,)), phi)
     p = plane.normalize("c0", [0.3, 0.8])
     got = phi.jacobian(p) @ lifted.generators[0].at(p)
@@ -106,8 +112,9 @@ def test_non_submersion_is_rejected():
     line = interval_atlas(-9, 9)
     cube = SmoothMap(
         source=plane, target=line,
-        raw=lambda cid, c: ("c0", np.array([c[0] ** 3])),
-        raw_jacobian=lambda cid, c: np.array([[3 * c[0] ** 2, 0.0]]),
+        raw=lambda cid, c: ("c0", c[..., :1] ** 3),
+        raw_jacobian=lambda cid, c: np.stack([3 * c[..., :1] ** 2, np.zeros_like(c[..., :1])],
+                                             axis=-1),
     )
     # rank drops only on the line x = 0, so random sampling may miss it;
     # probe the singular fiber directly through the Gram factor
@@ -116,8 +123,8 @@ def test_non_submersion_is_rejected():
         _right_inverse_apply(cube.raw_jac_at("c0", x), None, "c0", x, np.array([1.0]))
     collapse = SmoothMap(
         source=plane, target=line,
-        raw=lambda cid, c: ("c0", np.array([0.0])),
-        raw_jacobian=lambda cid, c: np.array([[0.0, 0.0]]),
+        raw=lambda cid, c: ("c0", np.zeros_like(c[..., :1])),
+        raw_jacobian=_rows_of([0.0, 0.0]),
     )
     with pytest.raises(NotSubmersion):
         metric_lift_morphism(collapse)
@@ -176,10 +183,8 @@ def test_verify_compares_charts_without_shared_coordinates():
     the chart condition of the trajectory comparison sees it."""
     two = _two_chart_circle()
     phi = SmoothMap(circle_atlas(period=1.0), two, raw=lambda cid, c: ("a", c),
-                    raw_jacobian=lambda cid, c: np.ones(np.shape(c)[:-1] + (1, 1)),
-                    batched=True)
-    down = GeneratedSystem(two, (VectorField(two, lambda cid, c: np.ones(np.shape(c)),
-                                             batched=True),))
+                    raw_jacobian=lambda cid, c: np.ones(np.shape(c)[:-1] + (1, 1)))
+    down = GeneratedSystem(two, (VectorField(two, lambda cid, c: np.ones(np.shape(c))),))
     report = verify_trajectory_preserving(metric_lift_morphism(phi), down,
                                           samples=50, schedules=10)
     assert report["worst_residual"] == 0.0
@@ -193,10 +198,10 @@ def test_global_in_time_detects_improper_escape():
     line = interval_atlas(-2, 2)
     proj = SmoothMap(
         source=holey, target=line,
-        raw=lambda cid, c: ("c0", c[:1]),
-        raw_jacobian=lambda cid, c: np.array([[1.0, 0.0]]),
+        raw=lambda cid, c: ("c0", c[..., :1]),
+        raw_jacobian=_rows_of([1.0, 0.0]),
     )
-    Y = VectorField(line, lambda cid, c: np.array([1.0]))
+    Y = VectorField(line, lambda cid, c: np.ones_like(c))
     down = GeneratedSystem(line, (Y,))
     m, _ = lift_system(down, proj)
     blocked = holey.normalize("a", [-1.0, 1.0])
@@ -225,8 +230,8 @@ def test_chartwise_frame_on_mobius_does_not_glue():
     s1_period_one = circle_atlas(period=1.0)
     proj = SmoothMap(
         source=band, target=s1_period_one,
-        raw=lambda cid, c: ("c0", c[:1]),
-        raw_jacobian=lambda cid, c: np.array([[1.0, 0.0]]),
+        raw=lambda cid, c: ("c0", c[..., :1]),
+        raw_jacobian=_rows_of([1.0, 0.0]),
     )
     m = metric_lift_morphism(proj)
     frame = kernel_frame(m, mode="chartwise")
@@ -239,13 +244,13 @@ def test_chartwise_frame_on_mobius_does_not_glue():
 def test_global_frame_validation():
     plane, _, proj, down = _projection_setup()
     m = metric_lift_morphism(proj)
-    vert = VectorField(plane, lambda cid, c: np.array([0.0, 1.0]), name="vert")
+    vert = VectorField(plane, lambda cid, c: np.zeros_like(c) + [0.0, 1.0], name="vert")
     frame = kernel_frame(m, mode="global", generators=[vert])
     assert frame.rank == 1 and frame.global_ok
-    horiz = VectorField(plane, lambda cid, c: np.array([1.0, 0.0]))
+    horiz = VectorField(plane, lambda cid, c: np.zeros_like(c) + [1.0, 0.0])
     with pytest.raises(NotInKernel):
         kernel_frame(m, mode="global", generators=[horiz])
-    dead = VectorField(plane, lambda cid, c: np.array([0.0, 0.0]))
+    dead = VectorField(plane, lambda cid, c: np.zeros_like(c))
     with pytest.raises(RankDeficient):
         kernel_frame(m, mode="global", generators=[dead])
     with pytest.raises(ValueError):
@@ -255,7 +260,7 @@ def test_global_frame_validation():
 def test_augment_with_kernel_adds_fiber_motion():
     plane, _, proj, down = _projection_setup()
     m, lifted = lift_system(down, proj)
-    vert = VectorField(plane, lambda cid, c: np.array([0.0, 1.0]))
+    vert = VectorField(plane, lambda cid, c: np.zeros_like(c) + [0.0, 1.0])
     frame = kernel_frame(m, mode="global", generators=[vert])
     aug = augment_with_kernel(lifted, frame)
     assert aug.kernel_fields == frame.fields
@@ -275,7 +280,7 @@ def test_horizontal_lift_connection_term():
     """With A(x)(y, v) = a * y * v the fiber component is -a * Y(x) * v."""
     plane, line, proj, down = _projection_setup()
     a = 0.7
-    conn = lambda cid, x: np.full((1, 1, 1), a)
+    conn = lambda cid, x: np.full(np.shape(x)[:-1] + (1, 1, 1), a)
     m, lifted = horizontal_lift(down, proj, connection=conn)
     p = plane.normalize("c0", [0.2, 0.9])
     assert_allclose(lifted.generators[0].at(p), [1.0, -a * 1.0 * 0.9], atol=1e-12)
@@ -285,9 +290,10 @@ def test_horizontal_lift_connection_term():
 
 def test_horizontal_lift_of_zero_is_zero():
     plane, line, proj, _ = _projection_setup()
-    zero = VectorField(line, lambda cid, c: np.array([0.0]))
+    zero = VectorField(line, lambda cid, c: np.zeros_like(c))
     m, lifted = horizontal_lift(GeneratedSystem(line, (zero,)), proj,
-                                connection=lambda cid, x: np.full((1, 1, 1), 0.7))
+                                connection=lambda cid, x: np.full(np.shape(x)[:-1] + (1, 1, 1),
+                                                                  0.7))
     p = plane.normalize("c0", [0.2, 0.9])
     assert_allclose(lifted.generators[0].at(p), [0.0, 0.0], atol=1e-12)
 
@@ -297,7 +303,7 @@ def test_horizontal_lift_requires_adapted_charts():
     plane, line, _, down = _projection_setup()
     skew = SmoothMap(
         source=plane, target=line,
-        raw=lambda cid, c: ("c0", np.array([0.5 * (c[0] + c[1])])),
+        raw=lambda cid, c: ("c0", 0.5 * (c[..., :1] + c[..., 1:])),
     )
     with pytest.raises(NotAdapted, match="coordinate projection onto the first 1 axes"):
         horizontal_lift(down, skew)
@@ -305,8 +311,8 @@ def test_horizontal_lift_requires_adapted_charts():
 
 def test_check_liftable_finds_lifting_map():
     plane, line, proj, _ = _projection_setup()
-    Y1 = VectorField(line, lambda cid, c: np.array([1.0]), name="Y1")
-    Y2 = VectorField(line, lambda cid, c: np.array([0.5 * c[0]]), name="Y2")
+    Y1 = VectorField(line, lambda cid, c: np.ones_like(c), name="Y1")
+    Y2 = VectorField(line, lambda cid, c: 0.5 * c, name="Y2")
     down = GeneratedSystem(line, (Y1, Y2))
     m, lifted = lift_system(down, proj)
     sigma1 = control_system_from_tcs(lifted)
@@ -324,11 +330,13 @@ def test_check_liftable_false_for_cube():
     line = interval_atlas(-8.5, 8.5)
     cube = SmoothMap(
         source=plane, target=line,
-        raw=lambda cid, c: ("c0", np.array([c[0] ** 3])),
-        raw_jacobian=lambda cid, c: np.array([[3 * c[0] ** 2, 0.0]]),
+        raw=lambda cid, c: ("c0", c[..., :1] ** 3),
+        raw_jacobian=lambda cid, c: np.stack([3 * c[..., :1] ** 2, np.zeros_like(c[..., :1])],
+                                             axis=-1),
     )
-    up = GeneratedSystem(plane, (VectorField(plane, lambda cid, c: np.array([1.0, 0.0])),))
-    down = GeneratedSystem(line, (VectorField(line, lambda cid, c: np.array([1.0])),))
+    right = VectorField(plane, lambda cid, c: np.zeros_like(c) + [1.0, 0.0])
+    up = GeneratedSystem(plane, (right,))
+    down = GeneratedSystem(line, (VectorField(line, lambda cid, c: np.ones_like(c)),))
     ok, mapping = check_liftable(control_system_from_tcs(up),
                                  control_system_from_tcs(down), cube)
     assert not ok
@@ -340,8 +348,8 @@ def test_check_liftable_false_for_cube():
 
 def test_check_liftable_rejects_dependent_slices():
     _, line, proj, _ = _projection_setup()
-    Y = VectorField(line, lambda cid, c: np.array([1.0]))
-    Yneg = VectorField(line, lambda cid, c: np.array([-1.0]))
+    Y = VectorField(line, lambda cid, c: np.ones_like(c))
+    Yneg = VectorField(line, lambda cid, c: np.full_like(c, -1.0))
     down = GeneratedSystem(line, (Y, Yneg))
     m, lifted = lift_system(down, proj)
     with pytest.raises(IndependenceViolated):

@@ -22,10 +22,10 @@ def _plane_system(fields):
     return GeneratedSystem(atlas, gens)
 
 
-RIGHT = lambda cid, c: np.array([1.0, 0.0])
-LEFT = lambda cid, c: np.array([-1.0, 0.0])
-UP = lambda cid, c: np.array([0.0, 1.0])
-DOWN = lambda cid, c: np.array([0.0, -1.0])
+RIGHT = lambda cid, c: np.zeros_like(c) + [1.0, 0.0]
+LEFT = lambda cid, c: np.zeros_like(c) + [-1.0, 0.0]
+UP = lambda cid, c: np.zeros_like(c) + [0.0, 1.0]
+DOWN = lambda cid, c: np.zeros_like(c) + [0.0, -1.0]
 
 
 def test_grid_cell_of_and_center():
@@ -106,7 +106,7 @@ def test_reach_rejects_bad_parameters():
 
 def test_circle_reach_wraps_around():
     atlas = circle_atlas()
-    rot = VectorField(atlas, lambda cid, c: np.array([1.0]))
+    rot = VectorField(atlas, lambda cid, c: np.ones_like(c))
     sys = GeneratedSystem(atlas, (rot,))
     start = atlas.normalize("c0", [0.0])
     rep = reach(sys, start, grid=20, dwell=0.5, horizon=8.0)
@@ -173,9 +173,10 @@ def test_report_summary_fields():
 # instead of integrating again.
 
 SWIRL = (
-    lambda cid, c: np.array([-c[1], c[0]]),  # fixed point at the grid-9 centre cell
-    lambda cid, c: np.array([1.0, 0.5 * np.sin(3.0 * c[0])]),
-    lambda cid, c: np.array([-0.7, -0.4 * c[0] - 0.2]),
+    # a fixed point at the grid-9 centre cell
+    lambda cid, c: np.stack([-c[..., 1], c[..., 0]], axis=-1),
+    lambda cid, c: np.stack([np.ones_like(c[..., 0]), 0.5 * np.sin(3.0 * c[..., 0])], axis=-1),
+    lambda cid, c: np.stack([np.full_like(c[..., 0], -0.7), -0.4 * c[..., 0] - 0.2], axis=-1),
 )
 
 
@@ -301,8 +302,8 @@ def test_memo_replays_hit_points_of_non_canonical_cells(flow_calls):
     """
     def make():
         atlas = union_atlas({"a": [[-1, 0.5]], "b": [[-0.5, 1]]})
-        fields = (lambda cid, c: np.array([0.5 + c[0] ** 2]),
-                  lambda cid, c: np.array([-0.8]))
+        fields = (lambda cid, c: 0.5 + c ** 2,
+                  lambda cid, c: np.full_like(c, -0.8))
         return GeneratedSystem(atlas, tuple(VectorField(atlas, f) for f in fields))
 
     kw = dict(grid=10, dwell=0.3, horizon=2.0, substeps=6)
@@ -320,8 +321,8 @@ def test_rows_crossing_charts_mid_dwell_match_reference():
     the field of that chart, as one point at a time does."""
     def make():
         atlas = union_atlas({"a": [[-1, 0.5], [-1, 1]], "b": [[-0.5, 1], [-1, 0.3]]})
-        fields = (lambda cid, c: np.array([0.8, 0.4 if cid == "b" else -0.3]),
-                  lambda cid, c: np.array([-0.6, 0.2]))
+        fields = (lambda cid, c: np.zeros_like(c) + [0.8, 0.4 if cid == "b" else -0.3],
+                  lambda cid, c: np.zeros_like(c) + [-0.6, 0.2])
         return GeneratedSystem(atlas, tuple(VectorField(atlas, f) for f in fields))
 
     kw = dict(grid=6, dwell=0.4, horizon=1.5)
@@ -333,17 +334,17 @@ def test_rows_crossing_charts_mid_dwell_match_reference():
 
 
 def test_mixed_pointwise_and_array_native_fields_match_reference(flow_calls):
-    """A pointwise lambda generator beside compiled and kernel fields."""
+    """A lambda generator beside compiled and kernel fields."""
     from liftreach.expressions import compile_vector
 
     def make():
         atlas = box_atlas([[-1, 1], [-1, 1]])
         compiled = compile_vector(["0.6 - x**2", "0.4*sin(3*x)"], ["x", "y"])
         kernel = compile_vector(["0", "1 + x/2"], ["x", "y"])
-        gens = (VectorField(atlas, lambda cid, c: np.array([-c[1], c[0] - 0.3])),
-                VectorField(atlas, lambda cid, c: compiled(c), batched=True))
-        kers = (VectorField(atlas, lambda cid, c: kernel(c), batched=True),)
-        base = VectorField(atlas, lambda cid, c: np.array([0.1, 0.0]))
+        gens = (VectorField(atlas, lambda cid, c: np.stack([-c[..., 1], c[..., 0] - 0.3], -1)),
+                VectorField(atlas, lambda cid, c: compiled(c)))
+        kers = (VectorField(atlas, lambda cid, c: kernel(c)),)
+        base = VectorField(atlas, lambda cid, c: np.zeros_like(c) + [0.1, 0.0])
         return GeneratedSystem(atlas, gens, kernel_fields=kers, kernel_base=base)
 
     kw = dict(grid=9, dwell=0.3, horizon=2.0)
@@ -406,7 +407,7 @@ def test_escaped_rows_stop_where_they_leave():
     """A flow that leaves the box and would come back records nothing after it left."""
     def make():
         atlas = box_atlas([[-1, 1], [-1, 1]])
-        orbit = VectorField(atlas, lambda cid, c: np.array([-c[1], c[0] - 0.85]))
+        orbit = VectorField(atlas, lambda cid, c: np.stack([-c[..., 1], c[..., 0] - 0.85], -1))
         return GeneratedSystem(atlas, (orbit,))
 
     sys = make()

@@ -15,6 +15,7 @@ from liftreach.errors import DimensionMismatch, ParseError, SingularGram, Unreso
 from liftreach.runner import run
 from liftreach.scenario import (
     builtin_scenario_names,
+    builtin_scenario_path,
     expected_verdicts,
     load_builtin,
     parse_scenario,
@@ -249,6 +250,40 @@ def test_missing_experiment_key_is_a_parse_error(kind, tmp_path):
     assert result.artifacts == (["experiment-0_0.csv"] if kind == "reach" else [])
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(result.artifacts
                                                                 + ["summary.json"])
+
+
+BAD_VALUES = [3, None, "zz", [1, 2]]
+
+
+def _section_mutations():
+    """Each section of every built-in but its name, and each entry of one,
+    replaced by a value of the wrong kind, with the place a ParseError must
+    name: the section, or the entry as section[key]. A list is the right
+    kind for experiments, so [1, 2] there fails at its first entry."""
+    for name in EXPECTED_NAMES:
+        data = json.loads(builtin_scenario_path(name).read_text())
+        for section, value in data.items():
+            if section == "name":
+                continue
+            for key in [None, *(value if isinstance(value, dict) else range(len(value)))]:
+                for bad in BAD_VALUES:
+                    where = section if key is None else f"{section}[{key!r}]"
+                    if key is None and section == "experiments" and isinstance(bad, list):
+                        where = "experiments[0]"
+                    yield pytest.param(name, section, key, bad, where,
+                                       id=f"{name}-{section}-{key}-{bad!r}")
+
+
+@pytest.mark.parametrize("name, section, key, bad, where", list(_section_mutations()))
+def test_malformed_sections_are_parse_errors(name, section, key, bad, where):
+    data = json.loads(builtin_scenario_path(name).read_text())
+    if key is None:
+        data[section] = bad
+    else:
+        data[section][key] = bad
+    with pytest.raises(ParseError) as err:
+        parse_scenario(data)
+    assert err.value.where == where
 
 
 def test_unnamed_experiment_errors_use_the_default_name():

@@ -32,8 +32,8 @@ def _double_integrator(v_bound=1.5):
     ta = tangent_atlas(base, v_bound=v_bound)
     return ta, second_order_system(
         ta,
-        gamma=lambda cid, x, y: np.zeros(1),
-        gmat=lambda cid, x, y: np.ones((1, 1)),
+        gamma=lambda cid, x, y: np.zeros_like(x),
+        gmat=lambda cid, x, y: np.ones(np.shape(x)[:-1] + (1, 1)),
         k=1,
         label="di",
     )
@@ -72,8 +72,8 @@ def test_is_second_order_true_and_false():
 
     bad = SecondOrderSystem(
         tangent_atlas=ta,
-        drift=VectorField(ta.atlas, lambda cid, c: np.array([c[1], 0.0])),
-        control_fields=(VectorField(ta.atlas, lambda cid, c: np.array([1.0, 0.0])),),
+        drift=VectorField(ta.atlas, lambda cid, c: np.stack([c[..., 1], 0.0 * c[..., 1]], -1)),
+        control_fields=(VectorField(ta.atlas, lambda cid, c: np.zeros_like(c) + [1.0, 0.0]),),
     )
     ok, worst = is_second_order(bad)
     assert not ok and worst == pytest.approx(1.0)
@@ -81,7 +81,7 @@ def test_is_second_order_true_and_false():
 
 def test_vertical_lift_components():
     ta = tangent_atlas(interval_atlas(-2, 2))
-    X = VectorField(ta.base, lambda cid, c: np.array([3.0]))
+    X = VectorField(ta.base, lambda cid, c: np.full_like(c, 3.0))
     v = vertical_lift(X, ta)
     p = ta.atlas.normalize("c0", [0.5, 0.25])
     assert_allclose(v.at(p), [0.0, 3.0])
@@ -92,8 +92,8 @@ def _adapted_projection():
     line = interval_atlas(-2, 2)
     return plane, line, SmoothMap(
         source=plane, target=line,
-        raw=lambda cid, c: ("c0", c[:1]),
-        raw_jacobian=lambda cid, c: np.array([[1.0, 0.0]]),
+        raw=lambda cid, c: ("c0", c[..., :1]),
+        raw_jacobian=lambda cid, c: np.broadcast_to([[1.0, 0.0]], np.shape(c)[:-1] + (1, 2)),
     )
 
 
@@ -117,14 +117,14 @@ def test_second_order_lift_pushforward_residual():
     plane, line, proj = _adapted_projection()
     lifted, morphism = second_order_lift(di, proj)
     # downstairs slice with u = 0.75 lifts to the matching upstairs slice
-    from liftreach.geometry import combine_fields, pushforward
+    from liftreach.geometry import combine_fields
 
     slice_down = combine_fields([di.drift, di.control_fields[0]], [1.0, 0.75])
     slice_up = morphism.lift(slice_down)
     rng = np.random.default_rng(0)
     for p in morphism.phi.source.sample(rng, 50):
-        v = pushforward(morphism.phi, slice_up.tangent(p))
-        assert np.max(np.abs(v.components - slice_down.at(v.base))) <= 1e-9
+        v = morphism.phi.jacobian(p) @ slice_up.at(p)
+        assert np.max(np.abs(v - slice_down.at(morphism.phi.value(p)))) <= 1e-9
 
 
 def test_second_order_lift_requires_adapted_charts():
@@ -132,7 +132,7 @@ def test_second_order_lift_requires_adapted_charts():
     plane, line, _ = _adapted_projection()
     skew = SmoothMap(
         source=plane, target=line,
-        raw=lambda cid, c: ("c0", np.array([0.5 * (c[0] + c[1])])),
+        raw=lambda cid, c: ("c0", 0.5 * (c[..., :1] + c[..., 1:])),
     )
     with pytest.raises(NotAdapted):
         second_order_lift(di, skew)
@@ -143,7 +143,7 @@ def test_augment_second_order_structure():
     plane, line, proj = _adapted_projection()
     lifted, _ = second_order_lift(di, proj)
     base_m = metric_lift_morphism(proj)
-    vert = VectorField(plane, lambda cid, c: np.array([0.0, 1.0]), name="vert")
+    vert = VectorField(plane, lambda cid, c: np.zeros_like(c) + [0.0, 1.0], name="vert")
     frame = kernel_frame(base_m, mode="global", generators=[vert])
     aug = augment_second_order(lifted, frame, control_amplitude=0.5)
     # drift, drift + 0.5 u, drift - 0.5 u
@@ -160,7 +160,7 @@ def test_augment_second_order_rejects_non_kernel_frame():
     _, di = _double_integrator()
     plane, line, proj = _adapted_projection()
     lifted, _ = second_order_lift(di, proj)
-    horiz = VectorField(plane, lambda cid, c: np.array([1.0, 0.0]))
+    horiz = VectorField(plane, lambda cid, c: np.zeros_like(c) + [1.0, 0.0])
     fake = kernel_frame(metric_lift_morphism(proj), mode="chartwise")
     fake = type(fake)(morphism=fake.morphism, mode="global",
                       fields=(horiz,), rank=1, global_ok=True)
@@ -172,7 +172,7 @@ def test_geodesic_spray_closed_form():
     """With constant Gamma = c the geodesic velocity is y0 / (1 + c y0 t)."""
     c = 0.5
     base = interval_atlas(-2, 2)
-    conn = ConnectionSystem(base, lambda cid, x: np.full((1, 1, 1), c), ())
+    conn = ConnectionSystem(base, lambda cid, x: np.full(np.shape(x)[:-1] + (1, 1, 1), c), ())
     spray = geodesic_spray(conn)
     sys = GeneratedSystem(spray.tangent_atlas.atlas, (spray.drift,))
     start = sys.atlas.normalize("c0", [-0.5, 1.0])
@@ -188,8 +188,8 @@ def test_connection_symmetry_validation():
     base = box_atlas([[-1, 1], [-1, 1]])
 
     def asym(cid, x):
-        G = np.zeros((2, 2, 2))
-        G[0, 0, 1] = 1.0  # no matching G[0, 1, 0]
+        G = np.zeros(np.shape(x)[:-1] + (2, 2, 2))
+        G[..., 0, 0, 1] = 1.0  # no matching G[0, 1, 0]
         return G
 
     with pytest.raises(ValueError):
@@ -198,8 +198,8 @@ def test_connection_symmetry_validation():
 
 def test_geodesic_spray_with_controls_is_second_order():
     base = interval_atlas(-2, 2)
-    g = VectorField(base, lambda cid, x: np.array([1.0]))
-    conn = ConnectionSystem(base, lambda cid, x: np.zeros((1, 1, 1)), (g,))
+    g = VectorField(base, lambda cid, x: np.ones_like(x))
+    conn = ConnectionSystem(base, lambda cid, x: np.zeros(np.shape(x)[:-1] + (1, 1, 1)), (g,))
     spray = geodesic_spray(conn)
     ok, worst = is_second_order(spray)
     assert ok and worst <= 1e-12

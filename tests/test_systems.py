@@ -24,8 +24,8 @@ from constructions import affine_control_system, integrate_control, restrict
 
 def _line_system(lo=-4.0, hi=4.0):
     atlas = interval_atlas(lo, hi)
-    right = VectorField(atlas, lambda cid, c: np.array([1.0]), name="right")
-    expo = VectorField(atlas, lambda cid, c: np.array([c[0]]), name="expo")
+    right = VectorField(atlas, lambda cid, c: np.ones_like(c), name="right")
+    expo = VectorField(atlas, lambda cid, c: 1.0 * c, name="expo")
     return GeneratedSystem(atlas, (right, expo), label="line")
 
 
@@ -65,7 +65,7 @@ def test_escape_carries_partial_trajectory():
 
 def test_flow_wraps_through_chart_gluings():
     atlas = circle_atlas()
-    rot = VectorField(atlas, lambda cid, c: np.array([1.0]))
+    rot = VectorField(atlas, lambda cid, c: np.ones_like(c))
     sys = GeneratedSystem(atlas, (rot,))
     start = atlas.normalize("c0", [0.0])
     traj = integrate(sys, start, Schedule.of((0, 2 * np.pi + 0.1)), h=1e-3)
@@ -74,8 +74,8 @@ def test_flow_wraps_through_chart_gluings():
 
 def test_resolve_selectors():
     atlas = interval_atlas(-1, 1)
-    g = VectorField(atlas, lambda cid, c: np.array([1.0]))
-    k = VectorField(atlas, lambda cid, c: np.array([2.0]))
+    g = VectorField(atlas, lambda cid, c: np.ones_like(c))
+    k = VectorField(atlas, lambda cid, c: np.full_like(c, 2.0))
     sys = GeneratedSystem(atlas, (g,), kernel_fields=(k,))
     p = atlas.normalize("c0", [0.0])
     assert_allclose(sys.resolve(0).at(p), [1.0])
@@ -88,8 +88,8 @@ def test_resolve_selectors():
 
 def test_kernel_base_rides_along():
     atlas = box_atlas([[-2, 2], [-2, 2]])
-    base = VectorField(atlas, lambda cid, c: np.array([1.0, 0.0]))
-    k = VectorField(atlas, lambda cid, c: np.array([0.0, 1.0]))
+    base = VectorField(atlas, lambda cid, c: np.zeros_like(c) + [1.0, 0.0])
+    k = VectorField(atlas, lambda cid, c: np.zeros_like(c) + [0.0, 1.0])
     sys = GeneratedSystem(atlas, (base,), kernel_fields=(k,), kernel_base=base)
     p = atlas.normalize("c0", [0.0, 0.0])
     assert_allclose(sys.resolve(np.array([0.25])).at(p), [1.0, 0.25])
@@ -108,8 +108,8 @@ def test_restrict_checks_bounds():
 
 def test_affine_control_system_slices():
     atlas = interval_atlas(-2, 2)
-    drift = VectorField(atlas, lambda cid, c: np.array([c[0]]))
-    g = VectorField(atlas, lambda cid, c: np.array([1.0]))
+    drift = VectorField(atlas, lambda cid, c: 1.0 * c)
+    g = VectorField(atlas, lambda cid, c: np.ones_like(c))
     cs = affine_control_system(atlas, drift, [g], ("box", [[-1.0, 1.0]]))
     p = atlas.normalize("c0", [0.5])
     assert_allclose(cs.slice_at([0.25]).at(p), [0.75])
@@ -118,8 +118,8 @@ def test_affine_control_system_slices():
 
 def test_integrate_control_matches_schedule_integration():
     atlas = interval_atlas(-2, 2)
-    drift = VectorField(atlas, lambda cid, c: np.array([0.0]))
-    g = VectorField(atlas, lambda cid, c: np.array([1.0]))
+    drift = VectorField(atlas, lambda cid, c: np.zeros_like(c))
+    g = VectorField(atlas, lambda cid, c: np.ones_like(c))
     cs = affine_control_system(atlas, drift, [g], ("box", [[-1.0, 1.0]]))
     start = atlas.normalize("c0", [0.0])
     traj = integrate_control(cs, start, [([1.0], 0.5), ([-0.5], 0.5)], h=1e-3)
