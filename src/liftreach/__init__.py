@@ -62,11 +62,12 @@ from .second_order import (
 from .systems import (
     ControlSystem,
     GeneratedSystem,
+    RowRequest,
     Schedule,
     Trajectory,
     control_system_from_tcs,
     integrate,
-    integrate_rows,
+    integrate_requests,
     tcs_from_control_system,
 )
 

@@ -79,12 +79,13 @@ class Atlas:
     normalize_rows maps raw rows (N, dim) of one chart to their canonical
     (chart indices, coords) as in Points, chart index -1 for a row outside
     the atlas; jacobian_rows gives the (N, dim, dim) Jacobians of that map,
-    and metric_fn, when given, the (N, dim, dim) metric at canonical rows.
-    The point forms below are their one-row case. aliases returns
-    non-canonical raw representations of a canonical point (used for
-    overlap-compatibility checks). shared_coords marks charts that are boxes
-    of one coordinate system, as in a union, so that points of different
-    charts compare directly.
+    which must be locally constant in the raw coords (every gluing here is
+    affine: wraps, flips, identity boxes), and metric_fn, when given, the
+    (N, dim, dim) metric at canonical rows. The point forms below are their
+    one-row case. aliases returns non-canonical raw representations of a
+    canonical point (used for overlap-compatibility checks). shared_coords
+    marks charts that are boxes of one coordinate system, as in a union, so
+    that points of different charts compare directly.
     """
 
     dim: int
@@ -97,12 +98,6 @@ class Atlas:
     name: str = ""
     shared_coords: bool = False
 
-    def chart(self, chart_id: str) -> Chart:
-        for c in self.charts:
-            if c.chart_id == chart_id:
-                return c
-        raise KeyError(chart_id)
-
     def chart_index(self, chart_id: str) -> int:
         for i, c in enumerate(self.charts):
             if c.chart_id == chart_id:
@@ -114,31 +109,17 @@ class Atlas:
         return Points(np.array([self.chart_index(p.chart_id) for p in points], dtype=int),
                       np.array([p.coords for p in points], dtype=float).reshape(-1, self.dim))
 
-    def normalize_many(self, chart_id: str, X) -> Points:
-        """Canonical rows for raw rows X (N, dim) of one chart; rows outside
-        the atlas get chart index -1."""
-        return Points(*self.normalize_rows(chart_id, np.asarray(X, dtype=float)))
-
-    def transition_jacobians(self, chart_id: str, X) -> np.ndarray:
-        """transition_jacobian for each row of X (N, dim)."""
-        return self.jacobian_rows(chart_id, np.asarray(X, dtype=float))
-
-    def normalize_raw(self, chart_id: str, coords) -> Optional[Raw]:
-        """The canonical (chart_id, coords) of a raw point, None outside the atlas."""
-        charts, X = self.normalize_rows(chart_id, np.asarray(coords, dtype=float)[None])
-        return None if charts[0] < 0 else (self.charts[charts[0]].chart_id, X[0])
-
     def normalize(self, chart_id: str, coords) -> Point:
+        """The canonical point of raw coords, which it shares no memory with."""
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (self.dim,):
             raise DimensionMismatch(
                 f"expected {self.dim} coordinates, got shape {coords.shape}"
             )
-        out = self.normalize_raw(chart_id, coords)
-        if out is None:
+        charts, X = self.normalize_rows(chart_id, coords[None])
+        if charts[0] < 0:
             raise OutOfAtlas(f"({chart_id}, {coords}) has no chart in atlas {self.name!r}")
-        cid, c = out
-        return Point(cid, np.array(c, dtype=float))
+        return Point(self.charts[charts[0]].chart_id, X[0].copy())
 
     def transition_jacobian(self, chart_id: str, coords) -> np.ndarray:
         return self.jacobian_rows(chart_id, np.asarray(coords, dtype=float)[None])[0]
@@ -432,7 +413,7 @@ class SmoothMap:
         charts = np.empty(len(rows.coords), dtype=int)
         out = np.empty((len(rows.coords), self.target.dim))
         for idx, _, tcid, Y in self._raw_rows(rows):
-            charts[idx], out[idx] = self.target.normalize_many(tcid, Y)
+            charts[idx], out[idx] = self.target.normalize_rows(tcid, Y)
         if np.any(charts < 0):
             raise OutOfAtlas(f"{int(np.sum(charts < 0))} images have no chart "
                              f"in atlas {self.target.name!r}")
@@ -457,16 +438,13 @@ class SmoothMap:
 
     def jacobian(self, p: Point) -> np.ndarray:
         """dPhi in canonical chart frames (normalization correction included)."""
-        cid, out = self.raw(p.chart_id, p.coords)
-        J = self.raw_jac_at(p.chart_id, p.coords)
-        N = self.target.transition_jacobian(cid, np.asarray(out, float))
-        return N @ J
+        return self.jacobians(self.source.stack([p]))[0]
 
     def jacobians(self, rows: Points) -> np.ndarray:
         """jacobian() at each canonical row: (N, m, n)."""
         out = np.empty((len(rows.coords), self.target.dim, self.source.dim))
         for idx, cid, tcid, Y in self._raw_rows(rows):
-            out[idx] = self.target.transition_jacobians(tcid, Y) @ self.raw_jac_at(
+            out[idx] = self.target.jacobian_rows(tcid, Y) @ self.raw_jac_at(
                 cid, rows.coords[idx])
         return out
 

@@ -411,7 +411,9 @@ def check_liftable(sigma1: ControlSystem, sigma2: ControlSystem, phi: SmoothMap,
     slices2 = [u if isinstance(u, VectorField) else sigma2.slice_at(u)
                for u in controls2]
     vals = np.stack([Y.at_rows(rows2, phi.target).ravel() for Y in slices2])
-    s = np.linalg.svd(vals, compute_uv=False)
+    # a slice that is not finite at some sample spans nothing
+    s = np.linalg.svd(np.where(np.isfinite(vals).all(axis=1, keepdims=True), vals, 0.0),
+                      compute_uv=False)
     if s.size == 0 or s[-1] <= 1e-6 * max(s[0], 1.0):
         raise IndependenceViolated("downstairs slices are linearly dependent")
 

@@ -12,7 +12,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import OutOfAtlas
 from .geometry import Atlas, Point, Points, distinct
 from .systems import GeneratedSystem, family_heads, plan_rows, step_rows, step_schedule
 
@@ -66,74 +65,67 @@ class Grid:
     def cell_of(self, p: Point) -> CellKey:
         return self.keys_of(self.cells_of(self.atlas.stack([p])))[0]
 
-    def center_coords(self, key: CellKey) -> np.ndarray:
-        chart = self.atlas.chart(key[0])
-        idx = np.array(key[1:], dtype=float)
-        return chart.box[:, 0] + (idx + 0.5) * chart.widths() / self.cells_per_axis
+    def _flat_of(self, key: CellKey) -> int:
+        """Flat index of a cell key."""
+        within = np.ravel_multi_index(tuple(key[1:]), self._shape)
+        return self.atlas.chart_index(key[0]) * self.cells_per_axis ** self.atlas.dim + within
 
-    def centers(self, flat) -> Points:
-        """Normalized center points of flat cells; rows outside the atlas get chart -1."""
-        flat = np.asarray(flat, dtype=int)
+    def _raw_centers(self, flat: np.ndarray) -> tuple:
+        """Chart index and raw center coords of each flat cell."""
         chart, rest = np.divmod(flat, self.cells_per_axis ** self.atlas.dim)
         lo, widths = self._frame
         idx = np.stack(np.unravel_index(rest, self._shape), axis=-1).astype(float)
-        raw = lo[chart] + (idx + 0.5) * widths[chart] / self.cells_per_axis
-        charts, coords = np.full(len(flat), -1), raw
+        return chart, lo[chart] + (idx + 0.5) * widths[chart] / self.cells_per_axis
+
+    def centers(self, flat) -> Points:
+        """Normalized center points of flat cells; rows outside the atlas get chart -1."""
+        chart, raw = self._raw_centers(np.asarray(flat, dtype=int))
+        charts = np.full(len(chart), -1)
         for c in distinct(chart):
             sel = chart == c
-            rows = self.atlas.normalize_many(self.atlas.charts[c].chart_id, raw[sel])
-            charts[sel], coords[sel] = rows
-        return Points(charts, coords)
+            charts[sel], raw[sel] = self.atlas.normalize_rows(self.atlas.charts[c].chart_id,
+                                                              raw[sel])
+        return Points(charts, raw)
+
+    def _cells(self, rows: Points) -> np.ndarray:
+        """cells_of each row, -1 for a row outside the atlas."""
+        inside = rows.charts >= 0
+        cells = np.full(len(rows.charts), -1)
+        cells[inside] = self.cells_of(Points(rows.charts[inside], rows.coords[inside]))
+        return cells
 
     def center_point(self, key: CellKey) -> Optional[Point]:
         """Canonical point for the cell center, or None if it normalizes away."""
-        coords = self.center_coords(key)
-        try:
-            p = self.atlas.normalize(key[0], coords)
-        except OutOfAtlas:
-            return None
-        return p
+        (c,), (x,) = self.centers([self._flat_of(key)])
+        return Point(self.atlas.charts[c].chart_id, x) if c >= 0 else None
 
     def is_valid(self, key: CellKey) -> bool:
-        p = self.center_point(key)
-        return p is not None and self.cell_of(p) == key
+        flat = self._flat_of(key)
+        return bool(self._cells(self.centers([flat]))[0] == flat)
 
     def valid_flat(self) -> np.ndarray:
         """Flat indices of every valid cell, ascending."""
         flat = np.arange(self.size)
-        rows = self.centers(flat)
-        inside = rows.charts >= 0
-        cells = np.full(len(flat), -1)
-        cells[inside] = self.cells_of(Points(rows.charts[inside], rows.coords[inside]))
-        return flat[cells == flat]
+        return flat[self._cells(self.centers(flat)) == flat]
 
     def all_valid_cells(self) -> list[CellKey]:
         """Every valid cell, in chart order and row-major within a chart."""
         return self.keys_of(self.valid_flat())
 
     def neighbors(self, key: CellKey) -> list[CellKey]:
-        """Cells adjacent to key (full Moore neighborhood).
+        """Cells adjacent to key (full Moore neighborhood), in first-seen order.
 
         Neighbor candidates are found by shifting the cell center one cell
         width per axis and normalizing, so gluings and chart overlaps are
         resolved the same way trajectory samples are.
         """
-        chart = self.atlas.chart(key[0])
-        widths = chart.widths() / self.cells_per_axis
-        center = self.center_coords(key)
-        out = []
-        for offsets in itertools.product((-1, 0, 1), repeat=self.atlas.dim):
-            if all(o == 0 for o in offsets):
-                continue
-            raw = center + np.array(offsets) * widths
-            try:
-                p = self.atlas.normalize(key[0], raw)
-            except OutOfAtlas:
-                continue
-            cell = self.cell_of(p)
-            if cell != key and cell not in out:
-                out.append(cell)
-        return out
+        flat = self._flat_of(key)
+        chart, center = self._raw_centers(np.array([flat]))
+        offsets = np.array([o for o in itertools.product((-1, 0, 1), repeat=self.atlas.dim)
+                            if any(o)])
+        raw = center + offsets * (self._frame[1][chart] / self.cells_per_axis)
+        cells = self._cells(Points(*self.atlas.normalize_rows(key[0], raw))).tolist()
+        return self.keys_of([c for c in dict.fromkeys(cells) if c not in (flat, -1)])
 
 
 @dataclass(frozen=True)
@@ -359,16 +351,13 @@ def is_reachability_set(sys: GeneratedSystem, points: Sequence[Point], dwell: fl
     cell is visited from points[i].
     """
     g = Grid(sys.atlas, grid)
-    m = len(points)
-    witness = np.zeros((m, m), dtype=bool)
+    keys = g.keys_of(g.cells_of(sys.atlas.stack(points)))
+    witness = np.zeros((len(points), len(points)), dtype=bool)
     reports = {}
-    for i, x in enumerate(points):
-        key = g.cell_of(x)
+    for i, (x, key) in enumerate(zip(points, keys)):
         if key not in reports:
             reports[key] = reach(sys, x, grid, dwell, horizon, substeps=substeps)
-        rep = reports[key]
-        for j, z in enumerate(points):
-            witness[i, j] = rep.visited(g.cell_of(z))
+        witness[i] = [reports[key].visited(k) for k in keys]
     return bool(witness.all()), witness
 
 

@@ -90,23 +90,66 @@ def _section(data: dict, key: str, kind=dict):
     return section
 
 
+def _numbers(value, shape: tuple, key: str, where: str):
+    """value, once it reads as finite floats of shape, None for any length;
+    ParseError at where naming key otherwise."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.array(np.nan)
+    if (arr.ndim != len(shape) or not np.isfinite(arr).all()
+            or any(n not in (None, m) for n, m in zip(shape, arr.shape))):
+        dims = " x ".join("n" if n is None else str(n) for n in shape)
+        what = f"a {dims} array of numbers" if shape else "a number"
+        raise ParseError(f"{key!r} must be {what}", where=where)
+    return value
+
+
+def _listed(value, key: str, where: str, of=object) -> list:
+    """value; ParseError at where naming key unless it is a list of of."""
+    if not isinstance(value, list) or not all(isinstance(x, of) for x in value):
+        raise ParseError(f"{key!r} must be a list{' of strings' if of is str else ''}",
+                         where=where)
+    return value
+
+
+def _kernel(spec: dict, where: str, fields: dict):
+    """The kernel object of spec and its generator fields (None for none);
+    (None, None) without one."""
+    kspec = spec.get("kernel")
+    if not kspec:
+        return None, None
+    if not isinstance(kspec, dict):
+        raise ParseError("'kernel' must be an object", where=where)
+    gens = _listed(kspec.get("generators") or [], "generators", where)
+    return kspec, [_ref(fields, g, where) for g in gens] or None
+
+
 def _build_atlas(name: str, spec: dict) -> Atlas:
     kind = spec.get("kind")
-    coords = spec.get("coords")
+    coords = _listed(spec.get("coords") or [], "coords", name, str) or None
     metric_exprs = spec.get("metric")
     if kind == "interval":
-        lo, hi = spec.get("box", [-1.0, 1.0])
+        lo, hi = _numbers(spec.get("box", [-1.0, 1.0]), (2,), "box", name)
         atlas = interval_atlas(lo, hi, coord_name=(coords or ["x"])[0], name=name)
     elif kind == "box":
-        atlas = box_atlas(_need(spec, "box", name), coord_names=coords, name=name)
+        box = _numbers(_need(spec, "box", name), (None, 2), "box", name)
+        atlas = box_atlas(box, coord_names=coords, name=name)
     elif kind == "circle":
-        atlas = circle_atlas(period=spec.get("period", 2 * np.pi), name=name)
+        period = _numbers(spec.get("period", 2 * np.pi), (), "period", name)
+        atlas = circle_atlas(period=period, name=name)
     elif kind == "torus":
-        atlas = torus_atlas(periods=spec.get("periods", (2 * np.pi, 2 * np.pi)), name=name)
+        periods = spec.get("periods", (2 * np.pi, 2 * np.pi))
+        atlas = torus_atlas(periods=_numbers(periods, (None,), "periods", name), name=name)
     elif kind == "mobius":
         atlas = mobius_atlas(name=name)
     elif kind == "union":
-        atlas = union_atlas(_need(spec, "charts", name), coord_names=coords, name=name)
+        charts = _need(spec, "charts", name)
+        if not isinstance(charts, dict) or not charts:
+            raise ParseError("'charts' must be a non-empty object", where=name)
+        if len({len(_numbers(box, (None, 2), "charts", name)) for box in charts.values()}) > 1:
+            raise ParseError("'charts' must be boxes of one dimension", where=name)
+        atlas = union_atlas(charts, coord_names=coords, name=name)
     else:
         raise ParseError(f"unknown atlas kind {kind!r}", where=name)
     if metric_exprs:
@@ -124,6 +167,8 @@ def _entries(exprs, shape: tuple, what: str, where: str) -> list:
     if entries.shape != shape or any(isinstance(e, list) for e in entries.flat):
         raise DimensionMismatch(
             f"{what} of {where!r} must be {' x '.join(map(str, shape))} expressions")
+    if not all(isinstance(e, str) for e in entries.flat):
+        raise ParseError(f"{what!r} must hold expressions as strings", where=where)
     return entries.ravel().tolist()
 
 
@@ -174,7 +219,8 @@ def parse_scenario(source) -> Scenario:
     systems = {}
     for k, v in _section(data, "systems").items():
         atlas = _ref(atlases, _need(v, "atlas", k), k)
-        gens = tuple(_ref(fields, g, k) for g in _need(v, "generators", k))
+        gens = tuple(_ref(fields, g, k)
+                     for g in _listed(_need(v, "generators", k), "generators", k))
         systems[k] = GeneratedSystem(atlas, gens, label=k)
 
     morphisms = {}
@@ -186,11 +232,8 @@ def parse_scenario(source) -> Scenario:
         m, lifted = lift_system(target, phi, morphism=lifts.get(v["map"]))
         morphisms[k] = lifts[v["map"]] = m
         systems[f"{k}.system"] = lifted
-        kspec = v.get("kernel")
+        kspec, gens = _kernel(v, k, fields)
         if kspec:
-            gens = None
-            if kspec.get("generators"):
-                gens = [_ref(fields, g, k) for g in kspec["generators"]]
             frame = kernel_frame(m, mode=kspec.get("mode", "chartwise"), generators=gens)
             kernels[k] = frame
             systems[f"{k}.augmented"] = augment_with_kernel(lifted, frame)
@@ -198,9 +241,9 @@ def parse_scenario(source) -> Scenario:
     second_order = {}
     for k, v in _section(data, "second_order").items():
         base = _ref(atlases, _need(v, "base", k), k)
-        ta = tangent_atlas(base, v_bound=v.get("v_bound", 2.0))
+        ta = tangent_atlas(base, v_bound=_numbers(v.get("v_bound", 2.0), (), "v_bound", k))
         var_names = ta.atlas.coord_names
-        g_exprs, n = v.get("g", []), base.dim
+        g_exprs, n = _listed(v.get("g", []), "g", k), base.dim
         gamma_fn = compile_vector(_entries(_need(v, "gamma", k), (n,), "gamma", k), var_names)
         g_fn = compile_vector(_entries(g_exprs, (len(g_exprs), n), "g", k) if g_exprs else [],
                               var_names)
@@ -218,6 +261,7 @@ def parse_scenario(source) -> Scenario:
         if samples is None and g_exprs:
             samples = [list(u) for u in np.eye(len(g_exprs))]
         if samples is not None:
+            _numbers(samples, (None, len(g_exprs)), "control_samples", k)
             gens = []
             for u in samples:
                 gens.append(combine_fields(
@@ -231,16 +275,14 @@ def parse_scenario(source) -> Scenario:
         lifted, m = second_order_lift(so, phi)
         second_order[f"{k}.system"] = lifted
         morphisms[k] = m
-        kspec = v.get("kernel")
+        kspec, gens = _kernel(v, k, fields)
         if kspec:
             base_m = lifts.get(v["map"]) or metric_lift_morphism(phi)
-            gens = None
-            if kspec.get("generators"):
-                gens = [_ref(fields, g, k) for g in kspec["generators"]]
             frame = kernel_frame(base_m, mode=kspec.get("mode", "global"), generators=gens)
             kernels[k] = frame
-            systems[f"{k}.augmented"] = augment_second_order(
-                lifted, frame, control_amplitude=v.get("control_amplitude", 1.0))
+            amplitude = _numbers(v.get("control_amplitude", 1.0), (), "control_amplitude", k)
+            systems[f"{k}.augmented"] = augment_second_order(lifted, frame,
+                                                             control_amplitude=amplitude)
 
     connections = {}
     for k, v in _section(data, "connections").items():
@@ -252,9 +294,10 @@ def parse_scenario(source) -> Scenario:
         def christoffel(cid, x, fn=chr_fn, shape=shape):
             return fn(x).reshape(np.shape(x)[:-1] + shape)
 
-        controls = tuple(_ref(fields, g, k) for g in v.get("controls", []))
-        cs = ConnectionSystem(atlas, christoffel, controls,
-                              v_bound=v.get("v_bound", 2.0), label=k)
+        controls = tuple(_ref(fields, g, k)
+                         for g in _listed(v.get("controls", []), "controls", k))
+        cs = ConnectionSystem(atlas, christoffel, controls, label=k,
+                              v_bound=_numbers(v.get("v_bound", 2.0), (), "v_bound", k))
         connections[k] = cs
         spray = geodesic_spray(cs)
         second_order[f"{k}.spray"] = spray
@@ -275,7 +318,7 @@ def _validate_experiments(s: Scenario):
     for idx, exp in enumerate(s.experiments):
         kind = exp.get("kind")
         where = exp.get("name", f"experiment-{idx}")
-        if kind not in _HANDLERS:
+        if not isinstance(kind, str) or kind not in _HANDLERS:
             raise ParseError(f"unknown experiment kind {kind!r}", where=where)
         for key in _REQUIRED[kind]:
             _need(exp, key, where)

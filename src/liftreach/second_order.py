@@ -17,7 +17,6 @@ from .geometry import (
     VectorField,
     combine_fields,
     distinct,
-    finite_difference_jacobian,
     scan_max,
 )
 from .morphisms import KernelFrame, Morphism, check_adapted
@@ -52,21 +51,16 @@ def tangent_atlas(base: Atlas, v_bound: float = 2.0) -> TangentAtlas:
 
     def norm_rows(cid, X):
         x, y = X[:, :n], X[:, n:]
-        charts, bx = base.normalize_many(cid, x)
-        y2 = (base.transition_jacobians(cid, x) @ y[:, :, None])[:, :, 0]
+        charts, bx = base.normalize_rows(cid, x)
+        y2 = (base.jacobian_rows(cid, x) @ y[:, :, None])[:, :, 0]
         charts = np.where(np.any(np.abs(y2) >= v_bound, axis=1), -1, charts)
         return charts, np.concatenate([bx, y2], axis=1)
 
     def jac_rows(cid, X):
-        x, y = X[:, :n], X[:, n:]
-        J = base.transition_jacobians(cid, x)
-        # d/dx of (J(x) y), zero whenever the gluing Jacobian is constant
-        off = finite_difference_jacobian(
-            lambda xs: (base.transition_jacobians(cid, xs) @ y[:, :, None])[:, :, 0], x, n
-        )
+        # d/dx of (J(x) y) is zero: the base's gluing Jacobian is locally constant
+        J = base.jacobian_rows(cid, X[:, :n])
         out = np.zeros((len(X), 2 * n, 2 * n))
         out[:, :n, :n] = J
-        out[:, n:, :n] = off
         out[:, n:, n:] = J
         return out
 

@@ -252,7 +252,7 @@ def step_rows(atlas: Atlas, plan: RowPlan, charts: np.ndarray, X: np.ndarray, st
         X[rows] = rk4_step(func, cid, X[rows], step[rows] if column else step)
     moved = False
     for rows, c, cid in plan.charts:
-        charts[rows], X[rows] = atlas.normalize_many(cid, X[rows])
+        charts[rows], X[rows] = atlas.normalize_rows(cid, X[rows])
         moved = moved or bool((charts[rows] != c).any())
     return moved
 
@@ -269,7 +269,7 @@ def _together(funcs: Sequence, field_of: np.ndarray):
 
 
 class RowFlow(NamedTuple):
-    """Rows integrated together by integrate_rows, one per schedule.
+    """Rows integrated together by integrate_requests, one per schedule.
 
     ends holds each row's last point, chart -1 for a row that left the
     atlas; escapes the end time of the step at which a row left (nan for
@@ -304,25 +304,16 @@ def _selector_key(selector):
     return coeffs.shape, tuple(coeffs.ravel().tolist())
 
 
-def integrate_rows(sys: GeneratedSystem, starts: Points, schedules: Sequence[Schedule],
-                   h: float, record: bool = True) -> RowFlow:
-    """integrate() of every start under its own schedule, all rows at once.
-
-    Each row takes the steps step_schedule gives its segments, so it equals,
-    bit for bit, integrate() run alone: the same samples up to the step that
-    leaves the atlas, and that step's end time as its escape time. Every
-    selector is resolved up front. With record=False no samples are kept.
-    One RowPlan serves until a schedule ends, a row still scheduled changes
-    field, or a row changes chart or leaves; a step that every row still
-    scheduled takes is passed as a float.
-    """
-    return integrate_requests([RowRequest(sys, starts, schedules, h, record)])[0]
-
-
 def integrate_requests(requests: Sequence[RowRequest], stats=None) -> list:
-    """The RowFlow of each request, equal to integrate_rows of it alone. Requests
-    whose systems share an atlas and a step size are rows of one integration;
-    stats, a Counter, counts integrations, rows and RK4 steps."""
+    """The RowFlow of each request: integrate() of every start under its own
+    schedule, bit for bit as run alone, up to the step that leaves the atlas
+    and with that step's end time as its escape time. Selectors are resolved
+    up front; record=False keeps no samples. Requests whose systems share an
+    atlas and a step size are rows of one integration, where one RowPlan
+    serves until a schedule ends, a row still scheduled changes field, or a
+    row changes chart or leaves; a step that every row still scheduled takes
+    is passed as a float. stats, a Counter, counts integrations, rows and RK4
+    steps."""
     groups, flows = {}, {}
     for i, req in enumerate(requests):
         groups.setdefault((id(req.system.atlas), req.h), []).append(i)

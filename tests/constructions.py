@@ -3,14 +3,15 @@ helpers: the presheaf restriction of a generated system to a sub-box, the
 control-affine system of a drift and control fields, integration under a
 piecewise-constant control signal, the identity map of an atlas, and the
 horizontal lift of a linear connection. Each takes coordinates (..., d), a
-point or rows, as every library field and map does."""
+point or rows, as every library field and map does. canonical reads
+Atlas.normalize as a value, None outside the atlas, for test strategies."""
 
 from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
-from liftreach.errors import ControlOutOfSet, EmptyRestriction
+from liftreach.errors import ControlOutOfSet, EmptyRestriction, OutOfAtlas
 from liftreach.geometry import Atlas, Point, SmoothMap, VectorField, box_atlas
 from liftreach.morphisms import Morphism, check_adapted
 from liftreach.systems import (
@@ -22,12 +23,21 @@ from liftreach.systems import (
 )
 
 
+def canonical(atlas: Atlas, chart_id: str, coords):
+    """The (chart id, coords) of atlas.normalize, None outside the atlas."""
+    try:
+        p = atlas.normalize(chart_id, coords)
+    except OutOfAtlas:
+        return None
+    return p.chart_id, p.coords
+
+
 def restrict(sys: GeneratedSystem, chart_id: str, box) -> GeneratedSystem:
     """Presheaf restriction of the generator family to an open sub-box."""
     box = np.asarray(box, dtype=float)
     if np.any(box[:, 1] <= box[:, 0]):
         raise EmptyRestriction("restriction box is empty")
-    chart = sys.atlas.chart(chart_id)
+    chart = sys.atlas.charts[sys.atlas.chart_index(chart_id)]
     if np.any(box[:, 0] < chart.box[:, 0]) or np.any(box[:, 1] > chart.box[:, 1]):
         raise EmptyRestriction("restriction box exceeds the chart box")
     sub = box_atlas(box, coord_names=sys.atlas.coord_names,

@@ -3,6 +3,7 @@ at a time gives, for every array-native library field builder, every atlas
 kind's normalization and transition Jacobian, the grid's cell lookup, the
 row integrator and the certificates built on it."""
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,7 @@ from liftreach.errors import (
     FrameNotKernel,
     NotInKernel,
     NotSubmersion,
+    OutOfAtlas,
     RankDeficient,
     SingularGram,
 )
@@ -68,9 +70,10 @@ from liftreach.systems import (
     flow_field,
     integrate,
     integrate_requests,
-    integrate_rows,
     plan_rows,
 )
+
+from constructions import canonical
 
 SCENARIO = {
     "name": "batched",
@@ -215,7 +218,7 @@ def test_tangent_map_rows_equal_pointwise(scenario, X):
         assert tphi.raw("c0", x)[0] == tcid
         assert np.array_equal(tphi.raw("c0", x)[1], y)
         assert np.array_equal(tphi.raw_jac_at("c0", x), j)
-    rows = tphi.source.normalize_many("c0", X)
+    rows = Points(*tphi.source.normalize_rows("c0", X))
     pts = [Point("c0", x) for x in rows.coords]
     values = tphi.values(rows)
     assert [tphi.target.charts[c].chart_id for c in values.charts] == \
@@ -353,14 +356,15 @@ def test_pointwise_user_fields_raise_on_rows(scenario):
         pointwise.values("c0", X)
     down = GeneratedSystem(line, (pointwise,))
     with pytest.raises(DimensionMismatch):
-        integrate_rows(down, line.normalize_many("c0", X), [Schedule.of((0, 0.5))] * 3, 0.1)
+        integrate_requests([RowRequest(down, Points(*line.normalize_rows("c0", X)),
+                                       [Schedule.of((0, 0.5))] * 3, 0.1)])
     user = SmoothMap(line, line, raw=lambda cid, c: ("c0", 2.0 * c),
                      raw_jacobian=lambda cid, c: np.full(np.shape(c) + (1,), 2.0), name="twice")
     with pytest.raises(DimensionMismatch, match="field 'pointwise'"):
         verify_trajectory_preserving(metric_lift_morphism(user), down, samples=5)
     one_row = SmoothMap(line, line, raw=lambda cid, c: ("c0", np.array([2.0 * c[0]])), name="pw")
     with pytest.raises(DimensionMismatch, match="map 'pw'"):
-        one_row.values(line.normalize_many("c0", X))
+        one_row.values(Points(*line.normalize_rows("c0", X)))
 
     lifted = metric_lift_morphism(user).lift(scenario.fields["push"])
     X = np.array([[0.5], [-1.25], [3.0]])
@@ -389,14 +393,14 @@ ATLASES = {
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_normalize_rows_equal_pointwise(kind, data):
-    """Each row of a stack normalizes as if alone: normalize_raw is the
+    """Each row of a stack normalizes as if alone: Atlas.normalize is the
     one-row case of normalize_rows."""
     atlas, (lo, hi) = ATLASES[kind]
     X = data.draw(_rows(atlas.dim, lo, hi))
     for chart in atlas.charts:
-        rows = atlas.normalize_many(chart.chart_id, X)
+        rows = Points(*atlas.normalize_rows(chart.chart_id, X))
         for i, x in enumerate(X):
-            out = atlas.normalize_raw(chart.chart_id, x.copy())
+            out = canonical(atlas, chart.chart_id, x.copy())
             if out is None:
                 assert rows.charts[i] == -1
             else:
@@ -412,7 +416,7 @@ def test_transition_jacobian_rows_equal_pointwise(kind, data):
     atlas, (lo, hi) = ATLASES[kind]
     X = data.draw(_rows(atlas.dim, lo, hi))
     for chart in atlas.charts:
-        got = atlas.transition_jacobians(chart.chart_id, X)
+        got = atlas.jacobian_rows(chart.chart_id, X)
         assert got.shape == (len(X), atlas.dim, atlas.dim)
         for i, x in enumerate(X):
             assert np.array_equal(got[i], atlas.transition_jacobian(chart.chart_id, x.copy()))
@@ -429,14 +433,14 @@ def test_aliases_normalize_to_their_point(kind, data):
     atlas, (lo, hi) = ATLASES[kind]
     X = data.draw(_rows(atlas.dim, lo, hi))
     for chart in atlas.charts:
-        rows = atlas.normalize_many(chart.chart_id, X)
+        rows = Points(*atlas.normalize_rows(chart.chart_id, X))
         for c, x in zip(rows.charts, rows.coords):
             if c < 0:
                 continue
             p = Point(atlas.charts[c].chart_id, x)
             open_axes = ~np.array(atlas.charts[c].wrap)
             for cid, coords in atlas.aliases(p):
-                out = atlas.normalize_raw(cid, coords)
+                out = canonical(atlas, cid, coords)
                 if out is None:
                     edges = atlas.charts[c].box[open_axes]
                     assert np.min(np.abs(edges - x[open_axes, None])) <= 1e-15
@@ -449,17 +453,17 @@ def _fd_normalize(atlas, cid, X):
     """Central differences of normalize_rows at rows X, and whether each row's
     stencil stays in its chart and off the wrap points, where normalization
     jumps by a period."""
-    charts = atlas.normalize_many(cid, X).charts
+    charts = atlas.normalize_rows(cid, X)[0]
     smooth = charts >= 0
-    chart = atlas.chart(cid)
+    chart = atlas.charts[atlas.chart_index(cid)]
     phase = np.mod(X - chart.box[:, 0], chart.widths()) / chart.widths()
     smooth &= np.all(~np.array(chart.wrap) | ((1e-3 < phase) & (phase < 1 - 1e-3)), axis=1)
     for j in range(atlas.dim):
         for sign in (-1.0, 1.0):
             Z = X.copy()
             Z[:, j] += sign * FD_STEP * np.maximum(1.0, np.abs(X[:, j]))
-            smooth &= atlas.normalize_many(cid, Z).charts == charts
-    fd = finite_difference_jacobian(lambda Z: atlas.normalize_many(cid, Z).coords,
+            smooth &= atlas.normalize_rows(cid, Z)[0] == charts
+    fd = finite_difference_jacobian(lambda Z: atlas.normalize_rows(cid, Z)[1],
                                     X.copy(), atlas.dim)
     return fd, smooth
 
@@ -483,7 +487,7 @@ def test_jacobian_rows_are_derivatives_of_normalize_rows(kind, data):
     for chart in atlas.charts:
         X = data.draw(_box_rows(chart))
         fd, smooth = _fd_normalize(atlas, chart.chart_id, X)
-        J = atlas.transition_jacobians(chart.chart_id, X)
+        J = atlas.jacobian_rows(chart.chart_id, X)
         assert np.allclose(fd[smooth], J[smooth], rtol=0.0, atol=1e-6)
 
 
@@ -492,10 +496,32 @@ def test_mobius_jacobian_flips_at_negative_x():
     atlas = ATLASES["mobius"][0]
     X = np.array([[-0.25, 0.3], [-1.25, 0.3], [-2.75, 0.6], [0.5, 0.3]])
     fd, smooth = _fd_normalize(atlas, "c0", X)
-    J = atlas.transition_jacobians("c0", X)
+    J = atlas.jacobian_rows("c0", X)
     assert smooth.all()
     assert J[:, 1, 1].tolist() == [-1.0, 1.0, -1.0, 1.0]
     assert np.allclose(fd, J, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["circle", "mobius", "torus"])
+def test_tangent_jacobian_has_no_cross_block_at_seams(kind):
+    """The base gluing is locally constant, so the (fiber, base) block of a
+    tangent atlas's Jacobian is exactly 0, also within 1e-7 of a wrap, where
+    J(x) y flips on the Mobius band; each row gets the Jacobian it gets alone."""
+    base = ATLASES[kind][0]
+    atlas, n = tangent_atlas(base, v_bound=1.0).atlas, base.dim
+    chart = base.charts[0]
+    rows = []
+    for j in np.flatnonzero(chart.wrap):
+        p = chart.widths()[j]
+        for x in (0.0, 1e-7, p - 1e-7, p, -1e-7, p + 1e-7, 2 * p - 1e-7):
+            c = chart.box[:, 0] + 0.5 * chart.widths()
+            c[j] = x
+            rows.append(np.concatenate([c, [0.3, 0.2][:n]]))
+    X = np.array(rows)
+    J = atlas.jacobian_rows("c0", X)
+    assert (J[:, n:, :n] == 0.0).all()
+    for x, j in zip(X, J):
+        assert np.array_equal(atlas.transition_jacobian("c0", x), j)
 
 
 def _sample_alone(atlas, rng, n, margin):
@@ -508,7 +534,7 @@ def _sample_alone(atlas, rng, n, margin):
         chart = atlas.charts[rng.choice(len(atlas.charts), p=probs)]
         lo = chart.box[:, 0] + margin * chart.widths()
         hi = chart.box[:, 1] - margin * chart.widths()
-        out = atlas.normalize_raw(chart.chart_id, rng.uniform(lo, hi))
+        out = canonical(atlas, chart.chart_id, rng.uniform(lo, hi))
         if out is None:
             dropped += 1
         else:
@@ -567,7 +593,7 @@ def test_lifts_through_one_map_share_one_family(scenarios):
     stats = Counter()
     a, b = integrate_requests(requests, stats)
     assert stats == Counter(integrations=1, rows=4, rk4_steps=20)
-    alone = integrate_rows(sym, starts, scheds, 0.01)
+    alone = integrate_requests([RowRequest(sym, starts, scheds, 0.01)])[0]
     for flow in (a, b):
         assert np.array_equal(flow.samples.coords, alone.samples.coords)
         assert np.array_equal(flow.times, alone.times)
@@ -575,7 +601,7 @@ def test_lifts_through_one_map_share_one_family(scenarios):
 
 def test_pooled_requests_record_only_where_asked():
     """Requests pooled into one integration each get the RowFlow of
-    integrate_rows alone, samples only where asked, cut to their own steps."""
+    integrate_requests of it alone, samples only where asked, cut to their own steps."""
     sys = _union_system()
     starts = sys.atlas.stack([sys.atlas.normalize("a", [x, -0.5]) for x in (0.9, -0.9)])
     short, long_ = [Schedule.of((1, 0.2))] * 2, [Schedule.of((1, 0.6))] * 2
@@ -587,7 +613,7 @@ def test_pooled_requests_record_only_where_asked():
     assert stats == Counter(integrations=1, rows=6, rk4_steps=60)
     assert flows[1].samples is None
     for req, flow in zip(requests, flows):
-        for got, want in zip(flow, integrate_rows(*req)):
+        for got, want in zip(flow, integrate_requests([req])[0]):
             if got is None or want is None:
                 assert got is want
                 continue
@@ -601,13 +627,54 @@ def test_pooled_requests_record_only_where_asked():
 def test_row_cell_of_equals_pointwise(kind, data, n):
     atlas, (lo, hi) = ATLASES[kind]
     X = data.draw(_rows(atlas.dim, lo, hi))
-    rows = atlas.normalize_many(atlas.charts[0].chart_id, X)
+    rows = Points(*atlas.normalize_rows(atlas.charts[0].chart_id, X))
     inside = rows.charts >= 0
     rows = Points(rows.charts[inside], rows.coords[inside])
     grid = Grid(atlas, n)
     keys = grid.keys_of(grid.cells_of(rows))
     assert keys == [grid.cell_of(Point(atlas.charts[c].chart_id, x))
                     for c, x in zip(rows.charts, rows.coords)]
+
+
+def _neighbors_alone(grid, key):
+    """Grid.neighbors point by point: each offset of the cell centre goes
+    through Atlas.normalize alone and its cell through cell_of."""
+    atlas = grid.atlas
+    chart = atlas.charts[atlas.chart_index(key[0])]
+    n = grid.cells_per_axis
+    widths = chart.widths() / n
+    center = chart.box[:, 0] + (np.array(key[1:], float) + 0.5) * chart.widths() / n
+    out = []
+    for offsets in itertools.product((-1, 0, 1), repeat=atlas.dim):
+        if all(o == 0 for o in offsets):
+            continue
+        try:
+            p = atlas.normalize(key[0], center + np.array(offsets) * widths)
+        except OutOfAtlas:
+            continue
+        cell = grid.cell_of(p)
+        if cell != key and cell not in out:
+            out.append(cell)
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(ATLASES))
+def test_grid_cells_centers_and_neighbors_agree(kind):
+    """For grids of 1 to 7 cells per axis: every valid cell's centre lies in
+    that cell, as rows and as a point, and neighbors equals its point-by-point
+    oracle. The oracle runs on every key of grids up to 64 cells, and on
+    every k-th key, 16 at most, of larger ones (the 4-D tangent grids)."""
+    atlas = ATLASES[kind][0]
+    for n in range(1, 8):
+        grid = Grid(atlas, n)
+        flat = grid.valid_flat()
+        assert np.array_equal(grid.cells_of(grid.centers(flat)), flat)
+        keys = grid.all_valid_cells()
+        for key in keys:
+            assert grid.cell_of(grid.center_point(key)) == key
+            assert grid.is_valid(key)
+        for key in keys[::-(-len(keys) // 16) if len(keys) > 64 else 1]:
+            assert grid.neighbors(key) == _neighbors_alone(grid, key)
 
 
 # -- the row integrator ----------------------------------------------------------
@@ -674,8 +741,8 @@ def _starts(sys):
     lo = np.min([c.box[:, 0] for c in sys.atlas.charts], axis=0)
     hi = np.max([c.box[:, 1] for c in sys.atlas.charts], axis=0)
     coords = st.tuples(*(st.floats(a, b) for a, b in zip(lo, hi)))
-    return coords.map(lambda c: sys.atlas.normalize_raw(sys.atlas.charts[0].chart_id,
-                                                        np.array(c))).filter(
+    return coords.map(lambda c: canonical(sys.atlas, sys.atlas.charts[0].chart_id,
+                                          np.array(c))).filter(
         lambda out: out is not None).map(lambda out: Point(out[0], np.array(out[1])))
 
 
@@ -698,10 +765,10 @@ def test_rows_equal_integrate_alone(name, data):
 
 
 def _assert_rows_alone(sys, starts, scheds, h):
-    """integrate_rows equals integrate() of each start alone, recorded or not."""
+    """integrate_requests equals integrate() of each start alone, recorded or not."""
     rows = sys.atlas.stack(starts)
-    flow = integrate_rows(sys, rows, scheds, h)
-    bare = integrate_rows(sys, rows, scheds, h, record=False)
+    flow = integrate_requests([RowRequest(sys, rows, scheds, h)])[0]
+    bare = integrate_requests([RowRequest(sys, rows, scheds, h, record=False)])[0]
     assert bare.samples is None
     ids = [c.chart_id for c in sys.atlas.charts]
     for r, (start, sched) in enumerate(zip(starts, scheds)):
@@ -734,7 +801,7 @@ def _tilted(holey):
 
 
 def test_kept_plans_end_where_rows_change(scenario):
-    """integrate_rows keeps one step plan until a row changes chart or field,
+    """integrate_requests keeps one step plan until a row changes chart or field,
     leaves, or its schedule ends; each case below makes one of these happen
     and must still equal integrate() of each start alone, bit for bit."""
     # a row crosses from chart a to chart b of the union mid-segment, where
@@ -785,7 +852,7 @@ def test_lift_rows_share_one_right_inverse_per_stage(scenario):
     starts = [Point("c0", np.array([0.1, 0.2])), Point("c0", np.array([-0.4, 0.7]))]
     scheds = [Schedule.of((0, 0.1)), Schedule.of((1, 0.1))]
     calls.clear()
-    flow = integrate_rows(up, plane.stack(starts), scheds, 0.05)
+    flow = integrate_requests([RowRequest(up, plane.stack(starts), scheds, 0.05)])[0]
     assert calls == [(2, 2)] * 8
     for r, (start, sched) in enumerate(zip(starts, scheds)):
         samples, _ = _alone(up, start, sched, 0.05)
@@ -798,7 +865,7 @@ def test_rows_escape_at_different_steps():
     sys = _union_system()
     starts = [sys.atlas.normalize("a", [x, -0.5]) for x in (0.9, 0.5, 0.3, -0.9)]
     scheds = [Schedule.of((1, 0.6))] * 4
-    flow = integrate_rows(sys, sys.atlas.stack(starts), scheds, 0.01)
+    flow = integrate_requests([RowRequest(sys, sys.atlas.stack(starts), scheds, 0.01)])[0]
     escapes = []
     for r, start in enumerate(starts):
         samples, escape = _alone(sys, start, scheds[r], 0.01)

@@ -24,7 +24,7 @@ from liftreach.geometry import (
 )
 from liftreach.second_order import tangent_atlas
 
-from constructions import identity_map
+from constructions import canonical, identity_map
 
 
 def test_box_atlas_identity_normalization():
@@ -36,6 +36,22 @@ def test_box_atlas_identity_normalization():
         atlas.normalize("c0", [1.5, 1.0])
     with pytest.raises(DimensionMismatch):
         atlas.normalize("c0", [0.5])
+
+
+@pytest.mark.parametrize("atlas, coords", [
+    (box_atlas([[-1, 1], [0, 2]]), [0.5, 1.0]),
+    (circle_atlas(), [1.0]),
+    (mobius_atlas(), [0.25, 0.5]),
+    (union_atlas({"a": [[-1, 0.5]], "b": [[-0.5, 1]]}), [0.75]),
+    (tangent_atlas(interval_atlas(-1, 1)).atlas, [0.5, 0.25]),
+])
+def test_normalize_shares_no_memory_with_its_input(atlas, coords):
+    """The coords of Atlas.normalize are a copy, also where the gluing is the
+    identity and normalize_rows hands back its input."""
+    c = np.array(coords)
+    p = atlas.normalize(atlas.charts[0].chart_id, c)
+    assert not np.shares_memory(p.coords, c)
+    assert np.array_equal(p.coords, coords)
 
 
 def test_circle_wraps_modulo_period():
@@ -219,7 +235,7 @@ def _canonical(atlas):
 
     def point(chart):
         coords = st.tuples(*(axis(lo, hi, w) for (lo, hi), w in zip(chart.box, chart.wrap)))
-        return coords.map(lambda c: atlas.normalize_raw(chart.chart_id, np.array(c)))
+        return coords.map(lambda c: canonical(atlas, chart.chart_id, np.array(c)))
 
     return st.sampled_from(atlas.charts).flatmap(point).filter(
         lambda out: out is not None).map(lambda out: Point(out[0], np.asarray(out[1], float)))

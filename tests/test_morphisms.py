@@ -355,3 +355,15 @@ def test_check_liftable_rejects_dependent_slices():
     with pytest.raises(IndependenceViolated):
         check_liftable(control_system_from_tcs(lifted),
                        control_system_from_tcs(down), proj)
+
+
+def test_check_liftable_rejects_slices_that_are_not_finite():
+    """A downstairs slice that is nan at a sampled point spans nothing, so the
+    independence test raises IndependenceViolated, not numpy's LinAlgError."""
+    _, line, proj, _ = _projection_setup()
+    Y = VectorField(line, lambda cid, c: np.where(c < -1.5, np.nan, 1.0), name="Y")
+    down = GeneratedSystem(line, (Y,))
+    m, lifted = lift_system(down, proj)
+    with pytest.raises(IndependenceViolated):
+        check_liftable(control_system_from_tcs(lifted),
+                       control_system_from_tcs(down), proj)

@@ -33,7 +33,7 @@ def test_grid_cell_of_and_center():
     g = Grid(atlas, 10)
     p = atlas.normalize("c0", [-0.95, 0.95])
     assert g.cell_of(p) == ("c0", 0, 9)
-    center = g.center_coords(("c0", 0, 9))
+    center = g.center_point(("c0", 0, 9)).coords
     np.testing.assert_allclose(center, [-0.9, 0.9])
 
 

@@ -286,6 +286,52 @@ def test_malformed_sections_are_parse_errors(name, section, key, bad, where):
     assert err.value.where == where
 
 
+# (built-in, section, entry, key, values): one entry for each key and value
+# kind of the built-ins that once escaped as TypeError, AttributeError,
+# ValueError or IndexError from a mutation of one key of one entry
+ENTRY_MUTATIONS = [
+    ("circle", "atlases", "band", "box", [3, None, "zz"]),
+    ("projection", "atlases", "plane", "box", BAD_VALUES),
+    ("circle", "atlases", "band", "coords", [3]),
+    ("connection-1d", "atlases", "qline", "coords", [[1, 2]]),
+    ("double-integrator", "atlases", "qline", "coords", [[1, 2]]),
+    ("improper", "atlases", "holey", "charts", BAD_VALUES),
+    ("mobius", "atlases", "s1", "period", [[1, 2]]),
+    ("bundle", "fields", "vert", "exprs", [[1, 2]]),
+    ("bundle", "systems", "rotsys", "generators", [3, None]),
+    ("bundle", "morphisms", "blift", "kernel", [3, "zz", [1, 2]]),
+    ("bundle", "experiments", 0, "kind", [[1, 2]]),
+    ("double-integrator", "second_order", "di", "g", [3, None]),
+    ("double-integrator", "second_order", "di", "v_bound", [None, "zz", [1, 2]]),
+    ("double-integrator", "second_order", "di", "control_samples", [3, "zz", [1, 2]]),
+    ("double-integrator", "so_lifts", "dil", "control_amplitude", [None, "zz", [1, 2]]),
+    ("double-integrator", "so_lifts", "dil", "kernel", [3, "zz", [1, 2]]),
+    ("connection-1d", "connections", "conn", "controls", [3, None]),
+    ("connection-1d", "connections", "conn", "v_bound", [None, "zz", [1, 2]]),
+]
+
+
+@pytest.mark.parametrize("name, section, entry, key, bad", [
+    pytest.param(*case[:4], bad, id=f"{case[0]}-{case[1]}-{case[2]}-{case[3]}-{bad!r}")
+    for case in ENTRY_MUTATIONS for bad in case[4]])
+def test_malformed_entry_values_are_parse_errors(name, section, entry, key, bad):
+    """A value of the wrong kind inside an entry raises ParseError naming the
+    entry: its key, or for an experiment its name."""
+    data = json.loads(builtin_scenario_path(name).read_text())
+    where = data[section][entry].get("name", entry) if section == "experiments" else entry
+    data[section][entry][key] = bad
+    with pytest.raises(ParseError) as err:
+        parse_scenario(data)
+    assert err.value.where == where
+
+
+@pytest.mark.parametrize("charts", [{}, {"a": [[0, 1]], "b": [[0, 1], [0, 1]]}])
+def test_union_charts_must_be_boxes_of_one_dimension(charts):
+    with pytest.raises(ParseError) as err:
+        parse_scenario({"atlases": {"u": {"kind": "union", "charts": charts}}})
+    assert err.value.where == "u"
+
+
 def test_unnamed_experiment_errors_use_the_default_name():
     with pytest.raises(ParseError, match=r"^experiment-1: missing 'grid'$"):
         parse_scenario({**KINDS, "experiments": [
