@@ -63,6 +63,26 @@ def _float_arithmetic(node: ast.AST) -> ast.AST:
     return node
 
 
+def _parse(text: str) -> ast.Expression:
+    try:
+        return ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ParseError(f"cannot parse {text!r}: {exc.msg}") from exc
+
+
+def substitute(text: str, values: dict) -> str:
+    """text with every variable named in values replaced by the expression
+    values[name], and pi and e by their values, on the syntax tree."""
+    trees = {name: _parse(v).body for name, v in values.items()}
+    trees.update((c, ast.Constant(v)) for c, v in _CONSTS.items() if c not in trees)
+
+    class Substitute(ast.NodeTransformer):
+        def visit_Name(self, node):
+            return trees.get(node.id, node)
+
+    return ast.unparse(Substitute().visit(_parse(text)))
+
+
 def _compile(texts: list, variables: list):
     """One function fill(out, *coordinates) that sets out[..., j] to
     expression j of texts; with no variables, any coordinates are accepted
@@ -72,10 +92,7 @@ def _compile(texts: list, variables: list):
         out = "_" + out
     lines = []
     for j, text in enumerate(texts):
-        try:
-            tree = ast.parse(text, mode="eval")
-        except SyntaxError as exc:
-            raise ParseError(f"cannot parse {text!r}: {exc.msg}") from exc
+        tree = _parse(text)
         _validate(tree, set(variables), text)
         lines.append(ast.parse(f"{out}[..., {j}] = 0").body[0])
         lines[-1].value = _float_arithmetic(tree.body)

@@ -118,7 +118,8 @@ class Atlas:
             )
         charts, X = self.normalize_rows(chart_id, coords[None])
         if charts[0] < 0:
-            raise OutOfAtlas(f"({chart_id}, {coords}) has no chart in atlas {self.name!r}")
+            # a list of floats: numpy's array printing costs several normalizations
+            raise OutOfAtlas(f"({chart_id}, {coords.tolist()}) has no chart in atlas {self.name!r}")
         return Point(self.charts[charts[0]].chart_id, X[0].copy())
 
     def transition_jacobian(self, chart_id: str, coords) -> np.ndarray:
@@ -488,24 +489,6 @@ class VectorField:
             sel = rows.charts == c
             out[sel] = self.values(charts[c].chart_id, rows.coords[sel])
         return out
-
-
-@dataclass(frozen=True, eq=False)
-class Member:
-    """The func of one field of a family whose fields evaluate together.
-
-    family(chart_id, coords, members, rows) is members[j] at the index array
-    rows[j] of rows coords (N, d), each row equal, bit for bit, to that
-    field alone at that row; without rows it is members[0] at a point or at
-    every row. This func is family(..., (member,)); step_rows steps the
-    rows of one chart under members of one family as one array.
-    """
-
-    family: Callable
-    member: object
-
-    def __call__(self, chart_id: str, coords):
-        return self.family(chart_id, coords, (self.member,))
 
 
 def combine_fields(fields: Sequence[VectorField], coeffs, name="") -> VectorField:

@@ -21,7 +21,6 @@ from .errors import (
 )
 from .geometry import (
     Atlas,
-    Member,
     Point,
     Points,
     SmoothMap,
@@ -63,12 +62,6 @@ class KernelFrame:
     global_ok: bool
 
 
-def _metric_of(phi: SmoothMap):
-    """The source atlas's metric at coords or rows; None stands for the
-    chart-wise Euclidean metric (fast path)."""
-    return None if phi.source.metric_fn is None else phi.source.metric_at
-
-
 def _right_inverse(J: np.ndarray, metric, cid, coords):
     """A = G^-1 J^T and the Gram matrix W = J A, stacked over rows.
 
@@ -85,12 +78,9 @@ def _right_inverse(J: np.ndarray, metric, cid, coords):
     else:
         A = np.linalg.solve(np.asarray(metric(cid, coords), dtype=float), Jt)
     W = J @ A
-    # W is positive definite exactly when dPhi has full rank here; two reductions
-    # pass a 1x1 stack, whose Cholesky factor is sqrt(W) as LAPACK computes it
-    if W.shape[-1] == 1 and W.size:
-        lo, hi = W.min(), W.max()
-        if lo > 0 and math.sqrt(lo) > 1e-6 and hi < math.inf:
-            return A, W
+    # W is positive definite exactly when dPhi has full rank here
+    if W.shape[-1] == 1 and grams_pass(W):
+        return A, W
     bad = np.isnan(W).any(axis=(-2, -1))
     if not bad.any():
         try:
@@ -103,6 +93,13 @@ def _right_inverse(J: np.ndarray, metric, cid, coords):
         at = np.reshape(coords, (-1, np.shape(coords)[-1]))[np.argmax(bad)]
         raise SingularGram(f"J G^-1 J^T is numerically singular at ({cid}, {at})")
     return A, W
+
+
+def grams_pass(W: np.ndarray) -> bool:
+    """Whether every value of a 1x1 Gram stack W (none of an empty one) passes
+    the singularity test by two reductions: its Cholesky factor is sqrt(W)."""
+    lo, hi = (W.min(), W.max()) if W.size else (0.0, 0.0)
+    return bool(lo > 0 and math.sqrt(lo) > 1e-6 and hi < math.inf)
 
 
 def _right_inverse_apply(J: np.ndarray, metric, cid, coords, y):
@@ -130,22 +127,15 @@ def metric_lift_morphism(phi: SmoothMap, samples: int = 50, seed: int = 0) -> Mo
     """Morphism whose lift is the right inverse of dPhi orthogonal in the
     metric of phi's source atlas."""
     check_submersion(phi, samples=samples, seed=seed)
-    metric = _metric_of(phi)
-
-    def lifts(cid, coords, fields, rows=None):
-        """The lifts of fields, rows[j] lifting fields[j]: one raw map,
-        Jacobian, Gram and solve whatever field each row lifts."""
-        tcid, tcoords = phi.raw(cid, coords)
-        if rows is None:
-            y = fields[0].values(tcid, tcoords)
-        else:
-            y = np.empty(np.shape(tcoords))
-            for Y, sel in zip(fields, rows):
-                y[sel] = Y.values(tcid, tcoords[sel])
-        return _right_inverse_apply(phi.raw_jac_at(cid, coords), metric, cid, coords, y)
+    metric = None if phi.source.metric_fn is None else phi.source.metric_at
 
     def lift_rule(Y: VectorField) -> VectorField:
-        return VectorField(phi.source, Member(lifts, Y), name=f"lift({Y.name})")
+        def lift(cid, coords):
+            tcid, tcoords = phi.raw(cid, coords)
+            return _right_inverse_apply(phi.raw_jac_at(cid, coords), metric, cid, coords,
+                                        Y.values(tcid, tcoords))
+
+        return VectorField(phi.source, lift, name=f"lift({Y.name})")
 
     return Morphism(phi=phi, lift_rule=lift_rule, kind="metric-right-inverse")
 
@@ -155,8 +145,8 @@ def lift_system(target_sys: GeneratedSystem, phi: SmoothMap,
     """Lift every generator through the metric-orthogonal right inverse.
 
     morphism, a metric_lift_morphism of phi, is reused when given, so that
-    lifts through one map share one family. Returns (morphism, lifted
-    system on the source manifold).
+    lifts through one map run one check_submersion. Returns (morphism,
+    lifted system on the source manifold).
     """
     m = morphism or metric_lift_morphism(phi, samples=samples, seed=seed)
     gens = tuple(m.lift(Y) for Y in target_sys.generators)
@@ -341,7 +331,7 @@ def kernel_frame(m: Morphism, mode: str = "chartwise",
     expected rank.
     """
     phi = m.phi
-    metric = _metric_of(phi)
+    metric = None if phi.source.metric_fn is None else phi.source.metric_at
     pts = phi.source.sample(np.random.default_rng(seed), samples)
     rows = phi.source.stack(pts)
     rank = phi.source.dim - int(differential_rank(phi, rows)[0])

@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .geometry import Atlas, Point, Points, distinct
-from .systems import GeneratedSystem, family_heads, plan_rows, step_rows, step_schedule
+from .systems import GeneratedSystem, plan_rows, step_rows, step_schedule
 
 CellKey = tuple  # (chart_id, idx_0, ..., idx_{d-1})
 
@@ -212,10 +212,10 @@ def _integrate(memo: _GridMemo, flows: list, flow_of: np.ndarray, start: Points,
     hits = np.full((len(X), len(steps)), -1, dtype=np.int64)
     points = {}
     live = np.arange(len(X))
-    head, plan = family_heads(funcs), None
+    plan = None
     for s, step in enumerate(steps):
         if plan is None:
-            plan = plan_rows(atlas, funcs, head, flow_of, charts, live)
+            plan = plan_rows(atlas, funcs, flow_of, charts, live)
         if step_rows(atlas, plan, charts, X, step):
             live, plan = live[charts[live] >= 0], None
         if not len(live):

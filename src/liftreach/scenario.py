@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, UnresolvedReference
-from .expressions import compile_vector
+from .expressions import compile_vector, substitute
 from .geometry import (
     Atlas,
     SmoothMap,
@@ -25,7 +25,9 @@ from .geometry import (
     union_atlas,
 )
 from .morphisms import (
+    Morphism,
     augment_with_kernel,
+    grams_pass,
     kernel_frame,
     lift_system,
     metric_lift_morphism,
@@ -113,16 +115,19 @@ def _listed(value, key: str, where: str, of=object) -> list:
     return value
 
 
-def _kernel(spec: dict, where: str, fields: dict):
-    """The kernel object of spec and its generator fields (None for none);
-    (None, None) without one."""
+def _kernel(spec: dict, where: str, fields: dict, mode: str):
+    """The kernel frame mode of spec, mode by default, and its generator
+    fields (None for none); (None, None) without a kernel."""
     kspec = spec.get("kernel")
     if not kspec:
         return None, None
     if not isinstance(kspec, dict):
         raise ParseError("'kernel' must be an object", where=where)
+    mode = kspec.get("mode", mode)
+    if mode not in ("chartwise", "global"):
+        raise ParseError(f"unknown kernel frame mode {mode!r}", where=where)
     gens = _listed(kspec.get("generators") or [], "generators", where)
-    return kspec, [_ref(fields, g, where) for g in gens] or None
+    return mode, [_ref(fields, g, where) for g in gens] or None
 
 
 def _build_atlas(name: str, spec: dict) -> Atlas:
@@ -201,6 +206,36 @@ def _build_field(name: str, spec: dict, atlases: dict) -> VectorField:
     return VectorField(atlas, lambda cid, coords: value(coords), name=name)
 
 
+def _closed_form(m: Morphism, spec: dict, fields: dict, field_specs: dict) -> Morphism:
+    """m, lifting a scenario field as one generated fill where spec's map has a
+    jacobian block, a 1-D target and a source without a metric: column j is
+    J_j (Y o Phi / W) + 0.0, and a last column W = 0.0 + J_0 J_0 + ..., as
+    matmul sums it, so the fill is the generic lift bit for bit. A stack that
+    fails the Gram test, and any other field, takes m's generic lift."""
+    phi = m.phi
+    if "jacobian" not in spec or phi.target.dim != 1 or phi.source.metric_fn is not None:
+        return m
+    J = [f"({e})" for e in spec["jacobian"][0]]
+    W = " + ".join(["0.0"] + [f"{j} * {j}" for j in J])
+
+    def lift_rule(Y: VectorField) -> VectorField:
+        generic = m.lift_rule(Y)
+        if fields.get(Y.name) is not Y or Y.atlas.dim != 1:
+            return generic
+        y = substitute(field_specs[Y.name]["exprs"][0], {Y.atlas.coord_names[0]: spec["exprs"][0]})
+        fill = compile_vector([f"{j} * (({y}) / ({W})) + 0.0" for j in J] + [W],
+                              phi.source.coord_names)
+
+        def lift(cid, coords):
+            with np.errstate(divide="ignore", invalid="ignore"):  # W = 0 fails below
+                out = fill(coords)
+            return out[..., :-1] if grams_pass(out[..., -1]) else generic.func(cid, coords)
+
+        return replace(generic, func=lift)
+
+    return replace(m, lift_rule=lift_rule)
+
+
 def parse_scenario(source) -> Scenario:
     """Parse a scenario file (path or dict) into fully resolved objects."""
     if isinstance(source, (str, Path)):
@@ -213,8 +248,9 @@ def parse_scenario(source) -> Scenario:
     name = data.get("name", "scenario")
 
     atlases = {k: _build_atlas(k, v) for k, v in _section(data, "atlases").items()}
-    maps = {k: _build_map(k, v, atlases) for k, v in _section(data, "maps").items()}
-    fields = {k: _build_field(k, v, atlases) for k, v in _section(data, "fields").items()}
+    map_specs, field_specs = _section(data, "maps"), _section(data, "fields")
+    maps = {k: _build_map(k, v, atlases) for k, v in map_specs.items()}
+    fields = {k: _build_field(k, v, atlases) for k, v in field_specs.items()}
 
     systems = {}
     for k, v in _section(data, "systems").items():
@@ -225,17 +261,19 @@ def parse_scenario(source) -> Scenario:
 
     morphisms = {}
     kernels = {}
-    lifts = {}  # map name -> its one metric-lift morphism: lifts through it share a family
+    lifts = {}  # map name -> its one metric-lift morphism
     for k, v in _section(data, "morphisms").items():
         phi = _ref(maps, _need(v, "map", k), k)
         target = _ref(systems, _need(v, "target_system", k), k)
-        m, lifted = lift_system(target, phi, morphism=lifts.get(v["map"]))
-        morphisms[k] = lifts[v["map"]] = m
+        if v["map"] not in lifts:
+            lifts[v["map"]] = _closed_form(metric_lift_morphism(phi), map_specs[v["map"]],
+                                           fields, field_specs)
+        m, lifted = lift_system(target, phi, morphism=lifts[v["map"]])
+        morphisms[k] = m
         systems[f"{k}.system"] = lifted
-        kspec, gens = _kernel(v, k, fields)
-        if kspec:
-            frame = kernel_frame(m, mode=kspec.get("mode", "chartwise"), generators=gens)
-            kernels[k] = frame
+        mode, gens = _kernel(v, k, fields, "chartwise")
+        if mode:
+            kernels[k] = frame = kernel_frame(m, mode=mode, generators=gens)
             systems[f"{k}.augmented"] = augment_with_kernel(lifted, frame)
 
     second_order = {}
@@ -275,11 +313,10 @@ def parse_scenario(source) -> Scenario:
         lifted, m = second_order_lift(so, phi)
         second_order[f"{k}.system"] = lifted
         morphisms[k] = m
-        kspec, gens = _kernel(v, k, fields)
-        if kspec:
+        mode, gens = _kernel(v, k, fields, "global")
+        if mode:
             base_m = lifts.get(v["map"]) or metric_lift_morphism(phi)
-            frame = kernel_frame(base_m, mode=kspec.get("mode", "global"), generators=gens)
-            kernels[k] = frame
+            kernels[k] = frame = kernel_frame(base_m, mode=mode, generators=gens)
             amplitude = _numbers(v.get("control_amplitude", 1.0), (), "control_amplitude", k)
             systems[f"{k}.augmented"] = augment_second_order(lifted, frame,
                                                              control_amplitude=amplitude)
@@ -299,7 +336,10 @@ def parse_scenario(source) -> Scenario:
         cs = ConnectionSystem(atlas, christoffel, controls, label=k,
                               v_bound=_numbers(v.get("v_bound", 2.0), (), "v_bound", k))
         connections[k] = cs
-        spray = geodesic_spray(cs)
+        try:
+            spray = geodesic_spray(cs)
+        except ValueError as exc:  # christoffel symbols that are not symmetric
+            raise ParseError(str(exc), where=k) from exc
         second_order[f"{k}.spray"] = spray
         systems[f"{k}.spray.drift"] = GeneratedSystem(
             spray.tangent_atlas.atlas, (spray.drift,), label=f"{k}.spray.drift")

@@ -20,7 +20,6 @@ from .errors import (
 )
 from .geometry import (
     Atlas,
-    Member,
     Point,
     Points,
     VectorField,
@@ -192,48 +191,38 @@ def integrate(sys: GeneratedSystem, start: Point, sched: Schedule, h: float) -> 
     return Trajectory(tuple(samples), sched, h)
 
 
-def family_heads(funcs: Sequence) -> np.ndarray:
-    """Per func, the first func of its family (geometry.Member), or itself."""
-    first = {}
-    return np.array([first.setdefault(f.family, i) if isinstance(f, Member) else i
-                     for i, f in enumerate(funcs)], dtype=int)
-
-
 class RowPlan(NamedTuple):
     """How step_rows steps the live rows while each keeps its field and chart:
-    (rows, chart id, func) per group of one chart and one field or family,
-    and (rows, chart index, chart id) per chart. rows is slice(None) for all
-    rows, or an int for a lone row, which steps as a point: as a one-row
-    array, the improper scenario's escape checks take about 1.3 times as long.
+    (rows, chart id, func) per group of one chart and one field (one object),
+    and (rows, chart index, chart id) per chart; rows is slice(None) for all
+    rows. A lone row r is rows r of its group, so it steps as a point, and
+    rows slice(r, r + 1) of its chart: stepped as a one-row array, it makes
+    certify rounds about 1.2 times as long.
     """
 
     groups: list
     charts: list
-    lone: bool
 
 
-def plan_rows(atlas: Atlas, funcs: Sequence, head: np.ndarray, field_of: np.ndarray,
-              charts: np.ndarray, live: np.ndarray) -> RowPlan:
+def plan_rows(atlas: Atlas, funcs: Sequence, field_of: np.ndarray, charts: np.ndarray,
+              live: np.ndarray) -> RowPlan:
     """The plan of the live rows (ascending), row r under the array-native
-    funcs[field_of[r]] from chart charts[r]; head is family_heads(funcs)."""
+    funcs[field_of[r]] from chart charts[r]."""
     if len(live) == 1:
         r, c = int(live[0]), int(charts[live[0]])
         cid = atlas.charts[c].chart_id
-        return RowPlan([(r, cid, funcs[field_of[r]])], [(r, c, cid)], True)
+        return RowPlan([(r, cid, funcs[field_of[r]])], [(slice(r, r + 1), c, cid)])
     every = slice(None) if len(live) == len(charts) else live
 
     def split(key):
         keys = distinct(key)
         return [(every if len(keys) == 1 else live[key == k], k) for k in keys]
 
-    n_charts, groups = len(atlas.charts), []
-    for rows, k in split(head[field_of[live]] * n_charts + charts[live]):
-        func = funcs[k // n_charts]
-        if isinstance(func, Member):
-            func = _together(funcs, field_of[rows])
-        groups.append((rows, atlas.charts[k % n_charts].chart_id, func))
+    n_charts = len(atlas.charts)
+    groups = [(rows, atlas.charts[k % n_charts].chart_id, funcs[k // n_charts])
+              for rows, k in split(field_of[live] * n_charts + charts[live])]
     return RowPlan(groups, [(rows, c, atlas.charts[c].chart_id)
-                            for rows, c in split(charts[live])], False)
+                            for rows, c in split(charts[live])])
 
 
 def step_rows(atlas: Atlas, plan: RowPlan, charts: np.ndarray, X: np.ndarray, step) -> bool:
@@ -242,12 +231,6 @@ def step_rows(atlas: Atlas, plan: RowPlan, charts: np.ndarray, X: np.ndarray, st
     left. step is a float, or a column (N, 1) giving each row its own step.
     Returns whether some row left or changed chart, which ends the plan."""
     column = isinstance(step, np.ndarray)
-    if plan.lone:
-        (r, cid, func), (_, c, _) = plan.groups[0], plan.charts[0]
-        x = rk4_step(func, cid, X[r], float(step[r, 0]) if column else step)
-        to, Y = atlas.normalize_rows(cid, x[None])
-        charts[r], X[r] = to[0], Y[0]
-        return to[0] != c
     for rows, cid, func in plan.groups:
         X[rows] = rk4_step(func, cid, X[rows], step[rows] if column else step)
     moved = False
@@ -255,17 +238,6 @@ def step_rows(atlas: Atlas, plan: RowPlan, charts: np.ndarray, X: np.ndarray, st
         charts[rows], X[rows] = atlas.normalize_rows(cid, X[rows])
         moved = moved or bool((charts[rows] != c).any())
     return moved
-
-
-def _together(funcs: Sequence, field_of: np.ndarray):
-    """One func for rows under funcs[field_of[r]], all members of one family."""
-    fields = distinct(field_of)
-    if len(fields) == 1:
-        return funcs[fields[0]]
-    members = tuple(funcs[i].member for i in fields)
-    rows = tuple(np.flatnonzero(field_of == i) for i in fields)
-    family = funcs[fields[0]].family
-    return lambda cid, coords: family(cid, coords, members, rows)
 
 
 class RowFlow(NamedTuple):
@@ -352,10 +324,7 @@ def _integrate(requests: Sequence[RowRequest], stats=None) -> list:
                 key = _selector_key(seg.selector)
                 if key not in resolved:
                     field = req.system.resolve(seg.selector)
-                    # one func for one field, or for members of a family lifting one field
-                    f = field.func
-                    same = (id(f.family), id(f.member)) if isinstance(f, Member) else id(field)
-                    resolved[key] = index.setdefault(same, len(fields))
+                    resolved[key] = index.setdefault(id(field), len(fields))
                     if resolved[key] == len(fields):
                         fields.append(field)
                 segs.append((resolved[key], seg.duration, t))
@@ -400,7 +369,7 @@ def _integrate(requests: Sequence[RowRequest], stats=None) -> list:
     # steps at which a row still scheduled changes field
     turns = set((np.flatnonzero(((F[:, 1:] != F[:, :-1]) & scheduled[:, 1:]).any(axis=0))
                  + 1).tolist())
-    head, plan = family_heads(funcs), None
+    plan = None
     for s in range(S):
         if s in done:
             live, plan = live[n[live] > s], None
@@ -408,7 +377,7 @@ def _integrate(requests: Sequence[RowRequest], stats=None) -> list:
                 break
             at, into = recorded(live)
         if plan is None or s in turns:
-            plan = plan_rows(atlas, funcs, head, F[:, s], charts, live)
+            plan = plan_rows(atlas, funcs, F[:, s], charts, live)
         if step_rows(atlas, plan, charts, X, steps[s]):
             plan, left = None, live[charts[live] < 0]
             escapes[left], counts[left] = T[left, s + 1], s + 1

@@ -10,7 +10,6 @@ import pytest
 
 from liftreach.geometry import VectorField, interval_atlas
 from liftreach.morphisms import (
-    _metric_of,
     kernel_projector,
     verify_trajectory_preserving,
 )
@@ -199,7 +198,7 @@ def test_criterion_8_numerical_hygiene(scenarios):
     proj_worst = 0.0
     for s in scenarios.values():
         for m in s.morphisms.values():
-            metric = _metric_of(m.phi)
+            metric = None if m.phi.source.metric_fn is None else m.phi.source.metric_at
             for p in m.phi.source.sample(rng, 20):
                 P = kernel_projector(m.phi, metric, p.chart_id, p.coords)
                 proj_worst = max(proj_worst, float(np.max(np.abs(P @ P - P))))

@@ -4,7 +4,11 @@ kind's normalization and transition Jacobian, the grid's cell lookup, the
 row integrator and the certificates built on it."""
 
 import itertools
+import json
 from collections import Counter
+from functools import lru_cache
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +41,7 @@ from liftreach.geometry import (
     torus_atlas,
     union_atlas,
 )
+from liftreach import morphisms
 from liftreach.morphisms import (
     KernelFrame,
     Morphism,
@@ -44,6 +49,7 @@ from liftreach.morphisms import (
     _right_inverse_apply,
     check_liftable,
     check_submersion,
+    grams_pass,
     kernel_frame,
     kernel_projector,
     lift_system,
@@ -52,7 +58,7 @@ from liftreach.morphisms import (
     verify_trajectory_preserving,
 )
 from liftreach.reach import Grid
-from liftreach.scenario import parse_scenario
+from liftreach.scenario import builtin_scenario_names, builtin_scenario_path, parse_scenario
 from liftreach.second_order import (
     SecondOrderSystem,
     augment_second_order,
@@ -66,11 +72,9 @@ from liftreach.systems import (
     control_system_from_tcs,
     RowRequest,
     Schedule,
-    family_heads,
     flow_field,
     integrate,
     integrate_requests,
-    plan_rows,
 )
 
 from constructions import canonical
@@ -343,6 +347,66 @@ def test_one_by_one_gram_keeps_singular_gram_rows(case, row):
     assert outcomes[0][0] == f"J G^-1 J^T is numerically singular at (c0, {coords[row]})"
 
 
+# -- closed-form scenario lifts ------------------------------------------------------
+
+
+SCENARIO_PATHS = {**{n: builtin_scenario_path(n) for n in builtin_scenario_names()},
+                  "rank-drop": Path(__file__).parent / "data" / "rank_drop.json"}
+
+
+def _closed_form_cases():
+    """(scenario, morphism, generator) of every lift whose map has a jacobian
+    block and a 1-D target and whose source has no metric: every such lift
+    of the built-ins, and rank_drop.json's, one of them through x**3."""
+    for name, path in SCENARIO_PATHS.items():
+        data = json.loads(path.read_text())
+        for k, v in data.get("morphisms", {}).items():
+            spec = data["maps"][v["map"]]
+            if ("jacobian" in spec and len(spec["exprs"]) == 1
+                    and "metric" not in data["atlases"][spec["source"]]):
+                for j in range(len(data["systems"][v["target_system"]]["generators"])):
+                    yield name, k, j
+
+
+@lru_cache(maxsize=None)
+def _parsed(name):
+    return parse_scenario(SCENARIO_PATHS[name])
+
+
+@pytest.mark.parametrize("name, morphism, gen", list(_closed_form_cases()))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_closed_form_lift_equals_generic_lift(name, morphism, gen, data):
+    """A scenario lift through a map with a jacobian block, a 1-D target and
+    a source without a metric is one generated fill, bit for bit the generic
+    lift of metric_lift_morphism, on rows and at each row alone, signed zeros
+    and rows where dPhi drops rank included. The generic lift runs exactly
+    for the stacks that fail the Gram test, and names their SingularGram."""
+    s = _parsed(name)
+    m = s.morphisms[morphism]
+    Y = s.system(s.raw["morphisms"][morphism]["target_system"]).generators[gen]
+    closed, generic = m.lift(Y), metric_lift_morphism(m.phi).lift(Y)
+    cid = data.draw(st.sampled_from(m.phi.source.charts)).chart_id
+    entry = st.one_of(st.floats(-8, 8), st.sampled_from([0.0, -0.0]))
+    X = data.draw(st.integers(1, 6).flatmap(
+        lambda n: arrays(np.float64, (n, m.phi.source.dim), elements=entry)))
+
+    def outcome(field, coords):
+        try:
+            return field.values(cid, coords)
+        except SingularGram as exc:
+            return str(exc)
+
+    J = m.phi.raw_jac_at(cid, X)
+    with mock.patch.object(morphisms, "_right_inverse_apply",
+                           wraps=morphisms._right_inverse_apply) as generic_calls:
+        got = outcome(closed, X)
+    assert generic_calls.called != grams_pass(J @ np.swapaxes(J, -1, -2))
+    assert _bits(got) == _bits(outcome(generic, X))
+    for x in X:
+        assert _bits(outcome(closed, x)) == _bits(outcome(generic, x))
+
+
 def test_pointwise_user_fields_raise_on_rows(scenario):
     """A func that reads one point as c[0] is wrong on rows, where c[0] is the
     first row: it raises DimensionMismatch naming the field or the map
@@ -572,20 +636,14 @@ def test_sample_drops_candidates_outside_the_atlas():
     assert [p.coords.tobytes() for p in got] == [p.coords.tobytes() for p in pts]
 
 
-def test_lifts_through_one_map_share_one_family(scenarios):
+def test_lifts_through_one_map_share_one_morphism(scenarios):
     """A scenario builds one metric-lift morphism per map: projection's
-    liftsym, liftsym_user and afflift all lift through projx, so their lifts
-    are members of one family, and rows of one chart under any of them step
-    as one group. One downstairs field lifted twice is one func."""
+    liftsym, liftsym_user and afflift all lift through projx. Requests of
+    two of their lifted systems pooled into one integration each get the
+    RowFlow of that request alone."""
     s = scenarios["projection"]
     assert s.morphisms["liftsym"] is s.morphisms["liftsym_user"] is s.morphisms["afflift"]
     sym, user = s.system("liftsym.system"), s.system("liftsym_user.system")
-    lifts = sym.generators + user.generators + s.system("afflift.system").generators
-    assert len({X.func.family for X in lifts}) == 1
-    funcs = [X.func for X in sym.generators + user.generators]
-    rows = np.arange(len(funcs))
-    plan = plan_rows(sym.atlas, funcs, family_heads(funcs), rows, np.zeros_like(rows), rows)
-    assert len(plan.groups) == 1 and len(plan.charts) == 1
 
     starts = sym.atlas.stack(sym.atlas.sample(np.random.default_rng(0), 2))
     scheds = [Schedule.of((0, 0.1), (1, 0.1)), Schedule.of((1, 0.2))]
@@ -756,8 +814,8 @@ def test_rows_equal_integrate_alone(name, data):
     scheds = [data.draw(_schedules(sys)) for _ in range(n)]
     h = data.draw(st.sampled_from([0.03, 0.05, 0.07]))
     if name.startswith("lift"):
-        # two more rows from one point under two generators of the lift step
-        # together, in one chart, whatever the other rows do
+        # two more rows from one point under the two generators of the lift,
+        # in one chart, whatever the other rows do
         starts += [data.draw(_starts(sys))] * 2
         scheds += [Schedule.of((g, data.draw(st.floats(h, 0.35)))).then(
             data.draw(_schedules(sys))) for g in (0, 1)]
@@ -825,7 +883,7 @@ def test_kept_plans_end_where_rows_change(scenario):
                                                  [-0.5, 0.0])]
     _assert_rows_alone(plane, starts, scheds, 0.01)
 
-    # rows under two lifts of one family swap members at a boundary
+    # rows under two lifts of one morphism swap fields at a boundary
     for name in ("holed.augmented", "wbent2.augmented"):
         sys = scenario.systems[name]
         starts = [sys.atlas.normalize(sys.atlas.charts[0].chart_id, c)
@@ -834,14 +892,12 @@ def test_kept_plans_end_where_rows_change(scenario):
         _assert_rows_alone(sys, starts, scheds, 0.01)
 
 
-def test_lift_rows_share_one_right_inverse_per_stage(scenario):
-    """Rows of one chart under two generators of one lift step as one array:
-    one raw map per RK4 stage, not one per generator, and each row as alone."""
+def test_lift_rows_equal_each_row_alone(scenario):
+    """Rows of one chart under two generators of one lift through a map
+    given as Python callables each step as that row alone."""
     plane, line = scenario.atlases["plane"], scenario.atlases["line"]
-    calls = []
 
     def raw(cid, c):
-        calls.append(np.shape(c))
         return "c0", c[..., :1] + 0.3 * np.sin(c[..., 1:])
 
     def jac(cid, c):
@@ -851,9 +907,7 @@ def test_lift_rows_share_one_right_inverse_per_stage(scenario):
     up = lift_system(scenario.system("down2"), phi)[1]
     starts = [Point("c0", np.array([0.1, 0.2])), Point("c0", np.array([-0.4, 0.7]))]
     scheds = [Schedule.of((0, 0.1)), Schedule.of((1, 0.1))]
-    calls.clear()
     flow = integrate_requests([RowRequest(up, plane.stack(starts), scheds, 0.05)])[0]
-    assert calls == [(2, 2)] * 8
     for r, (start, sched) in enumerate(zip(starts, scheds)):
         samples, _ = _alone(up, start, sched, 0.05)
         assert np.array_equal(flow.samples.coords[r], [p.coords for _, p in samples])

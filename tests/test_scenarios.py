@@ -4,14 +4,19 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import liftreach
 
 from liftreach.cli import main
+from liftreach import scenario as scenario_module
+from liftreach import systems
 from liftreach.errors import DimensionMismatch, ParseError, SingularGram, UnresolvedReference
+from liftreach.morphisms import Morphism
 from liftreach.runner import run
 from liftreach.scenario import (
     builtin_scenario_names,
@@ -325,6 +330,29 @@ def test_malformed_entry_values_are_parse_errors(name, section, entry, key, bad)
     assert err.value.where == where
 
 
+def _nested_mutations():
+    """A kernel frame mode of the wrong kind or value, and Christoffel symbols
+    of a 2-D connection that are not symmetric, with the entry a ParseError
+    must name."""
+    for name, path in [("mobius", ("morphisms", "mlift")),
+                       ("double-integrator", ("so_lifts", "dil"))]:
+        for bad in BAD_VALUES:
+            data = json.loads(builtin_scenario_path(name).read_text())
+            data[path[0]][path[1]]["kernel"]["mode"] = bad
+            yield pytest.param(data, path[1], id=f"{name}-{path[1]}-kernel-mode-{bad!r}")
+    data = {"atlases": {"plane": {"kind": "box", "box": [[-1, 1], [-1, 1]]}},
+            "connections": {"conn": {"atlas": "plane", "christoffel": [
+                [["0", "x"], ["0", "0"]], [["0", "0"], ["0", "0"]]]}}}
+    yield pytest.param(data, "conn", id="box-conn-christoffel-not-symmetric")
+
+
+@pytest.mark.parametrize("data, where", list(_nested_mutations()))
+def test_malformed_nested_values_are_parse_errors(data, where):
+    with pytest.raises(ParseError) as err:
+        parse_scenario(data)
+    assert err.value.where == where
+
+
 @pytest.mark.parametrize("charts", [{}, {"a": [[0, 1]], "b": [[0, 1], [0, 1]]}])
 def test_union_charts_must_be_boxes_of_one_dimension(charts):
     with pytest.raises(ParseError) as err:
@@ -480,6 +508,44 @@ def test_singular_gram_in_a_pooled_integration(capsys):
     assert captured.out == ""
     assert captured.err.startswith("liftreach: error: J G^-1 J^T is numerically singular")
     assert captured.err.count("\n") == 1
+
+
+def test_closed_form_lift_names_the_generic_singular_row(monkeypatch):
+    """cross-drop lifts through x**3 as one generated fill. The stack that
+    reaches x = 0 fails the Gram test and goes to the generic lift, whose
+    SingularGram names the row that the generic lift alone names."""
+    message = r"^J G\^-1 J\^T is numerically singular at \(c0, \[-0\.0005  0\.    \]\)$"
+    with pytest.raises(SingularGram, match=message):
+        run(parse_scenario(RANK_DROP), experiment="cross-drop")
+    monkeypatch.setattr(scenario_module, "_closed_form", lambda m, *args: m)
+    with pytest.raises(SingularGram, match=message):
+        run(parse_scenario(RANK_DROP), experiment="cross-drop")
+
+
+def test_wrapped_lifts_step_as_unwrapped_lifts(monkeypatch):
+    """Wrapping every lifted field's func in a plain lambda, as the benchmark's
+    tracer does, changes no group of rows an RK4 step takes, nor the work of
+    a projection run (integrations, rows, RK4 steps), nor any of its records."""
+    steps, rk4_step = [], systems.rk4_step
+
+    def counted(func, cid, coords, h):
+        steps.append(np.shape(coords))
+        return rk4_step(func, cid, coords, h)
+
+    monkeypatch.setattr(systems, "rk4_step", counted)
+    plain = run(load_builtin("projection"))
+    plain_steps, lift = steps[:], Morphism.lift
+
+    def wrapped(m, Y):
+        X = lift(m, Y)
+        return replace(X, func=lambda cid, coords: X.func(cid, coords))
+
+    monkeypatch.setattr(Morphism, "lift", wrapped)
+    steps.clear()
+    result = run(load_builtin("projection"))
+    assert steps == plain_steps
+    assert result.stats == plain.stats
+    assert result.experiments == plain.experiments
 
 
 def test_cli_echo_lines_follow_experiment_order(capsys):
