@@ -83,27 +83,36 @@ def substitute(text: str, values: dict) -> str:
     return ast.unparse(Substitute().visit(_parse(text)))
 
 
-def _compile(texts: list, variables: list):
+def _compile(texts: list, variables: list, lets=(), guard=None):
     """One function fill(out, *coordinates) that sets out[..., j] to
-    expression j of texts; with no variables, any coordinates are accepted
-    and ignored."""
+    expression j of texts and returns True; with no variables, any
+    coordinates are accepted and ignored. lets are (name, expression) pairs
+    evaluated first, in order, each seeing the variables and the names
+    before it, and texts see them all; no name may be a variable's. With a
+    guard (name, test), fill returns False as soon as test(value of let
+    name, out) is false, before any later let or component."""
     out = "_out"
     while out in variables:
         out = "_" + out
-    lines = []
-    for j, text in enumerate(texts):
+    lines, known = [], set(variables)
+    for target, text in [*lets, *enumerate(texts)]:
         tree = _parse(text)
-        _validate(tree, set(variables), text)
-        lines.append(ast.parse(f"{out}[..., {j}] = 0").body[0])
+        _validate(tree, known, text)
+        lhs = target if isinstance(target, str) else f"{out}[..., {target}]"
+        lines.append(ast.parse(f"{lhs} = 0").body[0])
         lines[-1].value = _float_arithmetic(tree.body)
+        known.add(lhs)
+        if guard is not None and target == guard[0]:
+            lines.append(ast.parse(f"if not _guard({target}, {out}): return False").body[0])
     bad = [v for v in variables if not v.isidentifier() or keyword.iskeyword(v)]
     if bad:
         raise ParseError(f"variable name {bad[0]!r} is not an identifier")
-    module = ast.parse(f"def fill({', '.join([out] + (variables or ['*_']))}): pass")
-    module.body[0].body = lines or module.body[0].body
+    module = ast.parse(f"def fill({', '.join([out] + (variables or ['*_']))}): return True")
+    module.body[0].body[:0] = lines
     env = dict(_FUNCS)
     env.update(_CONSTS)
     env["_pow"] = np.power
+    env["_guard"] = guard and guard[1]
     env["__builtins__"] = {}
     exec(compile(ast.fix_missing_locations(module), "<expr>", "exec"), env)
     return env["fill"]
@@ -120,16 +129,16 @@ def compile_expr(text: str, variables):
     return call
 
 
-def compile_vector(texts, variables):
+def compile_vector(texts, variables, lets=(), guard=None):
     """Compile a list of expressions into coords (d,) -> (k,) or (N, d) -> (N, k),
-    one call of one generated function filling every component."""
+    one call of one generated function filling every component. lets and
+    guard are those of _compile: a call whose guard fails returns None."""
     texts = list(texts)
-    fill = _compile(texts, list(variables))
+    fill = _compile(texts, list(variables), lets, guard)
 
     def call(coords):
         X = np.asarray(coords, dtype=float)
         out = np.empty(X.shape[:-1] + (len(texts),))
-        fill(out, *X.T)
-        return out
+        return out if fill(out, *X.T) else None
 
     return call

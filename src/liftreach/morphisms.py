@@ -95,10 +95,18 @@ def _right_inverse(J: np.ndarray, metric, cid, coords):
     return A, W
 
 
-def grams_pass(W: np.ndarray) -> bool:
-    """Whether every value of a 1x1 Gram stack W (none of an empty one) passes
-    the singularity test by two reductions: its Cholesky factor is sqrt(W)."""
-    lo, hi = (W.min(), W.max()) if W.size else (0.0, 0.0)
+def grams_pass(W) -> bool:
+    """Whether every value of a 1x1 Gram stack W passes the singularity test
+    by two reductions, its Cholesky factor being sqrt(W): W is an array, or
+    one float standing for every row of a stack. nan fails, and no value of
+    an empty stack passes."""
+    if isinstance(W, float):  # numpy's float64 scalars too
+        lo = hi = W
+    else:
+        try:
+            lo, hi = np.minimum.reduce(W, axis=None), np.maximum.reduce(W, axis=None)
+        except ValueError:  # an empty stack has no minimum
+            return False
     return bool(lo > 0 and math.sqrt(lo) > 1e-6 and hi < math.inf)
 
 
@@ -144,9 +152,9 @@ def lift_system(target_sys: GeneratedSystem, phi: SmoothMap,
                 samples: int = 50, seed: int = 0, morphism: Optional[Morphism] = None):
     """Lift every generator through the metric-orthogonal right inverse.
 
-    morphism, a metric_lift_morphism of phi, is reused when given, so that
-    lifts through one map run one check_submersion. Returns (morphism,
-    lifted system on the source manifold).
+    morphism, any morphism over phi, is reused when given, so that lifts
+    through one map run one check_submersion. Returns (morphism, lifted
+    system on the source manifold).
     """
     m = morphism or metric_lift_morphism(phi, samples=samples, seed=seed)
     gens = tuple(m.lift(Y) for Y in target_sys.generators)
@@ -192,14 +200,17 @@ def verify_trajectory_preserving(m: Morphism, target_sys: GeneratedSystem,
     points as rows, and every schedule is a row of one integration on each
     side; the report equals that of one point and one schedule at a time.
     """
-    return drive([trajectory_body(m, target_sys, samples, seed, tolerance, schedules, h)])[0]
+    up = lift_system(target_sys, m.phi, morphism=m)[1]
+    return drive([trajectory_body(m, target_sys, up, samples, seed, tolerance, schedules,
+                                  h)])[0]
 
 
-def trajectory_body(m: Morphism, target_sys: GeneratedSystem, samples: int = 1000,
-                    seed: int = 0, tolerance: Optional[float] = None,
+def trajectory_body(m: Morphism, target_sys: GeneratedSystem, up: GeneratedSystem,
+                    samples: int = 1000, seed: int = 0, tolerance: Optional[float] = None,
                     schedules: int = 10, h: float = 1e-3):
-    """verify_trajectory_preserving as a body for systems.drive: it yields the
-    upstairs and downstairs RowRequests and returns the report."""
+    """verify_trajectory_preserving as a body for systems.drive, given up, the
+    lift of target_sys through m: it yields the upstairs and downstairs
+    RowRequests and returns the report."""
     if tolerance is None:
         tolerance = 1e-9 if m.phi.analytic else 1e-6
     rng = np.random.default_rng(seed)
@@ -207,8 +218,7 @@ def trajectory_body(m: Morphism, target_sys: GeneratedSystem, samples: int = 100
     rows = m.phi.source.stack(pts)
     worst = 0.0
     worst_point = None
-    lifted = [m.lift(Y) for Y in target_sys.generators]
-    for Y, X in zip(target_sys.generators, lifted):
+    for Y, X in zip(target_sys.generators, up.generators):
         v = (m.phi.jacobians(rows) @ X.at_rows(rows)[..., None])[..., 0]
         r = np.max(np.abs(v - Y.at_rows(m.phi.values(rows), m.phi.target)), axis=1)
         # the first maximum wins and nan never does, as in a point-by-point scan
@@ -218,7 +228,6 @@ def trajectory_body(m: Morphism, target_sys: GeneratedSystem, samples: int = 100
             worst, worst_point = float(r[i]), pts[i]
     residual_ok = worst <= tolerance
     del pts, rows  # bodies driven together all wait at the yield below
-    up = GeneratedSystem(m.phi.source, tuple(lifted), label="lifted")
     k = len(target_sys.generators)
     scheds, starts = [], []
     for _ in range(schedules):
@@ -274,14 +283,15 @@ def verify_global_in_time(m: Morphism, target_sys: GeneratedSystem,
     Every (generator, start) pair is a row of one integration on each side;
     a row that stays in the atlas up to the horizon escapes at the horizon.
     """
-    return drive([global_body(m, target_sys, starts, horizon, h)])[0]
+    up = lift_system(target_sys, m.phi, morphism=m)[1]
+    return drive([global_body(m, target_sys, up, starts, horizon, h)])[0]
 
 
-def global_body(m: Morphism, target_sys: GeneratedSystem, starts: Sequence[Point],
-                horizon: float, h: float = 1e-3):
-    """verify_global_in_time as a body for systems.drive: it yields the
-    upstairs and downstairs RowRequests, unrecorded, and returns the report."""
-    up = GeneratedSystem(m.phi.source, tuple(m.lift(Y) for Y in target_sys.generators))
+def global_body(m: Morphism, target_sys: GeneratedSystem, up: GeneratedSystem,
+                starts: Sequence[Point], horizon: float, h: float = 1e-3):
+    """verify_global_in_time as a body for systems.drive, given up, the lift
+    of target_sys through m: it yields the upstairs and downstairs
+    RowRequests, unrecorded, and returns the report."""
     pairs = [(gi, x) for gi in range(len(target_sys.generators)) for x in starts]
     scheds = [Schedule.of((gi, horizon)) for gi, _ in pairs]
     rows = m.phi.source.stack([x for _, x in pairs])

@@ -17,6 +17,7 @@ from .geometry import Atlas, Point, scan_max
 from .morphisms import (
     check_liftable,
     global_body,
+    lift_system,
     morphism_from_lifting,
     trajectory_body,
 )
@@ -154,7 +155,7 @@ def _run_verify(s: Scenario, exp: dict, seed: int, out_dir):
     m = s.morphisms[exp["morphism"]]
     target = s.system(exp["target_system"])
     report = yield from trajectory_body(
-        m, target,
+        m, target, s.lifted(exp["morphism"], exp["target_system"]),
         samples=exp.get("samples", 300),
         schedules=exp.get("schedules", 5),
         tolerance=exp.get("tolerance"),
@@ -176,8 +177,8 @@ def _run_global(s: Scenario, exp: dict, seed: int, out_dir):
     m = s.morphisms[exp["morphism"]]
     target = s.system(exp["target_system"])
     starts = [_point(m.phi.source, spec) for spec in exp["starts"]]
-    report = yield from global_body(m, target, starts, exp["horizon"],
-                                    h=exp.get("step", 1e-3))
+    report = yield from global_body(m, target, s.lifted(exp["morphism"], exp["target_system"]),
+                                    starts, exp["horizon"], h=exp.get("step", 1e-3))
     expect = exp.get("expect", True)
     if isinstance(expect, str):
         expect = expect == "pass"
@@ -211,7 +212,7 @@ def _run_liftable(s: Scenario, exp: dict, seed: int, out_dir):
     if ok and exp.get("verify", False):
         m = morphism_from_lifting(mapping, sigma1, sigma2, phi, seed=seed)
         report = yield from trajectory_body(
-            m, down, samples=exp.get("samples", 200),
+            m, down, lift_system(down, phi, morphism=m)[1], samples=exp.get("samples", 200),
             schedules=exp.get("schedules", 3), seed=seed)
         metrics["verify_pass"] = report["pass"]
         metrics["verify_worst_residual"] = report["worst_residual"]

@@ -4,7 +4,7 @@ requests, and experiment blocks, resolved into live objects at parse time."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -57,9 +57,19 @@ class Scenario:
     connections: dict      # name -> ConnectionSystem
     experiments: list
     raw: dict
+    # (morphism, target system) -> lifted system: those parsing built, then
+    # each further lift a run asks for, once
+    lifts: dict = field(default_factory=dict)
 
     def system(self, name: str) -> GeneratedSystem:
         return _ref(self.systems, name)
+
+    def lifted(self, morphism: str, target: str) -> GeneratedSystem:
+        """The lift of system target through morphism, built once."""
+        if (morphism, target) not in self.lifts:
+            m = self.morphisms[morphism]
+            self.lifts[morphism, target] = lift_system(self.system(target), m.phi, morphism=m)[1]
+        return self.lifts[morphism, target]
 
 
 def _ref(table: dict, name, where=None):
@@ -208,28 +218,32 @@ def _build_field(name: str, spec: dict, atlases: dict) -> VectorField:
 
 def _closed_form(m: Morphism, spec: dict, fields: dict, field_specs: dict) -> Morphism:
     """m, lifting a scenario field as one generated fill where spec's map has a
-    jacobian block, a 1-D target and a source without a metric: column j is
-    J_j (Y o Phi / W) + 0.0, and a last column W = 0.0 + J_0 J_0 + ..., as
-    matmul sums it, so the fill is the generic lift bit for bit. A stack that
-    fails the Gram test, and any other field, takes m's generic lift."""
+    jacobian block, a 1-D target and a source without a metric. The fill
+    takes W = 0.0 + J_0 J_0 + ..., as matmul sums it, tests it as
+    _right_inverse does before it divides, and fills column j with
+    J_j (Y o Phi / W) + 0.0, so it is the generic lift bit for bit. A stack
+    that fails the Gram test, and any other field, takes m's generic lift."""
     phi = m.phi
     if "jacobian" not in spec or phi.target.dim != 1 or phi.source.metric_fn is not None:
         return m
-    J = [f"({e})" for e in spec["jacobian"][0]]
-    W = " + ".join(["0.0"] + [f"{j} * {j}" for j in J])
+    names = phi.source.coord_names
+    pre = "_" * (1 + max(map(len, names), default=0))  # local names no coordinate can take
+    J = [(f"{pre}J{j}", e) for j, e in enumerate(spec["jacobian"][0])]
+    W = (f"{pre}W", " + ".join(["0.0"] + [f"{j} * {j}" for j, _ in J]))
 
     def lift_rule(Y: VectorField) -> VectorField:
         generic = m.lift_rule(Y)
         if fields.get(Y.name) is not Y or Y.atlas.dim != 1:
             return generic
         y = substitute(field_specs[Y.name]["exprs"][0], {Y.atlas.coord_names[0]: spec["exprs"][0]})
-        fill = compile_vector([f"{j} * (({y}) / ({W})) + 0.0" for j in J] + [W],
-                              phi.source.coord_names)
+        # W is one float for every row when J is constant: the stack is empty when out is
+        fill = compile_vector([f"{j} * {pre}q + 0.0" for j, _ in J], names,
+                              lets=[*J, W, (f"{pre}q", f"({y}) / {W[0]}")],
+                              guard=(W[0], lambda w, out: out.size > 0 and grams_pass(w)))
 
         def lift(cid, coords):
-            with np.errstate(divide="ignore", invalid="ignore"):  # W = 0 fails below
-                out = fill(coords)
-            return out[..., :-1] if grams_pass(out[..., -1]) else generic.func(cid, coords)
+            out = fill(coords)
+            return generic.func(cid, coords) if out is None else out
 
         return replace(generic, func=lift)
 
@@ -262,15 +276,20 @@ def parse_scenario(source) -> Scenario:
     morphisms = {}
     kernels = {}
     lifts = {}  # map name -> its one metric-lift morphism
+    lifted_by = {}  # (map name, target system name) -> its one lifted system
+    scenario_lifts = {}  # (morphism name, target system name) -> lifted system
     for k, v in _section(data, "morphisms").items():
         phi = _ref(maps, _need(v, "map", k), k)
         target = _ref(systems, _need(v, "target_system", k), k)
         if v["map"] not in lifts:
             lifts[v["map"]] = _closed_form(metric_lift_morphism(phi), map_specs[v["map"]],
                                            fields, field_specs)
-        m, lifted = lift_system(target, phi, morphism=lifts[v["map"]])
-        morphisms[k] = m
-        systems[f"{k}.system"] = lifted
+        m = morphisms[k] = lifts[v["map"]]
+        key = (v["map"], v["target_system"])
+        if key not in lifted_by:
+            lifted_by[key] = lift_system(target, phi, morphism=m)[1]
+        lifted = systems[f"{k}.system"] = lifted_by[key]
+        scenario_lifts[k, v["target_system"]] = lifted
         mode, gens = _kernel(v, k, fields, "chartwise")
         if mode:
             kernels[k] = frame = kernel_frame(m, mode=mode, generators=gens)
@@ -349,6 +368,7 @@ def parse_scenario(source) -> Scenario:
         name=name, atlases=atlases, maps=maps, fields=fields, systems=systems,
         morphisms=morphisms, kernels=kernels, second_order=second_order,
         connections=connections, experiments=experiments, raw=data,
+        lifts=scenario_lifts,
     )
     _validate_experiments(scenario)
     return scenario

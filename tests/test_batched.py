@@ -638,12 +638,14 @@ def test_sample_drops_candidates_outside_the_atlas():
 
 def test_lifts_through_one_map_share_one_morphism(scenarios):
     """A scenario builds one metric-lift morphism per map: projection's
-    liftsym, liftsym_user and afflift all lift through projx. Requests of
-    two of their lifted systems pooled into one integration each get the
-    RowFlow of that request alone."""
+    liftsym, liftsym_user and afflift all lift through projx. It lifts each
+    system once per map: liftsym and liftsym_user lift dsym to one system.
+    Two requests of it pooled into one integration each get the RowFlow of
+    that request alone."""
     s = scenarios["projection"]
     assert s.morphisms["liftsym"] is s.morphisms["liftsym_user"] is s.morphisms["afflift"]
     sym, user = s.system("liftsym.system"), s.system("liftsym_user.system")
+    assert sym is user and sym is not s.system("afflift.system")
 
     starts = sym.atlas.stack(sym.atlas.sample(np.random.default_rng(0), 2))
     scheds = [Schedule.of((0, 0.1), (1, 0.1)), Schedule.of((1, 0.2))]
@@ -763,7 +765,9 @@ def _pointwise_lift():
     return lift_system(down, bend)[1]
 
 
+@lru_cache(maxsize=None)
 def _row_systems():
+    """Built once: integrating keeps no state in a system or a field."""
     s = parse_scenario(SCENARIO)
     return {"plane": s.systems["bent.augmented"], "mobius": s.systems["mlift.augmented"],
             "union": _union_system(), "lift-union": s.systems["holed.augmented"],

@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,10 +15,11 @@ import pytest
 import liftreach
 
 from liftreach.cli import main
+from liftreach import morphisms
 from liftreach import scenario as scenario_module
 from liftreach import systems
 from liftreach.errors import DimensionMismatch, ParseError, SingularGram, UnresolvedReference
-from liftreach.morphisms import Morphism
+from liftreach.morphisms import Morphism, metric_lift_morphism
 from liftreach.runner import run
 from liftreach.scenario import (
     builtin_scenario_names,
@@ -522,30 +525,109 @@ def test_closed_form_lift_names_the_generic_singular_row(monkeypatch):
         run(parse_scenario(RANK_DROP), experiment="cross-drop")
 
 
+def _singular(field, coords) -> str:
+    with pytest.raises(SingularGram) as exc:
+        field.values("c0", coords)
+    return str(exc.value)
+
+
+def test_closed_form_lift_tests_its_gram_before_it_divides():
+    """The closed-form fill tests its Gram before it divides: cross-drop's
+    stack at x = 0 and rows where W = 0 raise no RuntimeWarning, only the
+    SingularGram of the generic lift, which names the same row. A stack of
+    no rows takes the generic lift, for a Jacobian through x**3 and for the
+    constant one of projx, whose W is one float."""
+    s = parse_scenario(RANK_DROP)
+    message = r"^J G\^-1 J\^T is numerically singular at \(c0, \[-0\.0005  0\.    \]\)$"
+    zero_w = np.array([[0.2, 0.1], [0.0, 0.5], [-0.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularGram, match=message):
+            run(s, experiment="cross-drop")
+        for k in ("through_cube", "flat"):
+            m = s.morphisms[k]
+            Y = s.system(s.raw["morphisms"][k]["target_system"]).generators[0]
+            closed, generic = m.lift(Y), metric_lift_morphism(m.phi).lift(Y)
+            if k == "through_cube":
+                assert _singular(closed, zero_w) == _singular(generic, zero_w)
+            with mock.patch.object(morphisms, "_right_inverse_apply",
+                                   wraps=morphisms._right_inverse_apply) as generic_calls:
+                assert closed.values("c0", np.empty((0, 2))).shape == (0, 2)
+            assert generic_calls.called
+
+
+@pytest.mark.parametrize("name, morphism", [("mobius", "mlift"), ("bundle", "blift")])
+def test_verify_and_global_step_the_scenario_lift(scenarios, monkeypatch, name, morphism):
+    """verify and global-in-time step the lifted system the scenario built
+    at parse time: the upstairs request of each carries its fields, the
+    very objects, so rows of one lifted field step as one group."""
+    asked, integrate = [], systems.integrate_requests
+
+    def recorded(requests, stats=None):
+        asked.extend(requests)
+        return integrate(requests, stats)
+
+    monkeypatch.setattr(systems, "integrate_requests", recorded)
+    s = scenarios[name]
+    result = run(s, kinds={"verify", "global-in-time"})
+    assert [e["kind"] for e in result.experiments] == ["verify", "global-in-time"]
+    lifted = s.system(f"{morphism}.system").generators
+    up = [r for r in asked if r.system.atlas is s.morphisms[morphism].phi.source]
+    assert len(up) == 2
+    for r in up:
+        assert len(r.system.generators) == len(lifted)
+        assert all(a is b for a, b in zip(r.system.generators, lifted))
+
+
+def test_a_lift_parsing_did_not_build_is_built_once(monkeypatch):
+    """double-integrator's verify-dil lifts di.tcs through the second-order
+    lift dil, which parsing does not: its first run lifts it once, and every
+    later run of the scenario steps that same lift."""
+    s, calls, lift_system = load_builtin("double-integrator"), [], scenario_module.lift_system
+    assert ("dil", "di.tcs") not in s.lifts
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lift_system(*args, **kwargs)
+
+    monkeypatch.setattr(scenario_module, "lift_system", counted)
+    first = run(s, experiment="verify-dil")
+    lifted = s.lifts["dil", "di.tcs"]
+    assert run(s, experiment="verify-dil").experiments == first.experiments and first.passed
+    assert len(calls) == 1 and s.lifted("dil", "di.tcs") is lifted
+
+
 def test_wrapped_lifts_step_as_unwrapped_lifts(monkeypatch):
     """Wrapping every lifted field's func in a plain lambda, as the benchmark's
     tracer does, changes no group of rows an RK4 step takes, nor the work of
-    a projection run (integrations, rows, RK4 steps), nor any of its records."""
-    steps, rk4_step = [], systems.rk4_step
+    a projection or a bundle run (integrations, rows, RK4 steps), nor any of
+    its records. In bundle, verify and global-in-time lift through one
+    morphism."""
+    names, steps, rk4_step = ("projection", "bundle"), [], systems.rk4_step
 
     def counted(func, cid, coords, h):
         steps.append(np.shape(coords))
         return rk4_step(func, cid, coords, h)
 
+    def runs():
+        out = []
+        for name in names:
+            steps.clear()
+            out.append((run(load_builtin(name)), steps[:]))
+        return out
+
     monkeypatch.setattr(systems, "rk4_step", counted)
-    plain = run(load_builtin("projection"))
-    plain_steps, lift = steps[:], Morphism.lift
+    plain, lift = runs(), Morphism.lift
 
     def wrapped(m, Y):
         X = lift(m, Y)
         return replace(X, func=lambda cid, coords: X.func(cid, coords))
 
     monkeypatch.setattr(Morphism, "lift", wrapped)
-    steps.clear()
-    result = run(load_builtin("projection"))
-    assert steps == plain_steps
-    assert result.stats == plain.stats
-    assert result.experiments == plain.experiments
+    for (result, got), (want, want_steps) in zip(runs(), plain):
+        assert got == want_steps
+        assert result.stats == want.stats
+        assert result.experiments == want.experiments
 
 
 def test_cli_echo_lines_follow_experiment_order(capsys):
