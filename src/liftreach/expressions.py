@@ -32,6 +32,9 @@ _ALLOWED_NODES = (
 
 
 def _validate(tree: ast.AST, variables: set[str], text: str):
+    """ParseError unless tree is an expression of the grammar: a function
+    name is only called, and any other name is a variable or a constant."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise ParseError(f"unsupported syntax {type(node).__name__!r} in {text!r}")
@@ -42,24 +45,28 @@ def _validate(tree: ast.AST, variables: set[str], text: str):
                 raise ParseError(f"unsupported call in {text!r}")
             if node.func.id not in _FUNCS:
                 raise ParseError(f"unknown function {node.func.id!r} in {text!r}")
-        elif isinstance(node, ast.Name):
-            if node.id not in variables and node.id not in _CONSTS and node.id not in _FUNCS:
+        elif isinstance(node, ast.Name) and id(node) not in called:
+            if node.id not in variables and node.id not in _CONSTS:
                 raise ParseError(f"unknown name {node.id!r} in {text!r}")
 
 
-def _float_arithmetic(node: ast.AST) -> ast.AST:
-    """Float literals, and a ** b as the ufunc np.power(a, b), over a validated tree."""
+def _float_arithmetic(node: ast.AST, bound: dict) -> ast.AST:
+    """Float literals, a ** b as the ufunc np.power(a, b), and every function
+    called by the name bound gives it ("pow" for np.power), over a validated
+    tree."""
     if isinstance(node, ast.Constant):
         return ast.copy_location(ast.Constant(float(node.value)), node)
     if isinstance(node, ast.BinOp):
-        node.left, node.right = _float_arithmetic(node.left), _float_arithmetic(node.right)
+        node.left = _float_arithmetic(node.left, bound)
+        node.right = _float_arithmetic(node.right, bound)
         if isinstance(node.op, ast.Pow):
-            pow_ = ast.copy_location(ast.Name("_pow", ast.Load()), node)
+            pow_ = ast.copy_location(ast.Name(bound["pow"], ast.Load()), node)
             return ast.copy_location(ast.Call(pow_, [node.left, node.right], []), node)
     elif isinstance(node, ast.UnaryOp):
-        node.operand = _float_arithmetic(node.operand)
+        node.operand = _float_arithmetic(node.operand, bound)
     elif isinstance(node, ast.Call):
-        node.args = [_float_arithmetic(arg) for arg in node.args]
+        node.func = ast.copy_location(ast.Name(bound[node.func.id], ast.Load()), node.func)
+        node.args = [_float_arithmetic(arg, bound) for arg in node.args]
     return node
 
 
@@ -80,6 +87,10 @@ def substitute(text: str, values: dict) -> str:
         def visit_Name(self, node):
             return trees.get(node.id, node)
 
+        def visit_Call(self, node):  # a function name is no variable
+            node.args = [self.visit(arg) for arg in node.args]
+            return node
+
     return ast.unparse(Substitute().visit(_parse(text)))
 
 
@@ -90,29 +101,35 @@ def _compile(texts: list, variables: list, lets=(), guard=None):
     evaluated first, in order, each seeing the variables and the names
     before it, and texts see them all; no name may be a variable's. With a
     guard (name, test), fill returns False as soon as test(value of let
-    name, out) is false, before any later let or component."""
-    out = "_out"
-    while out in variables:
-        out = "_" + out
+    name, out) is false, before any later let or component. The names the
+    fill binds itself (out, np.power, the guard and the functions) are
+    underscored until no variable or let takes them."""
+    taken, bound = set(variables) | {name for name, _ in lets}, {}
+    for name in ["out", "pow", "guard", *_FUNCS]:
+        bound[name] = "_" + name
+        while bound[name] in taken:
+            bound[name] = "_" + bound[name]
+    out = bound["out"]
     lines, known = [], set(variables)
     for target, text in [*lets, *enumerate(texts)]:
         tree = _parse(text)
         _validate(tree, known, text)
         lhs = target if isinstance(target, str) else f"{out}[..., {target}]"
         lines.append(ast.parse(f"{lhs} = 0").body[0])
-        lines[-1].value = _float_arithmetic(tree.body)
+        lines[-1].value = _float_arithmetic(tree.body, bound)
         known.add(lhs)
         if guard is not None and target == guard[0]:
-            lines.append(ast.parse(f"if not _guard({target}, {out}): return False").body[0])
+            test = f"if not {bound['guard']}({target}, {out}): return False"
+            lines.append(ast.parse(test).body[0])
     bad = [v for v in variables if not v.isidentifier() or keyword.iskeyword(v)]
     if bad:
         raise ParseError(f"variable name {bad[0]!r} is not an identifier")
     module = ast.parse(f"def fill({', '.join([out] + (variables or ['*_']))}): return True")
     module.body[0].body[:0] = lines
-    env = dict(_FUNCS)
+    env = {bound[name]: func for name, func in _FUNCS.items()}
     env.update(_CONSTS)
-    env["_pow"] = np.power
-    env["_guard"] = guard and guard[1]
+    env[bound["pow"]] = np.power
+    env[bound["guard"]] = guard and guard[1]
     env["__builtins__"] = {}
     exec(compile(ast.fix_missing_locations(module), "<expr>", "exec"), env)
     return env["fill"]

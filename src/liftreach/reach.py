@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .geometry import Atlas, Point, Points, distinct
-from .systems import GeneratedSystem, plan_rows, step_rows, step_schedule
+from .systems import GeneratedSystem, RowRequest, Schedule, integrate_requests
 
 CellKey = tuple  # (chart_id, idx_0, ..., idx_{d-1})
 
@@ -197,56 +197,34 @@ class _GridMemo:
         self.outcomes: dict = {}  # (dwell, substeps) -> {flat cell: _Outcome}
 
 
-def _integrate(memo: _GridMemo, flows: list, flow_of: np.ndarray, start: Points,
-               steps: list) -> tuple[np.ndarray, dict]:
-    """RK4-step every row under its flow through one dwell, all rows at once.
-
-    Returns the flat cell each row is in after each step (-1 from the step
-    at which it leaves the atlas on; that step records no hit, as in
-    flow_field) and the hit points on cells that are not valid, keyed by
-    (row, step).
-    """
-    atlas, grid = memo.grid.atlas, memo.grid
-    funcs = [f.func for f in flows]
-    charts, X = start.charts.copy(), start.coords.copy()
-    hits = np.full((len(X), len(steps)), -1, dtype=np.int64)
-    points = {}
-    live = np.arange(len(X))
-    plan = None
-    for s, step in enumerate(steps):
-        if plan is None:
-            plan = plan_rows(atlas, funcs, flow_of, charts, live)
-        if step_rows(atlas, plan, charts, X, step):
-            live, plan = live[charts[live] >= 0], None
-        if not len(live):
-            break
-        cells = grid.cells_of(Points(charts[live], X[live]))
-        hits[live, s] = cells
-        for r in live[~memo.valid[cells]].tolist():
-            points[r, s] = (int(charts[r]), X[r].copy())
-    return hits, points
-
-
-def _expand_layer(memo: _GridMemo, flows: list, cells: list, reps: Points,
-                  steps: list, times: list) -> list:
-    """The _Outcome of every cell, each integrated from its representative."""
+def _expand_layer(memo: _GridMemo, sys: GeneratedSystem, fields: list, scheds: list,
+                  cells: list, reps: Points, h: float) -> list:
+    """The _Outcome of every cell, each integrated from its representative
+    under every flow: fields[f] for its fixed-point test, scheds[f] to
+    integrate, all rows of the layer as one request."""
     atlas = memo.grid.atlas
     # row (f, i) flows cell i under flow f; an exact RK4 fixed point never moves
-    row_of = np.full((len(flows), len(cells)), -1)
-    flow_of = []
-    for f, field in enumerate(flows):
-        moving = np.zeros(len(cells), dtype=bool)
+    moving = np.zeros((len(fields), len(cells)), dtype=bool)
+    for f, field in enumerate(fields):
         for c in distinct(reps.charts):
             sel = reps.charts == c
             k1 = field.values(atlas.charts[c].chart_id, reps.coords[sel])
-            moving[sel] = ~(np.max(np.abs(k1), axis=1) < 1e-13)
-        row_of[f, moving] = np.arange(len(flow_of), len(flow_of) + int(moving.sum()))
-        flow_of += [f] * int(moving.sum())
-    flow_of = np.array(flow_of, dtype=int)
-    cell_of_row = np.nonzero(row_of >= 0)[1]
-    hits, points = _integrate(memo, flows, flow_of,
-                              Points(reps.charts[cell_of_row], reps.coords[cell_of_row]),
-                              steps)
+            moving[f, sel] = ~(np.max(np.abs(k1), axis=1) < 1e-13)
+    flow_of, cell_of_row = np.nonzero(moving)
+    row_of = np.full(moving.shape, -1)
+    row_of[flow_of, cell_of_row] = np.arange(len(flow_of))
+    flow, = integrate_requests([RowRequest(
+        sys, Points(reps.charts[cell_of_row], reps.coords[cell_of_row]),
+        [scheds[f] for f in flow_of.tolist()], h)])
+    # samples: the start, then the point after each step; chart -1, and so
+    # no hit, from the step that leaves on. Cells are taken a step at a time:
+    # taking those of every sample at once held about 1 MiB more at the peak
+    # of the double integrator's tangent reach.
+    charts, coords = flow.samples
+    hits = np.empty((len(charts), charts.shape[1] - 1), dtype=int)
+    for s in range(hits.shape[1]):
+        hits[:, s] = memo.grid._cells(Points(charts[:, s + 1], coords[:, s + 1]))
+    times = flow.times[0, 1:].tolist() if len(hits) else []  # one schedule for every row
     valid = memo.valid_list
     out = []
     for i, key in enumerate(cells):
@@ -262,7 +240,8 @@ def _expand_layer(memo: _GridMemo, flows: list, cells: list, reps: Points,
                 if t < first.get(cell, math.inf):
                     first[cell] = t
                     if not valid[cell]:
-                        kept_points[len(kept_times)] = points[r, s]
+                        kept_points[len(kept_times)] = (int(charts[r, s + 1]),
+                                                         coords[r, s + 1].copy())
                     kept_times.append(t)
                     kept_cells.append(cell)
             ends.append(len(kept_times))
@@ -279,8 +258,8 @@ def reach(sys: GeneratedSystem, start: Point, grid: int, dwell: float,
     the horizon is marked with its first arrival time and queued.
 
     The search runs one BFS layer at a time: the expansions of a layer are
-    integrated together as rows of one RK4 array, then replayed in queue
-    order, which gives exactly the arrivals of expanding cell by cell.
+    integrated together as rows of one integrate_requests, then replayed in
+    queue order, which gives exactly the arrivals of expanding cell by cell.
     A cell other than the start cell is represented by its centre when the
     cell is valid, so its expansion depends only on (grid, dwell, substeps,
     cell). Those expansions are kept on the system and replayed by every
@@ -294,8 +273,9 @@ def reach(sys: GeneratedSystem, start: Point, grid: int, dwell: float,
     if memo is None:
         memo = sys._memo[grid] = _GridMemo(Grid(sys.atlas, grid))
     outcomes = memo.outcomes.setdefault((dwell, substeps), {})
-    flows = sys.flows()
-    steps, times = step_schedule(dwell, dwell / substeps)
+    selectors = sys.flows()
+    fields = [sys.resolve(sel) for sel in selectors]
+    scheds = [Schedule.of((sel, dwell)) for sel in selectors]
     eps = 1e-12
     g, valid = memo.grid, memo.valid_list
     per_chart = grid ** sys.atlas.dim
@@ -315,7 +295,8 @@ def reach(sys: GeneratedSystem, start: Point, grid: int, dwell: float,
             charts = [reps[c][0] if c in reps else c // per_chart for c in fresh]
             coords = [reps[c][1] if c in reps else memo.centres[c] for c in fresh]
             computed = dict(zip(fresh, _expand_layer(
-                memo, flows, fresh, Points(np.array(charts), np.array(coords)), steps, times)))
+                memo, sys, fields, scheds, fresh, Points(np.array(charts), np.array(coords)),
+                dwell / substeps)))
             outcomes.update((cell, computed[cell]) for cell, sh in zip(layer, shared)
                             if sh and cell in computed)
         next_layer = []

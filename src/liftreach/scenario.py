@@ -374,6 +374,49 @@ def parse_scenario(source) -> Scenario:
     return scenario
 
 
+# number keys of experiments: key -> (shape, least value, whether a value
+# must exceed it); a count is a whole number, and a key whose handler takes
+# None for its default may be null where it is not required
+_EXPERIMENT_NUMBERS = {
+    "grid": ((), 1, False), "substeps": ((), 1, False), "samples": ((), 1, False),
+    "schedules": ((), 1, False), "dwell": ((), 0, True), "step": ((), 0, True),
+    "horizon": ((), 0, False), "times": ((None,), 0, True), "c": ((), None, False),
+    "tol": ((), None, False), "tolerance": ((), None, False),
+    "min_coverage": ((), None, False),
+}
+_COUNTS = ("grid", "substeps", "samples", "schedules")
+_NULLABLE = ("dwell", "tolerance", "min_coverage")
+
+
+def _experiment_values(exp: dict, atlas, where: str):
+    """ParseError at where for a number or point of exp its handler cannot
+    take; points are objects with coords in atlas (None when exp has none)."""
+    for key, (shape, least, strict) in _EXPERIMENT_NUMBERS.items():
+        if key not in exp or (exp[key] is None and key in _NULLABLE
+                              and key not in _REQUIRED[exp["kind"]]):
+            continue
+        value = np.asarray(_numbers(exp[key], shape, key, where), dtype=float)
+        items = exp[key] if shape else [exp[key]]
+        if any(isinstance(v, bool) or (key in _COUNTS and not isinstance(v, (int, np.integer)))
+               for v in items):
+            raise ParseError(f"{key!r} must be a {'whole ' * (key in _COUNTS)}number",
+                             where=where)
+        if least is not None and ((value <= least) if strict else (value < least)).any():
+            raise ParseError(f"{key!r} must be {'above' if strict else 'at least'} {least}",
+                             where=where)
+    if atlas is None:
+        return
+    points = [(key, exp[key]) for key in ("start",) if key in exp]
+    points += [(key, p) for key in ("starts", "points") if key in exp
+               for p in _listed(exp[key], key, where)]
+    for key, spec in points:
+        if not isinstance(spec, dict) or "coords" not in spec:
+            raise ParseError(f"{key!r} must hold points: objects with 'coords'", where=where)
+        _numbers(spec["coords"], (atlas.dim,), key, where)
+        if spec.get("chart", atlas.charts[0].chart_id) not in [c.chart_id for c in atlas.charts]:
+            raise ParseError(f"{key!r} names no chart of atlas {atlas.name!r}", where=where)
+
+
 def _validate_experiments(s: Scenario):
     for idx, exp in enumerate(s.experiments):
         kind = exp.get("kind")
@@ -393,6 +436,10 @@ def _validate_experiments(s: Scenario):
                 _ref(table, exp[key], where)
         if kind == "reach" and not (exp.get("starts") or "start" in exp):
             raise ParseError("a reach experiment needs 'start' or 'starts'", where=where)
+        atlas = (s.morphisms[exp["morphism"]].phi.source if kind == "global-in-time"
+                 else s.systems[exp["system"]].atlas if exp.get("system") in s.systems
+                 else None)
+        _experiment_values(exp, atlas, where)
 
 
 # ---------------------------------------------------------------------------

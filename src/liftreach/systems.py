@@ -64,14 +64,14 @@ class GeneratedSystem:
             )
         return self._kernel_flow(coeffs)
 
-    def flows(self) -> list[VectorField]:
-        """Every field reach integrates from a cell.
+    def flows(self) -> list:
+        """The selector of every field reach integrates from a cell.
 
-        The generators come first, then each kernel field in both signs,
-        riding on kernel_base when one is declared.
+        The generator indices come first, then each unit kernel coefficient
+        vector in both signs, which rides on kernel_base when one is declared.
         """
         signed = [sign * unit for unit in np.eye(len(self.kernel_fields)) for sign in (1.0, -1.0)]
-        return list(self.generators) + [self._kernel_flow(c) for c in signed]
+        return list(range(len(self.generators))) + signed
 
     def _kernel_flow(self, coeffs) -> VectorField:
         """kernel_base + sum_j coeffs[j] K_j."""
@@ -140,8 +140,9 @@ def rk4_step(func, chart_id: str, coords: np.ndarray, h: float) -> np.ndarray:
 def step_schedule(duration: float, h: float, t0: float = 0.0) -> tuple[list, list]:
     """Step sizes and end times of the RK4 steps over one duration from t0.
 
-    The one definition of the steps flow_field takes; reach integrates the
-    same steps over rows, so its arrival times equal flow_field's bit for bit.
+    The one definition of the steps flow_field takes; integrate_requests
+    draws the same steps once per schedule for all of its rows, reach's
+    included, so their times equal flow_field's bit for bit.
     """
     steps, times = [], []
     t, remaining = t0, duration
@@ -280,12 +281,13 @@ def integrate_requests(requests: Sequence[RowRequest], stats=None) -> list:
     """The RowFlow of each request: integrate() of every start under its own
     schedule, bit for bit as run alone, up to the step that leaves the atlas
     and with that step's end time as its escape time. Selectors are resolved
-    up front; record=False keeps no samples. Requests whose systems share an
-    atlas and a step size are rows of one integration, where one RowPlan
-    serves until a schedule ends, a row still scheduled changes field, or a
-    row changes chart or leaves; a step that every row still scheduled takes
-    is passed as a float. stats, a Counter, counts integrations, rows and RK4
-    steps."""
+    up front, and the steps of each schedule object are drawn once for all
+    rows that share it; record=False keeps no samples. Requests whose
+    systems share an atlas and a step size are rows of one integration,
+    where one RowPlan serves until a schedule ends, a row still scheduled
+    changes field, or a row changes chart or leaves; a step that every row
+    still scheduled takes is passed as a float. stats, a Counter, counts
+    integrations, rows and RK4 steps."""
     groups, flows = {}, {}
     for i, req in enumerate(requests):
         groups.setdefault((id(req.system.atlas), req.h), []).append(i)
@@ -315,39 +317,42 @@ def _integrate(requests: Sequence[RowRequest], stats=None) -> list:
     """integrate_requests of requests that share an atlas and a step size; only the
     rows of requests that asked for samples are recorded, up to their last step."""
     atlas, h = requests[0].system.atlas, requests[0].h
-    fields, index, rows = [], {}, []
+    fields, index, tables, which = [], {}, [], []
     for req in requests:
-        resolved = {}  # selector key -> index into fields
+        resolved, drawn = {}, {}  # selector key -> index into fields; id(schedule) -> table
         for sched in req.schedules:
-            segs, t = [], 0.0  # (field index, duration, start time) per segment
-            for seg in sched.segments:
-                key = _selector_key(seg.selector)
-                if key not in resolved:
-                    field = req.system.resolve(seg.selector)
-                    resolved[key] = index.setdefault(id(field), len(fields))
-                    if resolved[key] == len(fields):
-                        fields.append(field)
-                segs.append((resolved[key], seg.duration, t))
-                t += seg.duration
-            rows.append(segs)
+            if id(sched) not in drawn:
+                # one table per schedule object: field index, step and end time per step
+                drawn[id(sched)], fs, hs, ts, t = len(tables), [], [], [], 0.0
+                for seg in sched.segments:
+                    key = _selector_key(seg.selector)
+                    if key not in resolved:
+                        field = req.system.resolve(seg.selector)
+                        resolved[key] = index.setdefault(id(field), len(fields))
+                        if resolved[key] == len(fields):
+                            fields.append(field)
+                    steps, times = step_schedule(seg.duration, h, t)
+                    fs += [resolved[key]] * len(steps)
+                    hs += steps
+                    ts += times
+                    t += seg.duration
+                # as arrays: lists of every table would set the peak memory
+                tables.append((np.array(fs, dtype=int), np.array(hs), np.array(ts)))
+            which.append(drawn[id(sched)])
     funcs = [f.func for f in fields]
-    # steps are drawn twice, to count and to fill: kept lists set the peak memory
-    n = np.array([sum(len(step_schedule(d, h, t)[0]) for _, d, t in segs) for segs in rows],
-                 dtype=int)
-    N, S = len(rows), int(n.max(initial=0))
-    F, H, T = np.zeros((N, S), dtype=int), np.zeros((N, S)), np.zeros((N, S + 1))
-    for r, segs in enumerate(rows):
-        k = 0
-        for j, d, t in segs:
-            steps, times = step_schedule(d, h, t)
-            F[r, k:k + len(steps)], H[r, k:k + len(steps)] = j, steps
-            T[r, k + 1:k + 1 + len(steps)] = times
-            k += len(steps)
-    scheduled = np.arange(S) < n[:, None]
+    # F, H and T have one row per table, and row r of the integration is table which[r]
+    which = np.array(which, dtype=int)
+    lengths = np.array([len(fs) for fs, _, _ in tables], dtype=int)
+    N, K, S, n = len(which), len(tables), int(lengths.max(initial=0)), lengths[which]
+    F, H, T = np.zeros((K, S), dtype=int), np.zeros((K, S)), np.zeros((K, S + 1))
+    for k, (fs, hs, ts) in enumerate(tables):
+        F[k, :len(fs)], H[k, :len(hs)], T[k, 1:len(ts) + 1] = fs, hs, ts
+    del tables
+    scheduled = np.arange(S) < lengths[:, None]
     lo = H.min(axis=0, initial=np.inf, where=scheduled)
     steps = lo.tolist()
     for s in np.flatnonzero(H.max(axis=0, initial=-np.inf, where=scheduled) != lo).tolist():
-        steps[s] = H[:, s, None].copy()
+        steps[s] = H[which, s, None]
     del H
     charts = np.concatenate([np.asarray(req.starts.charts, dtype=int) for req in requests])
     X = np.concatenate([np.asarray(req.starts.coords, dtype=float).reshape(-1, atlas.dim)
@@ -365,7 +370,7 @@ def _integrate(requests: Sequence[RowRequest], stats=None) -> list:
 
     live = np.flatnonzero(n > 0)
     at, into = recorded(live)
-    done = set(n.tolist())  # steps at which some row's schedule is over
+    done = set(lengths.tolist())  # steps at which some row's schedule is over
     # steps at which a row still scheduled changes field
     turns = set((np.flatnonzero(((F[:, 1:] != F[:, :-1]) & scheduled[:, 1:]).any(axis=0))
                  + 1).tolist())
@@ -377,10 +382,10 @@ def _integrate(requests: Sequence[RowRequest], stats=None) -> list:
                 break
             at, into = recorded(live)
         if plan is None or s in turns:
-            plan = plan_rows(atlas, funcs, F[:, s], charts, live)
+            plan = plan_rows(atlas, funcs, F[which, s], charts, live)
         if step_rows(atlas, plan, charts, X, steps[s]):
             plan, left = None, live[charts[live] < 0]
-            escapes[left], counts[left] = T[left, s + 1], s + 1
+            escapes[left], counts[left] = T[which[left], s + 1], s + 1
             live = live[charts[live] >= 0]
             if not len(live):
                 break
@@ -393,7 +398,8 @@ def _integrate(requests: Sequence[RowRequest], stats=None) -> list:
     flows = []
     for req, a, b in zip(requests, bounds[:-1], bounds[1:]):
         w, k = int(n[a:b].max(initial=0)) + 1, slice(int(kept[:a].sum()), int(kept[:b].sum()))
-        flows.append(RowFlow(Points(charts[a:b], X[a:b]), escapes[a:b], counts[a:b], T[a:b, :w],
+        flows.append(RowFlow(Points(charts[a:b], X[a:b]), escapes[a:b], counts[a:b],
+                             T[which[a:b], :w],
                              Points(samples.charts[k, :w], samples.coords[k, :w])
                              if req.record else None))
     return flows

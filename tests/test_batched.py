@@ -57,6 +57,7 @@ from liftreach.morphisms import (
     verify_global_in_time,
     verify_trajectory_preserving,
 )
+from liftreach import systems
 from liftreach.reach import Grid
 from liftreach.scenario import builtin_scenario_names, builtin_scenario_path, parse_scenario
 from liftreach.second_order import (
@@ -170,8 +171,9 @@ def _library_fields(s):
         for j, f in enumerate(s.kernels[name].fields):
             out[f"kernel-frame-{name}-{j}"] = f
     for name in ("osc.tcs", "oscl.augmented", "mlift.augmented", "bent.augmented"):
-        for j, f in enumerate(s.systems[name].flows()):
-            out[f"flow-{name}-{j}"] = f
+        sys = s.systems[name]
+        for j, selector in enumerate(sys.flows()):
+            out[f"flow-{name}-{j}"] = sys.resolve(selector)
     return out
 
 
@@ -823,6 +825,11 @@ def test_rows_equal_integrate_alone(name, data):
         starts += [data.draw(_starts(sys))] * 2
         scheds += [Schedule.of((g, data.draw(st.floats(h, 0.35)))).then(
             data.draw(_schedules(sys))) for g in (0, 1)]
+    # three more rows: two share one schedule object, whose steps are drawn
+    # once for both, and one has an equal schedule that is another object
+    shared = data.draw(_schedules(sys))
+    starts += [data.draw(_starts(sys)) for _ in range(3)]
+    scheds += [shared, shared, Schedule(tuple(shared.segments))]
     _assert_rows_alone(sys, starts, scheds, h)
 
 
@@ -915,6 +922,25 @@ def test_lift_rows_equal_each_row_alone(scenario):
     for r, (start, sched) in enumerate(zip(starts, scheds)):
         samples, _ = _alone(up, start, sched, 0.05)
         assert np.array_equal(flow.samples.coords[r], [p.coords for _, p in samples])
+
+
+def test_steps_are_drawn_once_per_schedule_object(monkeypatch):
+    """integrate_requests draws the steps of a schedule object once for all
+    rows that share it; an equal schedule that is another object is drawn
+    again (test_rows_equal_integrate_alone checks such rows bit for bit)."""
+    sys = _union_system()
+    shared = Schedule.of((0, 0.1), ([0.7, -0.5], 0.2))
+    scheds = [shared, shared, shared, Schedule(shared.segments)]
+    starts = [sys.atlas.normalize("a", [x, -0.5]) for x in (0.9, 0.5, 0.3, -0.9)]
+    drawn, step_schedule = [], systems.step_schedule
+
+    def counted(*args):
+        drawn.append(args)
+        return step_schedule(*args)
+
+    monkeypatch.setattr(systems, "step_schedule", counted)
+    integrate_requests([RowRequest(sys, sys.atlas.stack(starts), scheds, 0.01)])
+    assert len(drawn) == 2 * len(shared.segments)  # each segment of each object once
 
 
 def test_rows_escape_at_different_steps():

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from liftreach.errors import ParseError
-from liftreach.expressions import compile_expr, compile_vector
+from liftreach.expressions import compile_expr, compile_vector, substitute
 
 
 def test_arithmetic_and_functions():
@@ -89,6 +89,24 @@ def test_rows_broadcast_constants_and_match_points():
     assert np.array_equal(rows, np.array([v(x) for x in X]))
     f = compile_expr("2", ["x", "y"])
     assert f(X).tolist() == [2.0, 2.0, 2.0]
+
+
+def test_variables_may_take_the_names_a_fill_binds():
+    """A variable named like a name the generated fill binds for itself (its
+    output, np.power, the guard, a function) shadows none of them; a function
+    name that is not called is a variable or unknown."""
+    names = ["_pow", "_guard", "_out", "sin", "_sin", "__pow"]
+    x = np.array([3.0, 0.5, 1.0, 2.0, 4.0, -1.0])
+    fill = compile_vector(["_pow**2", "sin(sin) + _guard", "_out * _sin - __pow"], names)
+    assert fill(x).tolist() == [9.0, np.sin(2.0) + 0.5, 5.0]
+    assert compile_vector(["_pow**2"], ["_pow"])(np.array([3.0])).tolist() == [9.0]
+    guarded = compile_vector(["_guard * w"], ["_guard"], lets=[("w", "_guard**2")],
+                             guard=("w", lambda w, out: w < 4.0))
+    assert guarded(np.array([1.5])).tolist() == [3.375]
+    assert guarded(np.array([3.0])) is None
+    with pytest.raises(ParseError, match="unknown name 'sin'"):
+        compile_expr("sin + 1", ["x"])
+    assert substitute("sin(sin) + 2", {"sin": "x**2"}) == "sin(x ** 2) + 2"
 
 
 def test_variable_names_must_be_identifiers():

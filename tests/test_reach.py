@@ -192,7 +192,7 @@ def _reference_arrivals(sys, start, grid, dwell, horizon, substeps=10):
         if t0 >= horizon - eps:
             continue
         rep = reps[key]
-        for func in (f.func for f in sys.flows()):
+        for func in (sys.resolve(selector).func for selector in sys.flows()):
             if float(np.max(np.abs(func(rep.chart_id, rep.coords)))) < 1e-13:
                 continue
             hits = []
@@ -216,17 +216,17 @@ def _reference_arrivals(sys, start, grid, dwell, horizon, substeps=10):
 
 @pytest.fixture
 def flow_calls(monkeypatch):
-    """One entry per row the batched integration starts: one cell under one flow."""
+    """One entry per row reach hands to integrate_requests: one cell under one flow."""
     # the package's `reach` attribute is the function, so fetch the module
     reach_module = importlib.import_module("liftreach.reach")
     calls = []
-    real = reach_module._integrate
+    real = reach_module.integrate_requests
 
-    def counting(memo, flows, flow_of, start, steps):
-        calls.extend([1] * len(flow_of))
-        return real(memo, flows, flow_of, start, steps)
+    def counting(requests, stats=None):
+        calls.extend([1] * sum(len(req.schedules) for req in requests))
+        return real(requests, stats)
 
-    monkeypatch.setattr(reach_module, "_integrate", counting)
+    monkeypatch.setattr(reach_module, "integrate_requests", counting)
     return calls
 
 

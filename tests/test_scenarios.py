@@ -356,6 +356,63 @@ def test_malformed_nested_values_are_parse_errors(data, where):
     assert err.value.where == where
 
 
+NOT_NUMBERS = [None, "zz", [1, 2], True, {}, float("inf")]
+
+
+def _refused(key, value):
+    """Values of an experiment's number or point key that its handler cannot
+    take, given the built-in's own value: not numbers, counts that are not
+    whole and positive, durations and steps that are not positive, and
+    points that are not objects with coordinates in one chart of the atlas."""
+    if key in ("grid", "substeps", "samples", "schedules"):
+        return NOT_NUMBERS + [0, -1, 2.5]
+    if key in ("dwell", "step"):
+        return NOT_NUMBERS + [0, -0.5]
+    if key == "horizon":
+        return NOT_NUMBERS + [-1.0]
+    if key == "times":
+        return [None, "zz", 0.5, [0.5, "zz"], [0.5, 0.0], [-1.0], [[0.5]], [True]]
+    if key in ("c", "tol"):
+        return NOT_NUMBERS
+    if key == "min_coverage":  # null means no minimum
+        return NOT_NUMBERS[1:]
+    point = value if key == "start" else value[0]
+    wrong = [3, "zz", [0.1], {}, {"chart": point.get("chart", "c0")},
+             {"coords": "zz"}, {"coords": point["coords"] + [0.0]},
+             {"chart": "nowhere", "coords": point["coords"]},
+             {"chart": [1], "coords": point["coords"]}]
+    return [None] + (wrong if key == "start" else ["zz", point] + [[p] for p in wrong])
+
+
+def _experiment_value_keys():
+    for name in EXPECTED_NAMES:
+        data = json.loads(builtin_scenario_path(name).read_text())
+        for i, exp in enumerate(data.get("experiments", [])):
+            for key in exp:
+                if key in ("grid", "substeps", "samples", "schedules", "dwell", "step",
+                           "horizon", "times", "c", "tol", "min_coverage", "start",
+                           "starts", "points"):
+                    yield pytest.param(name, i, key, id=f"{name}-{exp['name']}-{key}")
+
+
+@pytest.mark.parametrize("name, index, key", list(_experiment_value_keys()))
+def test_malformed_experiment_values_are_parse_errors(scenarios, name, index, key):
+    """Every number and point key of every built-in experiment raises
+    ParseError naming the experiment for each value its handler cannot take.
+    The first such value goes through parse_scenario, the others through the
+    experiment check of the parsed built-in, which is parsing's last step."""
+    s = scenarios[name]
+    exp = s.raw["experiments"][index]
+    refused = _refused(key, exp[key])
+    with pytest.raises(ParseError) as err:
+        parse_scenario({**s.raw, "experiments": [{**exp, key: refused[0]}]})
+    assert err.value.where == exp["name"]
+    for bad in refused[1:]:
+        with pytest.raises(ParseError) as err:
+            scenario_module._validate_experiments(replace(s, experiments=[{**exp, key: bad}]))
+        assert err.value.where == exp["name"], bad
+
+
 @pytest.mark.parametrize("charts", [{}, {"a": [[0, 1]], "b": [[0, 1], [0, 1]]}])
 def test_union_charts_must_be_boxes_of_one_dimension(charts):
     with pytest.raises(ParseError) as err:
@@ -554,6 +611,37 @@ def test_closed_form_lift_tests_its_gram_before_it_divides():
                                    wraps=morphisms._right_inverse_apply) as generic_calls:
                 assert closed.values("c0", np.empty((0, 2))).shape == (0, 2)
             assert generic_calls.called
+
+
+def test_coordinates_may_take_the_names_a_fill_binds(tmp_path):
+    """Coordinates named like the names a generated fill binds for itself
+    (_pow, _guard, _out) parse, evaluate and lift as plain names do: the
+    closed-form lift, whose fill has a guard, equals the generic lift bit for
+    bit and passes verify."""
+    data = {
+        "atlases": {"plane": {"kind": "box", "box": [[-1, 1], [-1, 1]],
+                              "coords": ["_pow", "_guard"]},
+                    "line": {"kind": "interval", "box": [-3, 3], "coords": ["_out"]}},
+        "maps": {"bend": {"source": "plane", "target": "line",
+                          "exprs": ["_pow + 0.5*_guard**2"], "jacobian": [["1", "_guard"]]}},
+        "fields": {"right": {"atlas": "line", "exprs": ["1 + _out**2"]},
+                   "swirl": {"atlas": "plane", "exprs": ["-_guard", "_pow**2"]}},
+        "systems": {"down": {"atlas": "line", "generators": ["right"]}},
+        "morphisms": {"m": {"map": "bend", "target_system": "down"}},
+        "experiments": [{"name": "v", "kind": "verify", "morphism": "m",
+                         "target_system": "down", "samples": 20, "schedules": 2}],
+    }
+    s = parse_scenario(data)
+    X = np.array([[0.3, -0.5], [-0.7, 0.2], [0.0, -0.0]])
+    want = np.stack([-X[:, 1], np.power(X[:, 0], 2.0)], axis=-1)
+    assert s.fields["swirl"].values("c0", X).tobytes() == want.tobytes()
+    lift = s.system("m.system").generators[0]
+    generic = metric_lift_morphism(s.maps["bend"]).lift(s.fields["right"])
+    with mock.patch.object(morphisms, "_right_inverse_apply") as generic_calls:
+        closed = lift.values("c0", X)
+    assert not generic_calls.called
+    assert closed.tobytes() == generic.values("c0", X).tobytes()
+    assert run(s, out_dir=tmp_path).passed
 
 
 @pytest.mark.parametrize("name, morphism", [("mobius", "mlift"), ("bundle", "blift")])
