@@ -13,10 +13,6 @@ class DimensionMismatch(LiftReachError):
     pass
 
 
-class EmptyRestriction(LiftReachError):
-    pass
-
-
 class Escape(LiftReachError):
     """A flow left the atlas; carries the escape time and the partial trajectory."""
 

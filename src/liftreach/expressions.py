@@ -34,8 +34,9 @@ _ALLOWED_NODES = (
 def _validate(tree: ast.AST, variables: set[str], text: str):
     """ParseError unless tree is an expression of the grammar: a function
     name is only called, and any other name is a variable or a constant."""
-    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
-    for node in ast.walk(tree):
+    nodes = list(ast.walk(tree))
+    called = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+    for node in nodes:
         if not isinstance(node, _ALLOWED_NODES):
             raise ParseError(f"unsupported syntax {type(node).__name__!r} in {text!r}")
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
@@ -124,6 +125,9 @@ def _compile(texts: list, variables: list, lets=(), guard=None):
     bad = [v for v in variables if not v.isidentifier() or keyword.iskeyword(v)]
     if bad:
         raise ParseError(f"variable name {bad[0]!r} is not an identifier")
+    twice = [v for i, v in enumerate(variables) if v in variables[:i]]
+    if twice:
+        raise ParseError(f"variable name {twice[0]!r} is given twice")
     module = ast.parse(f"def fill({', '.join([out] + (variables or ['*_']))}): return True")
     module.body[0].body[:0] = lines
     env = {bound[name]: func for name, func in _FUNCS.items()}
@@ -131,7 +135,7 @@ def _compile(texts: list, variables: list, lets=(), guard=None):
     env[bound["pow"]] = np.power
     env[bound["guard"]] = guard and guard[1]
     env["__builtins__"] = {}
-    exec(compile(ast.fix_missing_locations(module), "<expr>", "exec"), env)
+    exec(compile(module, "<expr>", "exec"), env)  # every node has a location
     return env["fill"]
 
 

@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfAtlas
+from .expressions import compile_vector
 
 FD_STEP = 1e-6
 
@@ -464,12 +465,15 @@ class VectorField:
     """Chart-wise vector field; func must accept raw (extended-domain) coords.
 
     func maps coords (..., d), a point or rows, to vectors of the same shape,
-    each row equal, bit for bit, to its value at that row alone.
+    each row equal, bit for bit, to its value at that row alone. exprs, when
+    given, are the components as expressions over atlas.coord_names, and func
+    is their one generated fill (expression_field).
     """
 
     atlas: Atlas
     func: Callable[[str, np.ndarray], np.ndarray]
     name: str = ""
+    exprs: Optional[tuple[str, ...]] = None
 
     def values(self, chart_id: str, X) -> np.ndarray:
         """The field at coords (d,) or at rows (N, d); DimensionMismatch when
@@ -491,10 +495,27 @@ class VectorField:
         return out
 
 
+def expression_field(atlas: Atlas, exprs: Sequence[str], name="") -> VectorField:
+    """The field whose component j is exprs[j] over atlas.coord_names, in
+    every chart: one generated fill."""
+    value = compile_vector(exprs, atlas.coord_names)
+    return VectorField(atlas, lambda cid, coords: value(coords), name=name, exprs=tuple(exprs))
+
+
 def combine_fields(fields: Sequence[VectorField], coeffs, name="") -> VectorField:
-    """Pointwise linear combination sum_i coeffs[i] * fields[i]."""
+    """Pointwise linear combination sum_i coeffs[i] * fields[i], summed from
+    zeros in order, skipping zero coefficients. When every field has exprs
+    over one atlas's names and every coefficient is finite, it is one
+    generated fill of 0.0 + (c_i) * (expr_i) + ..., which sums the same way
+    and so gives the same bits, signed zeros included."""
     coeffs = np.asarray(coeffs, dtype=float)
     atlas = fields[0].atlas
+    if np.isfinite(coeffs).all() and all(
+            f.exprs is not None and f.atlas.coord_names == atlas.coord_names for f in fields):
+        terms = [(repr(float(c)), f.exprs) for c, f in zip(coeffs, fields) if c != 0.0]
+        return expression_field(atlas, [
+            " + ".join(["0.0"] + [f"({c}) * ({exprs[i]})" for c, exprs in terms])
+            for i in range(atlas.dim)], name=name)
 
     def func(cid, coords):
         out = np.zeros(np.shape(coords))

@@ -94,15 +94,6 @@ class Grid:
         cells[inside] = self.cells_of(Points(rows.charts[inside], rows.coords[inside]))
         return cells
 
-    def center_point(self, key: CellKey) -> Optional[Point]:
-        """Canonical point for the cell center, or None if it normalizes away."""
-        (c,), (x,) = self.centers([self._flat_of(key)])
-        return Point(self.atlas.charts[c].chart_id, x) if c >= 0 else None
-
-    def is_valid(self, key: CellKey) -> bool:
-        flat = self._flat_of(key)
-        return bool(self._cells(self.centers([flat]))[0] == flat)
-
     def valid_flat(self) -> np.ndarray:
         """Flat indices of every valid cell, ascending."""
         flat = np.arange(self.size)

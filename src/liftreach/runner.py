@@ -296,6 +296,10 @@ def run(scenario: Scenario, seed: int = 0, out_dir=None, overrides=None,
         kinds=None, experiment=None, echo=None) -> RunResult:
     """Run scenario experiments, optionally filtered by kind or name.
 
+    Overrides are written into the chosen experiments, which then pass the
+    parse-time checks before any handler runs: a value no handler can take
+    is a ParseError naming its experiment.
+
     Handlers that are generator bodies are driven together (systems.drive)
     after the others, so their rows that share an atlas and a step size are
     one integration; records and echo lines keep experiment order. Writes
@@ -308,15 +312,19 @@ def run(scenario: Scenario, seed: int = 0, out_dir=None, overrides=None,
     if out_dir is not None:
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
+    from .scenario import _validate_experiments  # scenario imports this module
+
     result = RunResult(scenario=scenario.name, seed=seed)
-    selected, outcomes, bodies = [], [], {}
-    for idx, raw_exp in enumerate(scenario.experiments):
-        if kinds is not None and raw_exp["kind"] not in kinds:
-            continue
-        if experiment is not None and raw_exp.get("name") != experiment:
-            continue
-        exp = _apply_overrides(raw_exp, overrides)
+    chosen = {idx: _apply_overrides(exp, overrides)
+              for idx, exp in enumerate(scenario.experiments)
+              if (kinds is None or exp["kind"] in kinds)
+              and (experiment is None or exp.get("name") == experiment)}
+    for idx, exp in chosen.items():
         exp.setdefault("name", f"experiment-{idx}")
+    # the parse-time checks again, on the values the overrides wrote
+    _validate_experiments(scenario, list(chosen.values()))
+    selected, outcomes, bodies = [], [], {}
+    for idx, exp in chosen.items():
         exp_seed = seed * 100003 + idx
         out = _HANDLERS[exp["kind"]](scenario, exp, exp_seed, out_path)
         if isinstance(out, GeneratorType):

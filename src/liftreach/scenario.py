@@ -19,6 +19,7 @@ from .geometry import (
     box_atlas,
     circle_atlas,
     combine_fields,
+    expression_field,
     interval_atlas,
     mobius_atlas,
     torus_atlas,
@@ -211,15 +212,14 @@ def _build_map(name: str, spec: dict, atlases: dict) -> SmoothMap:
 
 def _build_field(name: str, spec: dict, atlases: dict) -> VectorField:
     atlas = _ref(atlases, _need(spec, "atlas", name), name)
-    value = compile_vector(_entries(_need(spec, "exprs", name), (atlas.dim,), "exprs", name),
-                           atlas.coord_names)
-    return VectorField(atlas, lambda cid, coords: value(coords), name=name)
+    return expression_field(
+        atlas, _entries(_need(spec, "exprs", name), (atlas.dim,), "exprs", name), name=name)
 
 
-def _closed_form(m: Morphism, spec: dict, fields: dict, field_specs: dict) -> Morphism:
-    """m, lifting a scenario field as one generated fill where spec's map has a
-    jacobian block, a 1-D target and a source without a metric. The fill
-    takes W = 0.0 + J_0 J_0 + ..., as matmul sums it, tests it as
+def _closed_form(m: Morphism, spec: dict) -> Morphism:
+    """m, lifting a field with expressions as one generated fill where spec's
+    map has a jacobian block, a 1-D target and a source without a metric.
+    The fill takes W = 0.0 + J_0 J_0 + ..., as matmul sums it, tests it as
     _right_inverse does before it divides, and fills column j with
     J_j (Y o Phi / W) + 0.0, so it is the generic lift bit for bit. A stack
     that fails the Gram test, and any other field, takes m's generic lift."""
@@ -233,9 +233,9 @@ def _closed_form(m: Morphism, spec: dict, fields: dict, field_specs: dict) -> Mo
 
     def lift_rule(Y: VectorField) -> VectorField:
         generic = m.lift_rule(Y)
-        if fields.get(Y.name) is not Y or Y.atlas.dim != 1:
+        if Y.exprs is None or Y.atlas.dim != 1:
             return generic
-        y = substitute(field_specs[Y.name]["exprs"][0], {Y.atlas.coord_names[0]: spec["exprs"][0]})
+        y = substitute(Y.exprs[0], {Y.atlas.coord_names[0]: spec["exprs"][0]})
         # W is one float for every row when J is constant: the stack is empty when out is
         fill = compile_vector([f"{j} * {pre}q + 0.0" for j, _ in J], names,
                               lets=[*J, W, (f"{pre}q", f"({y}) / {W[0]}")],
@@ -282,8 +282,7 @@ def parse_scenario(source) -> Scenario:
         phi = _ref(maps, _need(v, "map", k), k)
         target = _ref(systems, _need(v, "target_system", k), k)
         if v["map"] not in lifts:
-            lifts[v["map"]] = _closed_form(metric_lift_morphism(phi), map_specs[v["map"]],
-                                           fields, field_specs)
+            lifts[v["map"]] = _closed_form(metric_lift_morphism(phi), map_specs[v["map"]])
         m = morphisms[k] = lifts[v["map"]]
         key = (v["map"], v["target_system"])
         if key not in lifted_by:
@@ -299,19 +298,11 @@ def parse_scenario(source) -> Scenario:
     for k, v in _section(data, "second_order").items():
         base = _ref(atlases, _need(v, "base", k), k)
         ta = tangent_atlas(base, v_bound=_numbers(v.get("v_bound", 2.0), (), "v_bound", k))
-        var_names = ta.atlas.coord_names
         g_exprs, n = _listed(v.get("g", []), "g", k), base.dim
-        gamma_fn = compile_vector(_entries(_need(v, "gamma", k), (n,), "gamma", k), var_names)
-        g_fn = compile_vector(_entries(g_exprs, (len(g_exprs), n), "g", k) if g_exprs else [],
-                              var_names)
-
-        def gamma(cid, x, y, fn=gamma_fn):
-            return fn(np.concatenate([x, y], axis=-1))
-
-        def gmat(cid, x, y, fn=g_fn, shape=(len(g_exprs), n)):
-            return fn(np.concatenate([x, y], axis=-1)).reshape(np.shape(x)[:-1] + shape)
-
-        so = second_order_system(ta, gamma, gmat, len(g_exprs), label=k)
+        gamma = _entries(_need(v, "gamma", k), (n,), "gamma", k)
+        g = _entries(g_exprs, (len(g_exprs), n), "g", k) if g_exprs else []
+        so = second_order_system(ta, gamma, [g[j * n:(j + 1) * n] for j in range(len(g_exprs))],
+                                 len(g_exprs), label=k)
         second_order[k] = so
         # generated system of affine slices at sampled control values
         samples = v.get("control_samples")
@@ -417,8 +408,10 @@ def _experiment_values(exp: dict, atlas, where: str):
             raise ParseError(f"{key!r} names no chart of atlas {atlas.name!r}", where=where)
 
 
-def _validate_experiments(s: Scenario):
-    for idx, exp in enumerate(s.experiments):
+def _validate_experiments(s: Scenario, experiments=None):
+    """ParseError naming the experiment for any of experiments, s's own by
+    default, that the handler of its kind cannot run in s."""
+    for idx, exp in enumerate(s.experiments if experiments is None else experiments):
         kind = exp.get("kind")
         where = exp.get("name", f"experiment-{idx}")
         if not isinstance(kind, str) or kind not in _HANDLERS:

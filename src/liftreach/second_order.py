@@ -1,6 +1,13 @@
 """Second-order machinery on tangent bundles: induced atlases, vertical
 lifts, second-order systems and their lifts, fiber-tangent augmentation,
-and geodesic sprays for affine-connection systems."""
+and geodesic sprays for affine-connection systems.
+
+A second-order system given by expressions (a scenario's gamma and g)
+keeps them: its drift and controls, their second-order lifts, vertical
+lifts of expression fields, and every combination of these (affine
+slices, augmented generators, kernel flows) are each one generated fill.
+Local data given as callables, as a geodesic spray's, keep closures.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import FrameNotKernel, UnmappedControl
+from .expressions import compile_vector, substitute
 from .geometry import (
     Atlas,
     Chart,
@@ -17,6 +25,7 @@ from .geometry import (
     VectorField,
     combine_fields,
     distinct,
+    expression_field,
     scan_max,
 )
 from .morphisms import KernelFrame, Morphism, check_adapted
@@ -102,9 +111,8 @@ class SecondOrderSystem:
     """Control-affine system on a tangent bundle whose drift projects to the
     identity on velocities and whose control fields are vertical.
 
-    local_data, when present, is (gamma, gmat): gamma(cid, x, y) gives the
-    drift accelerations (..., n), gmat(cid, x, y) the control accelerations
-    (..., k, n), at base coords and velocities x, y (..., n).
+    local_data, when present, is (gamma, gmat) as second_order_system took
+    them: callables, or expressions over the tangent atlas's coord_names.
     """
 
     tangent_atlas: TangentAtlas
@@ -116,8 +124,27 @@ class SecondOrderSystem:
 
 def second_order_system(ta: TangentAtlas, gamma, gmat, k: int,
                         label="second-order") -> SecondOrderSystem:
-    """Build a SecondOrderSystem from its local form (accelerations)."""
+    """Build a SecondOrderSystem from its local form (accelerations).
+
+    gamma(cid, x, y) gives the drift accelerations (..., n) and
+    gmat(cid, x, y) the control accelerations (..., k, n), at base coords
+    and velocities x, y (..., n). Or gamma is a list of n expressions and
+    gmat a list of k lists of n, over ta.atlas.coord_names: the drift
+    (y, gamma) and each control (0, g_j) are then one generated fill.
+    """
     n = ta.base.dim
+    if not callable(gamma):
+        gamma, gmat = tuple(gamma), tuple(tuple(g) for g in gmat)
+        names = ta.atlas.coord_names
+        return SecondOrderSystem(
+            tangent_atlas=ta,
+            drift=expression_field(ta.atlas, [*names[n:], *gamma], name=f"{label}-drift"),
+            control_fields=tuple(expression_field(ta.atlas, ["0.0"] * n + list(g),
+                                                  name=f"{label}-g{j}")
+                                 for j, g in enumerate(gmat)),
+            local_data=(gamma, gmat),
+            label=label,
+        )
 
     def drift_func(cid, coords):
         x, y = coords[..., :n], coords[..., n:]
@@ -173,13 +200,32 @@ def tangent_map(phi: SmoothMap, tp: TangentAtlas, tq: TangentAtlas) -> SmoothMap
                      name=f"T{phi.name}")
 
 
+def _distinct_names(atlas: Atlas) -> bool:
+    """Whether a fill can take atlas's coordinates: a tangent atlas names the
+    velocity of x "vx", which another coordinate may be called too."""
+    return len(set(atlas.coord_names)) == atlas.dim
+
+
+def _local_form(ta: TangentAtlas, gamma, gmat) -> tuple:
+    """The callables of local data given as expressions over ta.atlas.coord_names."""
+    shape = (len(gmat), ta.base.dim)
+    gamma_fn = compile_vector(gamma, ta.atlas.coord_names)
+    g_fn = compile_vector([e for g in gmat for e in g], ta.atlas.coord_names)
+    return (lambda cid, x, y: gamma_fn(np.concatenate([x, y], axis=-1)),
+            lambda cid, x, y: g_fn(np.concatenate([x, y], axis=-1)).reshape(
+                np.shape(x)[:-1] + shape))
+
+
 def second_order_lift(sys2: SecondOrderSystem, phi: SmoothMap,
                       samples: int = 30, seed: int = 0):
     """Minimal second-order lift across an adapted submersion.
 
     Fiber positions keep their velocities and receive zero acceleration;
-    base accelerations are read from the downstairs local form. Returns
-    (lifted SecondOrderSystem on TP, morphism over T(phi)).
+    base accelerations are read from the downstairs local form. Local data
+    given as expressions lift to expressions: the downstairs coordinates
+    and velocities are renamed to the first m upstairs ones, and components
+    past m are 0.0. Returns (lifted SecondOrderSystem on TP, morphism over
+    T(phi)).
     """
     if sys2.local_data is None:
         raise ValueError("second_order_lift needs the local form of the source system")
@@ -191,18 +237,30 @@ def second_order_lift(sys2: SecondOrderSystem, phi: SmoothMap,
     tp = tangent_atlas(phi.source, v_bound=tq.v_bound)
     n = phi.source.dim
 
-    def qchart(cid, x):
-        return phi.raw(cid, x)[0]
+    if not callable(gamma) and _distinct_names(tp.atlas):
+        up = tp.atlas.coord_names
+        names = dict(zip(tq.atlas.coord_names, up[:m] + up[n:n + m]))
 
-    def lifted_gamma(cid, x, y):
-        acc = np.zeros(np.shape(x))
-        acc[..., :m] = np.asarray(gamma(qchart(cid, x), x[..., :m], y[..., :m]), float)
-        return acc
+        def lifted_exprs(exprs):
+            return [substitute(e, names) for e in exprs] + ["0.0"] * (n - m)
 
-    def lifted_gmat(cid, x, y):
-        G = np.zeros(np.shape(x)[:-1] + (k, n))
-        G[..., :m] = np.asarray(gmat(qchart(cid, x), x[..., :m], y[..., :m]), float)
-        return G
+        lifted_gamma, lifted_gmat = lifted_exprs(gamma), [lifted_exprs(g) for g in gmat]
+    else:
+        if not callable(gamma):
+            gamma, gmat = _local_form(tq, gamma, gmat)
+
+        def qchart(cid, x):
+            return phi.raw(cid, x)[0]
+
+        def lifted_gamma(cid, x, y):
+            acc = np.zeros(np.shape(x))
+            acc[..., :m] = np.asarray(gamma(qchart(cid, x), x[..., :m], y[..., :m]), float)
+            return acc
+
+        def lifted_gmat(cid, x, y):
+            G = np.zeros(np.shape(x)[:-1] + (k, n))
+            G[..., :m] = np.asarray(gmat(qchart(cid, x), x[..., :m], y[..., :m]), float)
+            return G
 
     lifted = second_order_system(tp, lifted_gamma, lifted_gmat, k,
                                  label=f"lift({sys2.label})")
@@ -233,8 +291,12 @@ def second_order_lift(sys2: SecondOrderSystem, phi: SmoothMap,
 
 
 def vertical_lift(X: VectorField, tp: TangentAtlas) -> VectorField:
-    """Canonical copy of a base field into the fiber directions."""
+    """Canonical copy of a base field into the fiber directions: (0, X),
+    one generated fill when X has expressions."""
     n = tp.base.dim
+    if X.exprs is not None and X.atlas.coord_names == tp.base.coord_names \
+            and _distinct_names(tp.atlas):
+        return expression_field(tp.atlas, ["0.0"] * n + list(X.exprs), name=f"vlft({X.name})")
 
     def func(cid, coords):
         x = np.asarray(coords, float)[..., :n]

@@ -44,7 +44,8 @@ class GeneratedSystem:
     kernel_fields: tuple[VectorField, ...] = ()
     kernel_base: Optional[VectorField] = None
     label: str = ""
-    # reach's per-grid dwell-flow outcomes; lives and dies with this object
+    # reach's per-grid dwell-flow outcomes and the kernel flow of each
+    # coefficient vector; lives and dies with this object
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def resolve(self, selector) -> VectorField:
@@ -74,13 +75,16 @@ class GeneratedSystem:
         return list(range(len(self.generators))) + signed
 
     def _kernel_flow(self, coeffs) -> VectorField:
-        """kernel_base + sum_j coeffs[j] K_j."""
-        fields = list(self.kernel_fields)
-        weights = list(coeffs)
-        if self.kernel_base is not None:
-            fields.append(self.kernel_base)
-            weights.append(1.0)
-        return combine_fields(fields, weights, name="kernel-combo")
+        """kernel_base + sum_j coeffs[j] K_j, built once per coefficient
+        vector: a fill costs a compile."""
+        key = ("kernel-flow", tuple(coeffs.tolist()))
+        if key not in self._memo:
+            fields, weights = list(self.kernel_fields), list(coeffs)
+            if self.kernel_base is not None:
+                fields.append(self.kernel_base)
+                weights.append(1.0)
+            self._memo[key] = combine_fields(fields, weights, name="kernel-combo")
+        return self._memo[key]
 
 
 @dataclass(frozen=True)
@@ -100,10 +104,6 @@ class Schedule:
             if seg.duration < 0:
                 raise ValueError("segment durations must be nonnegative")
 
-    @property
-    def total_duration(self) -> float:
-        return float(sum(seg.duration for seg in self.segments))
-
     @staticmethod
     def of(*pairs) -> "Schedule":
         return Schedule(tuple(Segment(sel, float(dur)) for sel, dur in pairs))
@@ -121,10 +121,6 @@ class Trajectory:
     @property
     def endpoint(self) -> Point:
         return self.samples[-1][1]
-
-    @property
-    def end_time(self) -> float:
-        return self.samples[-1][0]
 
 
 def rk4_step(func, chart_id: str, coords: np.ndarray, h: float) -> np.ndarray:

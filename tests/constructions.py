@@ -1,5 +1,7 @@
 """Constructions that no library code or scenario calls, kept as test
-helpers: the presheaf restriction of a generated system to a sub-box, the
+helpers: the centre point and validity of a grid cell, the presheaf
+restriction of a generated system to a sub-box (EmptyRestriction when the
+box is empty or leaves the chart), the
 control-affine system of a drift and control fields, integration under a
 piecewise-constant control signal, the identity map of an atlas, and the
 horizontal lift of a linear connection. Each takes coordinates (..., d), a
@@ -7,13 +9,14 @@ point or rows, as every library field and map does. canonical reads
 Atlas.normalize as a value, None outside the atlas, for test strategies."""
 
 from dataclasses import replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from liftreach.errors import ControlOutOfSet, EmptyRestriction, OutOfAtlas
+from liftreach.errors import ControlOutOfSet, LiftReachError, OutOfAtlas
 from liftreach.geometry import Atlas, Point, SmoothMap, VectorField, box_atlas
 from liftreach.morphisms import Morphism, check_adapted
+from liftreach.reach import CellKey, Grid
 from liftreach.systems import (
     ControlSystem,
     GeneratedSystem,
@@ -30,6 +33,22 @@ def canonical(atlas: Atlas, chart_id: str, coords):
     except OutOfAtlas:
         return None
     return p.chart_id, p.coords
+
+
+def center_point(grid: Grid, key: CellKey) -> Optional[Point]:
+    """Canonical point for the cell center, or None if it normalizes away."""
+    (c,), (x,) = grid.centers([grid._flat_of(key)])
+    return Point(grid.atlas.charts[c].chart_id, x) if c >= 0 else None
+
+
+def is_valid(grid: Grid, key: CellKey) -> bool:
+    """Whether the cell's centre normalizes into the cell itself."""
+    flat = grid._flat_of(key)
+    return bool(grid._cells(grid.centers([flat]))[0] == flat)
+
+
+class EmptyRestriction(LiftReachError):
+    pass
 
 
 def restrict(sys: GeneratedSystem, chart_id: str, box) -> GeneratedSystem:

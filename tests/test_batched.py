@@ -6,6 +6,7 @@ row integrator and the certificates built on it."""
 import itertools
 import json
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 from unittest import mock
@@ -35,6 +36,7 @@ from liftreach.geometry import (
     VectorField,
     box_atlas,
     circle_atlas,
+    combine_fields,
     finite_difference_jacobian,
     interval_atlas,
     mobius_atlas,
@@ -65,6 +67,7 @@ from liftreach.second_order import (
     augment_second_order,
     is_second_order,
     second_order_lift,
+    second_order_system,
     tangent_atlas,
     vertical_lift,
 )
@@ -78,7 +81,7 @@ from liftreach.systems import (
     integrate_requests,
 )
 
-from constructions import canonical
+from constructions import canonical, center_point, is_valid
 
 SCENARIO = {
     "name": "batched",
@@ -409,6 +412,95 @@ def test_closed_form_lift_equals_generic_lift(name, morphism, gen, data):
         assert _bits(outcome(closed, x)) == _bits(outcome(generic, x))
 
 
+# -- second-order fills ----------------------------------------------------------
+
+
+def _closure_twin(so):
+    """so rebuilt from callables of its expressions, as scenarios built
+    second-order systems before they were fills."""
+    ta, (gamma, gmat) = so.tangent_atlas, so.local_data
+    names, shape = ta.atlas.coord_names, (len(gmat), ta.base.dim)
+    gamma_fn = compile_vector(gamma, names)
+    g_fn = compile_vector([e for g in gmat for e in g], names)
+    return second_order_system(
+        ta, lambda cid, x, y: gamma_fn(np.concatenate([x, y], axis=-1)),
+        lambda cid, x, y: g_fn(np.concatenate([x, y], axis=-1)).reshape(np.shape(x)[:-1] + shape),
+        len(gmat), label=so.label)
+
+
+def _fill_and_closure_pairs(s, down, lift):
+    """(name, fill, closure twin) of every second-order field the scenario s
+    builds from the expressions of down and of its lift's kernel frame."""
+    so, lifted, m = s.second_order[down], s.second_order[f"{lift}.system"], s.morphisms[lift]
+    twin = _closure_twin(so)
+    twin_lifted, twin_m = second_order_lift(twin, s.maps[s.raw["so_lifts"][lift]["map"]])
+    frame = s.kernels[lift]
+    twin_frame = replace(frame, fields=tuple(replace(f, exprs=None) for f in frame.fields))
+    aug, twin_aug = s.systems[f"{lift}.augmented"], augment_second_order(twin_lifted, twin_frame)
+    tp = lifted.tangent_atlas
+    pairs = [("drift", so.drift, twin.drift), ("lift-drift", lifted.drift, twin_lifted.drift)]
+    pairs += [(f"control-{j}", f, g) for j, (f, g) in
+              enumerate(zip(so.control_fields, twin.control_fields))]
+    pairs += [(f"lift-control-{j}", f, g) for j, (f, g) in
+              enumerate(zip(lifted.control_fields, twin_lifted.control_fields))]
+    for j, Y in enumerate(s.systems[f"{down}.tcs"].generators):
+        u = [1.0] + [float(c) for c in s.raw["second_order"][down]["control_samples"][j]]
+        Y_twin = combine_fields([twin.drift, *twin.control_fields], u)
+        pairs += [(f"tcs-{j}", Y, Y_twin), (f"lifted-{j}", m.lift(Y), twin_m.lift(Y_twin))]
+    pairs += [(f"vertical-lift-{j}", vertical_lift(X, tp), vertical_lift(Y, tp))
+              for j, (X, Y) in enumerate(zip(frame.fields, twin_frame.fields))]
+    pairs += [(f"augmented-{j}", aug.resolve(sel), twin_aug.resolve(sel))
+              for j, sel in enumerate(aug.flows())]
+    return pairs
+
+
+@lru_cache(maxsize=None)
+def _fill_cases(name, down, lift):
+    s = parse_scenario(SCENARIO) if name == "batched" else _parsed(name)
+    return _fill_and_closure_pairs(s, down, lift)
+
+
+@pytest.mark.parametrize("name, down, lift", [("double-integrator", "di", "dil"),
+                                              ("batched", "osc", "oscl")])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_second_order_fills_equal_their_closures(name, down, lift, data):
+    """Every second-order field a scenario builds from expressions is one
+    generated fill (drift and controls, their affine slices, their lifts and
+    lifted generators, vertical lifts, and the augmented generators and
+    kernel flows), and equals its closure twin bit for bit, on rows and at
+    each row alone, signed zeros included."""
+    pairs = _fill_cases(name, down, lift)
+    entry = st.one_of(st.floats(-2, 2), st.sampled_from([0.0, -0.0]))
+    X = data.draw(st.integers(1, 6).flatmap(lambda n: arrays(
+        np.float64, (n, max(f.atlas.dim for _, f, _ in pairs)), elements=entry)))
+    for what, fill, closure in pairs:
+        assert fill.exprs is not None and closure.exprs is None, what
+        cid, Y = fill.atlas.charts[0].chart_id, X[:, :fill.atlas.dim]
+        assert _bits(fill.values(cid, Y)) == _bits(closure.values(cid, Y)), what
+        for y in Y:
+            assert _bits(fill.values(cid, y)) == _bits(closure.values(cid, y)), what
+
+
+def test_callables_and_non_finite_coefficients_keep_closures(scenario):
+    """A geodesic spray's fields and anything combined with them, and a
+    combination with a coefficient that is not finite, keep the closure
+    path; kernel flows are built once per coefficient vector."""
+    spray = scenario.second_order["conn.spray"]
+    assert spray.drift.exprs is None
+    assert all(f.exprs is None for f in spray.control_fields)
+    swirl = scenario.fields["swirl"]
+    assert combine_fields([swirl, swirl], [1.0, -0.5]).exprs is not None
+    X = np.array([[0.5, -0.0], [1.0, 2.0]])
+    for c in (np.inf, -np.inf, np.nan):
+        mixed = combine_fields([swirl, swirl], [1.0, c])
+        assert mixed.exprs is None
+        assert _bits(mixed.values("c0", X)) == _bits(swirl.values("c0", X) + c * swirl.values("c0", X))
+    aug = scenario.systems["oscl.augmented"]
+    kernel = [sel for sel in aug.flows() if isinstance(sel, np.ndarray)]
+    assert kernel and all(aug.resolve(sel) is aug.resolve(sel.copy()) for sel in kernel)
+
+
 def test_pointwise_user_fields_raise_on_rows(scenario):
     """A func that reads one point as c[0] is wrong on rows, where c[0] is the
     first row: it raises DimensionMismatch naming the field or the map
@@ -733,8 +825,8 @@ def test_grid_cells_centers_and_neighbors_agree(kind):
         assert np.array_equal(grid.cells_of(grid.centers(flat)), flat)
         keys = grid.all_valid_cells()
         for key in keys:
-            assert grid.cell_of(grid.center_point(key)) == key
-            assert grid.is_valid(key)
+            assert grid.cell_of(center_point(grid, key)) == key
+            assert is_valid(grid, key)
         for key in keys[::-(-len(keys) // 16) if len(keys) > 64 else 1]:
             assert grid.neighbors(key) == _neighbors_alone(grid, key)
 

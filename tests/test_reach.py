@@ -15,6 +15,8 @@ from liftreach.reach import Grid, is_reachability_set, reach, stlc_probe
 from liftreach.second_order import tangent_atlas
 from liftreach.systems import GeneratedSystem, flow_field
 
+from constructions import center_point, is_valid
+
 
 def _plane_system(fields):
     atlas = box_atlas([[-1, 1], [-1, 1]])
@@ -33,7 +35,7 @@ def test_grid_cell_of_and_center():
     g = Grid(atlas, 10)
     p = atlas.normalize("c0", [-0.95, 0.95])
     assert g.cell_of(p) == ("c0", 0, 9)
-    center = g.center_point(("c0", 0, 9)).coords
+    center = center_point(g, ("c0", 0, 9)).coords
     np.testing.assert_allclose(center, [-0.9, 0.9])
 
 
@@ -207,7 +209,7 @@ def _reference_arrivals(sys, start, grid, dwell, horizon, substeps=10):
                 cell = g.cell_of(p)
                 if cell not in arrivals:
                     arrivals[cell] = t0 + t
-                    center = g.center_point(cell)
+                    center = center_point(g, cell)
                     canonical = center is not None and g.cell_of(center) == cell
                     reps[cell] = center if canonical else p
                     queue.append(cell)
@@ -313,7 +315,7 @@ def test_memo_replays_hit_points_of_non_canonical_cells(flow_calls):
     sys = make()
     rep = reach(sys, _at(0.44)(sys), **kw)
     g = Grid(sys.atlas, 10)
-    assert any(not g.is_valid(cell) for cell in rep.arrivals)
+    assert any(not is_valid(g, cell) for cell in rep.arrivals)
 
 
 def test_rows_crossing_charts_mid_dwell_match_reference():
@@ -369,7 +371,7 @@ def test_all_valid_cells_matches_per_cell_check(kind):
     g = Grid(atlas, n)
     want = [(chart.chart_id, *idx) for chart in atlas.charts
             for idx in itertools.product(range(n), repeat=atlas.dim)
-            if g.is_valid((chart.chart_id, *idx))]
+            if is_valid(g, (chart.chart_id, *idx))]
     assert g.all_valid_cells() == want
 
 

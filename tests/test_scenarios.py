@@ -413,6 +413,64 @@ def test_malformed_experiment_values_are_parse_errors(scenarios, name, index, ke
         assert err.value.where == exp["name"], bad
 
 
+# override flag -> the experiment keys it writes; values each may take
+OVERRIDES = {"grid": ("grid",), "dwell": ("dwell",), "horizon": ("horizon",),
+             "step": ("step",), "tol": ("tol", "tolerance")}
+# of 0, -1, nan, inf and 2.5, the values each flag may take
+OVERRIDE_TAKES = {"grid": set(), "dwell": {2.5}, "horizon": {0, 2.5}, "step": {2.5},
+                  "tol": {0, -1, 2.5}}
+
+
+class HandlerRan(Exception):
+    pass
+
+
+def _override_cases():
+    for name in EXPECTED_NAMES:
+        data = json.loads(builtin_scenario_path(name).read_text())
+        for exp in data.get("experiments", []):
+            for flag, keys in OVERRIDES.items():
+                if any(key in exp for key in keys):
+                    yield pytest.param(name, exp["name"], flag, id=f"{name}-{exp['name']}-{flag}")
+
+
+@pytest.mark.parametrize("name, experiment, flag", list(_override_cases()))
+def test_bad_overrides_are_parse_errors_before_any_handler(scenarios, monkeypatch,
+                                                           name, experiment, flag):
+    """Each override flag, on every built-in experiment with its key, is
+    checked as parsing checks the key: 0, negative, nan, inf and a grid of
+    2.5 raise ParseError naming the experiment before any handler runs, and
+    the values the key may take (a horizon of 0, any finite tol, 2.5 but as
+    a grid) reach the handler. Handlers are replaced by one that raises, so
+    no run starts."""
+    from liftreach import runner
+
+    def ran(*args):
+        raise HandlerRan
+
+    for kind in runner._HANDLERS:
+        monkeypatch.setitem(runner._HANDLERS, kind, ran)
+    for value in (0, -1, float("nan"), float("inf"), 2.5):
+        taken = value in OVERRIDE_TAKES[flag]
+        with pytest.raises(HandlerRan if taken else ParseError) as err:
+            run(scenarios[name], experiment=experiment, overrides={flag: value})
+        if not taken:
+            assert err.value.where == experiment, value
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "improper", "--experiment", "escape-match", "--step", "0"],
+    ["run", "circle", "--experiment", "reach-circle", "--grid", "0"],
+    ["run", "circle", "--experiment", "reach-circle", "--dwell", "-1"],
+])
+def test_cli_bad_override_exits_2_naming_the_experiment(capsys, argv):
+    """A step of 0 used to loop for ever, and a grid or dwell out of range
+    to escape as a bare ValueError."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"liftreach: error: {argv[3]}: '{argv[4][2:]}' must be")
+
+
 @pytest.mark.parametrize("charts", [{}, {"a": [[0, 1]], "b": [[0, 1], [0, 1]]}])
 def test_union_charts_must_be_boxes_of_one_dimension(charts):
     with pytest.raises(ParseError) as err:

@@ -205,3 +205,48 @@ def test_geodesic_spray_with_controls_is_second_order():
     assert ok and worst <= 1e-12
     p = spray.tangent_atlas.atlas.normalize("c0", [0.0, 0.5])
     assert_allclose(spray.control_fields[0].at(p), [0.0, 1.0])
+
+
+def _velocity_named_scenario(plane_coords, line_coords):
+    return {
+        "atlases": {"line": {"kind": "interval", "box": [-2, 2], "coords": line_coords},
+                    "plane": {"kind": "box", "box": [[-2, 2], [-2, 2]],
+                              "coords": plane_coords}},
+        "maps": {"proj": {"source": "plane", "target": "line", "exprs": [plane_coords[0]],
+                          "jacobian": [["1", "0"]]}},
+        "fields": {"up": {"atlas": "plane", "exprs": ["0", "1"]}},
+        "second_order": {"di": {"base": "line", "gamma": [f"-{line_coords[0]}"],
+                                "g": [["1"]]}},
+        "so_lifts": {"dil": {"source": "di", "map": "proj",
+                             "kernel": {"mode": "global", "generators": ["up"]}}},
+    }
+
+
+def test_lift_to_a_tangent_atlas_with_a_name_twice_keeps_closures():
+    """Upstairs coordinates x and vx name two tangent coordinates vx: no fill
+    can take them, so the lift and its vertical lifts keep closures, with the
+    values of the lift to distinct names."""
+    from liftreach.scenario import parse_scenario
+
+    clash = parse_scenario(_velocity_named_scenario(["x", "vx"], ["x"]))
+    plain = parse_scenario(_velocity_named_scenario(["x", "z"], ["x"]))
+    rows = np.array([[0.5, -0.25, 0.75, -0.0], [-1.0, 0.0, -0.5, 1.25]])
+    assert clash.second_order["dil.system"].drift.exprs is None
+    assert plain.second_order["dil.system"].drift.exprs is not None
+    aug, plain_aug = clash.systems["dil.augmented"], plain.systems["dil.augmented"]
+    for sel in aug.flows():
+        got = aug.resolve(sel)
+        assert got.exprs is None
+        assert np.array_equal(got.values("c0", rows), plain_aug.resolve(sel).values("c0", rows))
+
+
+def test_second_order_base_with_a_name_twice_is_a_parse_error():
+    """Base coordinates x and vx give the tangent atlas two coordinates vx."""
+    from liftreach.errors import ParseError
+    from liftreach.scenario import parse_scenario
+
+    with pytest.raises(ParseError, match="'vx' is given twice"):
+        parse_scenario({
+            "atlases": {"plane": {"kind": "box", "box": [[-2, 2], [-2, 2]], "coords": ["x", "vx"]}},
+            "second_order": {"di": {"base": "plane", "gamma": ["0", "0"]}},
+        })

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from liftreach.errors import (
     ControlOutOfSet,
-    EmptyRestriction,
     Escape,
     UnresolvedSelector,
 )
@@ -19,7 +18,7 @@ from liftreach.systems import (
     tcs_from_control_system,
 )
 
-from constructions import affine_control_system, integrate_control, restrict
+from constructions import EmptyRestriction, affine_control_system, integrate_control, restrict
 
 
 def _line_system(lo=-4.0, hi=4.0):
@@ -31,7 +30,7 @@ def _line_system(lo=-4.0, hi=4.0):
 
 def test_schedule_composition():
     s = Schedule.of((0, 0.5), (1, 0.25)).then(Schedule.of((0, 0.25)))
-    assert s.total_duration == pytest.approx(1.0)
+    assert sum(seg.duration for seg in s.segments) == pytest.approx(1.0)
     assert len(s.segments) == 3
     with pytest.raises(ValueError):
         Schedule.of((0, -0.1))
@@ -42,7 +41,7 @@ def test_constant_flow_is_exact():
     start = sys.atlas.normalize("c0", [0.0])
     traj = integrate(sys, start, Schedule.of((0, 1.5)), h=1e-2)
     assert traj.endpoint.coords[0] == pytest.approx(1.5, abs=1e-14)
-    assert traj.end_time == pytest.approx(1.5)
+    assert traj.samples[-1][0] == pytest.approx(1.5)
 
 
 def test_exponential_flow_matches_closed_form():
