@@ -19,6 +19,7 @@ from .errors import (
     SingularGram,
     UnmappedControl,
 )
+from .expressions import compile_vector
 from .geometry import (
     Atlas,
     Point,
@@ -39,12 +40,61 @@ from .systems import (
 
 
 @dataclass(frozen=True)
+class GramFill:
+    """Generated fills over the source coordinates of a map with a 1-D target,
+    a source without a metric and its Jacobian row given as expressions. A
+    fill's lets are each J_i, then W = 0.0 + J_0 * J_0 + ..., the Gram that
+    _right_inverse sums in the same order, and it tests W as _right_inverse
+    does before anything divides by it. Local names start with pre, which no
+    coordinate name does."""
+
+    names: tuple[str, ...]
+    row: tuple[str, ...]
+    pre: str
+
+    def J(self, i: int) -> str:
+        return f"{self.pre}J{i}"
+
+    @property
+    def W(self) -> str:
+        return f"{self.pre}W"
+
+    def fill(self, texts, lets, generic):
+        """func(cid, coords) filling texts, which see the J_i, W and then lets,
+        on a stack whose W passes grams_pass; generic(cid, coords) on any
+        other stack, a stack of no rows included."""
+        J = [(self.J(i), e) for i, e in enumerate(self.row)]
+        W = " + ".join(["0.0"] + [f"{j} * {j}" for j, _ in J])
+        # W is one float for every row when J is constant: the stack is empty when out is
+        value = compile_vector(texts, self.names, lets=[*J, (self.W, W), *lets],
+                               guard=(self.W, lambda w, out: out.size > 0 and grams_pass(w)))
+
+        def func(cid, coords):
+            out = value(coords)
+            return generic(cid, coords) if out is None else out
+
+        return func
+
+
+def gram_fill(phi: SmoothMap, jacobian) -> Optional[GramFill]:
+    """The GramFill of phi, whose Jacobian is jacobian, rows of expressions
+    (None for none); None unless phi has a 1-D target and a source without a
+    metric."""
+    if jacobian is None or phi.target.dim != 1 or phi.source.metric_fn is not None:
+        return None
+    names = phi.source.coord_names
+    return GramFill(tuple(names), tuple(jacobian[0]), "_" * (1 + max(map(len, names), default=0)))
+
+
+@dataclass(frozen=True)
 class Morphism:
-    """A submersion together with a linear rule lifting downstairs fields."""
+    """A submersion together with a linear rule lifting downstairs fields.
+    gram, when given, makes the columns of a chartwise kernel_frame fills."""
 
     phi: SmoothMap
     lift_rule: Callable[[VectorField], VectorField]
     kind: str  # metric-right-inverse | horizontal-connection | user-supplied | second-order
+    gram: Optional[GramFill] = None
 
     def lift(self, Y: VectorField) -> VectorField:
         return self.lift_rule(Y)
@@ -77,7 +127,15 @@ def _right_inverse(J: np.ndarray, metric, cid, coords):
         A = Jt
     else:
         A = np.linalg.solve(np.asarray(metric(cid, coords), dtype=float), Jt)
-    W = J @ A
+    if metric is None and J.shape[-2] == 1:
+        # a GramFill's 0.0 + J_0 J_0 + ..., summed in order; 0.0 + a square
+        # is the square, which is never -0.0
+        squares = J * J
+        W = squares[..., :1]
+        for i in range(1, J.shape[-1]):
+            W = W + squares[..., i:i + 1]
+    else:
+        W = J @ A
     # W is positive definite exactly when dPhi has full rank here
     if W.shape[-1] == 1 and grams_pass(W):
         return A, W
@@ -336,9 +394,11 @@ def kernel_frame(m: Morphism, mode: str = "chartwise",
     """Fields spanning ker(dPhi).
 
     chartwise mode projects the coordinate frame through the metric
-    projector (chart-local sections that need not glue globally); global
-    mode validates user-supplied generators against the kernel and the
-    expected rank.
+    projector (chart-local sections that need not glue globally); with m's
+    gram, column j is the fill of delta_ij - J_i (J_j / W), kernel_projector's
+    column bit for bit, and that column itself where W fails. global mode
+    validates user-supplied generators against the kernel and the expected
+    rank.
     """
     phi = m.phi
     metric = None if phi.source.metric_fn is None else phi.source.metric_at
@@ -347,8 +407,19 @@ def kernel_frame(m: Morphism, mode: str = "chartwise",
     rank = phi.source.dim - int(differential_rank(phi, rows)[0])
 
     if mode == "chartwise":
+        g, n = m.gram, phi.source.dim
+
         def column(j):
-            return lambda cid, coords: kernel_projector(phi, metric, cid, coords)[..., j]
+            def generic(cid, coords):
+                return kernel_projector(phi, metric, cid, coords)[..., j]
+
+            if g is None:
+                return generic
+            # LAPACK solves W x = J as J * (1 / W) for two or more right-hand
+            # sides and as J / W for one; the fill rounds as it does
+            x = f"{g.J(j)} / {g.W}" if n == 1 else f"{g.J(j)} * {g.pre}r"
+            return g.fill([f"{float(i == j)} - {g.J(i)} * ({x})" for i in range(n)],
+                          [(f"{g.pre}r", f"1.0 / {g.W}")], generic)
 
         fields = tuple(VectorField(phi.source, column(j), name=f"ker-frame-{j}")
                        for j in range(phi.source.dim))

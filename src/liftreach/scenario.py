@@ -28,7 +28,7 @@ from .geometry import (
 from .morphisms import (
     Morphism,
     augment_with_kernel,
-    grams_pass,
+    gram_fill,
     kernel_frame,
     lift_system,
     metric_lift_morphism,
@@ -217,37 +217,26 @@ def _build_field(name: str, spec: dict, atlases: dict) -> VectorField:
 
 
 def _closed_form(m: Morphism, spec: dict) -> Morphism:
-    """m, lifting a field with expressions as one generated fill where spec's
-    map has a jacobian block, a 1-D target and a source without a metric.
-    The fill takes W = 0.0 + J_0 J_0 + ..., as matmul sums it, tests it as
-    _right_inverse does before it divides, and fills column j with
-    J_j (Y o Phi / W) + 0.0, so it is the generic lift bit for bit. A stack
-    that fails the Gram test, and any other field, takes m's generic lift."""
-    phi = m.phi
-    if "jacobian" not in spec or phi.target.dim != 1 or phi.source.metric_fn is not None:
+    """m with the GramFill of spec's map (morphisms.gram_fill), where it has
+    one, so that its chartwise kernel frames are fills; a field with
+    expressions in one dimension then lifts as one fill, whose column j is
+    J_j (Y o Phi / W) + 0.0, the generic lift bit for bit. A stack that fails
+    the Gram test, and any other field, takes m's generic lift."""
+    gram = gram_fill(m.phi, spec.get("jacobian"))
+    if gram is None:
         return m
-    names = phi.source.coord_names
-    pre = "_" * (1 + max(map(len, names), default=0))  # local names no coordinate can take
-    J = [(f"{pre}J{j}", e) for j, e in enumerate(spec["jacobian"][0])]
-    W = (f"{pre}W", " + ".join(["0.0"] + [f"{j} * {j}" for j, _ in J]))
 
     def lift_rule(Y: VectorField) -> VectorField:
         generic = m.lift_rule(Y)
         if Y.exprs is None or Y.atlas.dim != 1:
             return generic
         y = substitute(Y.exprs[0], {Y.atlas.coord_names[0]: spec["exprs"][0]})
-        # W is one float for every row when J is constant: the stack is empty when out is
-        fill = compile_vector([f"{j} * {pre}q + 0.0" for j, _ in J], names,
-                              lets=[*J, W, (f"{pre}q", f"({y}) / {W[0]}")],
-                              guard=(W[0], lambda w, out: out.size > 0 and grams_pass(w)))
+        q = f"{gram.pre}q"
+        return replace(generic, func=gram.fill(
+            [f"{gram.J(j)} * {q} + 0.0" for j in range(len(gram.row))],
+            [(q, f"({y}) / {gram.W}")], generic.func))
 
-        def lift(cid, coords):
-            out = fill(coords)
-            return generic.func(cid, coords) if out is None else out
-
-        return replace(generic, func=lift)
-
-    return replace(m, lift_rule=lift_rule)
+    return replace(m, lift_rule=lift_rule, gram=gram)
 
 
 def parse_scenario(source) -> Scenario:

@@ -5,6 +5,7 @@ row integrator and the certificates built on it."""
 
 import itertools
 import json
+import warnings
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -49,6 +50,7 @@ from liftreach.morphisms import (
     Morphism,
     _right_inverse,
     _right_inverse_apply,
+    augment_with_kernel,
     check_liftable,
     check_submersion,
     grams_pass,
@@ -248,7 +250,12 @@ def _lapack_right_inverse(J, metric, cid, coords):
         G = (np.asarray(metric(cid, coords), dtype=float) if np.ndim(coords) == 1
              else np.array([metric(cid, x) for x in coords], dtype=float))
         A = np.linalg.solve(G, Jt)
-    W = J @ A
+    if metric is None:  # the metric-free Gram is summed in order, 0.0 + J_0 J_0 + ...
+        W = np.zeros(J.shape[:-1] + (1,))
+        for i in range(J.shape[-1]):
+            W = W + J[..., i:i + 1] * J[..., i:i + 1]
+    else:
+        W = J @ A
     # nan names its row whether or not this LAPACK build checks for it
     bad = np.isnan(W).any(axis=(-2, -1))
     if not np.any(bad):
@@ -355,27 +362,50 @@ def test_one_by_one_gram_keeps_singular_gram_rows(case, row):
 # -- closed-form scenario lifts ------------------------------------------------------
 
 
-SCENARIO_PATHS = {**{n: builtin_scenario_path(n) for n in builtin_scenario_names()},
-                  "rank-drop": Path(__file__).parent / "data" / "rank_drop.json"}
+# a map of one coordinate: its kernel projector solves for one right-hand side
+LINE = {
+    "name": "line",
+    "atlases": {"line": {"kind": "interval", "box": [-2, 2], "coords": ["u"]},
+                "wide": {"kind": "interval", "box": [-9, 9], "coords": ["w"]}},
+    "maps": {"cubic": {"source": "line", "target": "wide", "exprs": ["u + u**3/3"],
+                       "jacobian": [["1 + u**2"]]}},
+    "fields": {"push": {"atlas": "wide", "exprs": ["1 + 0.5*sin(w)"]}},
+    "systems": {"down": {"atlas": "wide", "generators": ["push"]}},
+    "morphisms": {"squash": {"map": "cubic", "target_system": "down",
+                             "kernel": {"mode": "chartwise"}}},
+}
+
+SCENARIO_DATA = {
+    **{n: json.loads(builtin_scenario_path(n).read_text()) for n in builtin_scenario_names()},
+    "rank-drop": json.loads((Path(__file__).parent / "data" / "rank_drop.json").read_text()),
+    "batched": SCENARIO, "line": LINE,
+}
 
 
-def _closed_form_cases():
-    """(scenario, morphism, generator) of every lift whose map has a jacobian
-    block and a 1-D target and whose source has no metric: every such lift
-    of the built-ins, and rank_drop.json's, one of them through x**3."""
-    for name, path in SCENARIO_PATHS.items():
-        data = json.loads(path.read_text())
+def _closed_form_morphisms():
+    """(scenario, morphism) of every morphism whose map has a jacobian block
+    and a 1-D target and whose source has no metric."""
+    for name, data in SCENARIO_DATA.items():
         for k, v in data.get("morphisms", {}).items():
             spec = data["maps"][v["map"]]
             if ("jacobian" in spec and len(spec["exprs"]) == 1
                     and "metric" not in data["atlases"][spec["source"]]):
-                for j in range(len(data["systems"][v["target_system"]]["generators"])):
-                    yield name, k, j
+                yield name, k
+
+
+def _closed_form_cases():
+    """(scenario, morphism, generator) of every lift through a closed-form
+    morphism: every such lift of the built-ins, rank_drop.json's, one of them
+    through x**3, and SCENARIO's and LINE's."""
+    for name, k in _closed_form_morphisms():
+        data = SCENARIO_DATA[name]
+        for j in range(len(data["systems"][data["morphisms"][k]["target_system"]]["generators"])):
+            yield name, k, j
 
 
 @lru_cache(maxsize=None)
 def _parsed(name):
-    return parse_scenario(SCENARIO_PATHS[name])
+    return parse_scenario(SCENARIO_DATA[name])
 
 
 @pytest.mark.parametrize("name, morphism, gen", list(_closed_form_cases()))
@@ -410,6 +440,113 @@ def test_closed_form_lift_equals_generic_lift(name, morphism, gen, data):
     assert _bits(got) == _bits(outcome(generic, X))
     for x in X:
         assert _bits(outcome(closed, x)) == _bits(outcome(generic, x))
+
+
+# -- closed-form kernel frames -----------------------------------------------------
+
+
+def _frame_cases():
+    """(scenario, morphism) of every chartwise kernel frame of a closed-form
+    morphism: Möbius's and projection's, SCENARIO's, LINE's of one coordinate
+    and rank_drop.json's through x**3."""
+    for name, k in _closed_form_morphisms():
+        kernel = SCENARIO_DATA[name]["morphisms"][k].get("kernel")
+        if kernel and kernel.get("mode", "chartwise") == "chartwise":
+            yield name, k
+
+
+def _generic_frame(s, k):
+    """The augmented system of morphism k of s and its twin whose kernel
+    frame's columns are kernel_projector's."""
+    frame, phi = s.kernels[k], s.morphisms[k].phi
+
+    def column(j):
+        return lambda cid, coords: kernel_projector(phi, None, cid, coords)[..., j]
+
+    twin = replace(frame, fields=tuple(replace(f, func=column(j))
+                                       for j, f in enumerate(frame.fields)))
+    return s.systems[f"{k}.augmented"], augment_with_kernel(s.systems[f"{k}.system"], twin)
+
+
+def _value_or_message(field, cid, coords):
+    try:
+        return field.values(cid, coords)
+    except SingularGram as exc:
+        return str(exc)
+
+
+def _gram(J):
+    """0.0 + J_0 J_0 + ... of Jacobian rows J (..., 1, n), summed in order."""
+    return sum((J[..., i:i + 1] * J[..., i:i + 1] for i in range(J.shape[-1])),
+               np.zeros(J.shape[:-1] + (1,)))
+
+
+@pytest.mark.parametrize("name, morphism", list(_frame_cases()))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_closed_form_frame_equals_kernel_projector(name, morphism, data):
+    """The chartwise kernel frame of a closed-form morphism is one generated
+    fill per column, bit for bit kernel_projector's column, on rows and at
+    each row alone, signed zeros and rows where dPhi drops rank included;
+    every unit kernel flow, in both signs, equals its twin over
+    kernel_projector's columns. kernel_projector runs exactly for the stacks
+    that fail the Gram test, and names their SingularGram."""
+    s = _parsed(name)
+    aug, twin = _generic_frame(s, morphism)
+    phi = s.morphisms[morphism].phi
+    cid = data.draw(st.sampled_from(phi.source.charts)).chart_id
+    entry = st.one_of(st.floats(-8, 8), st.sampled_from([0.0, -0.0]))
+    X = data.draw(st.integers(1, 6).flatmap(
+        lambda n: arrays(np.float64, (n, phi.source.dim), elements=entry)))
+    passes = grams_pass(_gram(phi.raw_jac_at(cid, X)))
+    flows = [sel for sel in aug.flows() if isinstance(sel, np.ndarray)]
+    pairs = [(f, g) for f, g in zip(aug.kernel_fields, twin.kernel_fields)]
+    pairs += [(aug.resolve(sel), twin.resolve(sel)) for sel in flows]
+    assert len(flows) == 2 * phi.source.dim
+    for fill, generic in pairs:
+        with mock.patch.object(morphisms, "kernel_projector",
+                               wraps=morphisms.kernel_projector) as generic_calls:
+            got = _value_or_message(fill, cid, X)
+        assert generic_calls.called != passes
+        assert _bits(got) == _bits(_value_or_message(generic, cid, X))
+        for x in X:
+            assert _bits(_value_or_message(fill, cid, x)) == _bits(_value_or_message(generic, cid, x))
+
+
+def test_closed_form_frame_tests_its_gram_before_it_divides():
+    """A frame column through x**3 tests its Gram before it divides: rows
+    where W = 0 raise no RuntimeWarning, only kernel_projector's
+    SingularGram, which names the same row. A stack of no rows takes
+    kernel_projector's column, for the Jacobian through x**3 and for
+    Möbius's constant one, whose W is one float."""
+    zero_w = np.array([[0.2, 0.1], [0.0, 0.5], [-0.0, -1.0]])
+    s = _parsed("rank-drop")
+    aug, twin = _generic_frame(s, "cube_frame")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fill, generic in zip(aug.kernel_fields, twin.kernel_fields):
+            with pytest.raises(SingularGram) as exc:
+                fill.values("c0", zero_w)
+            assert str(exc.value) == _value_or_message(generic, "c0", zero_w)
+            assert str(exc.value).startswith("J G^-1 J^T is numerically singular at (c0, ")
+        for name, k in (("rank-drop", "cube_frame"), ("mobius", "mlift")):
+            for fill in _parsed(name).kernels[k].fields:
+                with mock.patch.object(morphisms, "kernel_projector",
+                                       wraps=morphisms.kernel_projector) as generic_calls:
+                    assert fill.values("c0", np.empty((0, 2))).shape == (0, 2)
+                assert generic_calls.called
+
+
+def test_mobius_frame_is_filled_and_still_does_not_glue():
+    """Möbius's chartwise frame is filled on a stack that passes and still
+    reports global_ok False: its sections flip sign across the gluing."""
+    frame = _parsed("mobius").kernels["mlift"]
+    X = np.array([[0.1, 0.3], [-0.4, -0.0]])
+    with mock.patch.object(morphisms, "kernel_projector") as generic_calls:
+        values = [f.values("c0", X) for f in frame.fields]
+    assert not generic_calls.called
+    assert _bits(values[1]) == _bits(np.array([[0.0, 1.0], [0.0, 1.0]]))
+    assert frame.mode == "chartwise" and not frame.global_ok
 
 
 # -- second-order fills ----------------------------------------------------------
@@ -456,8 +593,7 @@ def _fill_and_closure_pairs(s, down, lift):
 
 @lru_cache(maxsize=None)
 def _fill_cases(name, down, lift):
-    s = parse_scenario(SCENARIO) if name == "batched" else _parsed(name)
-    return _fill_and_closure_pairs(s, down, lift)
+    return _fill_and_closure_pairs(_parsed(name), down, lift)
 
 
 @pytest.mark.parametrize("name, down, lift", [("double-integrator", "di", "dil"),
