@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import GeneratorType
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -79,18 +79,15 @@ def _round(x, digits=12):
     return x
 
 
+# experiment key -> the override that replaces it where an experiment spells it out
+_OVERRIDDEN = {"grid": "grid", "dwell": "dwell", "horizon": "horizon", "step": "step",
+               "tol": "tol", "tolerance": "tol"}
+
+
 def _apply_overrides(exp: dict, overrides: Optional[dict]) -> dict:
-    exp = dict(exp)
-    if not overrides:
-        return exp
-    for key in ("grid", "dwell", "horizon", "step"):
-        if overrides.get(key) is not None and key in exp:
-            exp[key] = overrides[key]
-    if overrides.get("tol") is not None:
-        for key in ("tol", "tolerance"):
-            if key in exp:
-                exp[key] = overrides["tol"]
-    return exp
+    overrides = overrides or {}
+    return {**exp, **{key: overrides[flag] for key, flag in _OVERRIDDEN.items()
+                      if key in exp and overrides.get(flag) is not None}}
 
 
 def _run_reach(s: Scenario, exp: dict, seed: int, out_dir: Optional[Path]):
@@ -98,12 +95,12 @@ def _run_reach(s: Scenario, exp: dict, seed: int, out_dir: Optional[Path]):
     starts = exp.get("starts") or [exp["start"]]
     coverages = []
     artifacts = []
-    min_cov = exp.get("min_coverage")
+    min_cov = exp["min_coverage"]
     verdict = True
     for i, spec in enumerate(starts):
         start = _point(sys.atlas, spec)
         rep = reach(sys, start, exp["grid"], exp["dwell"], exp["horizon"],
-                    substeps=exp.get("substeps", 10))
+                    substeps=exp["substeps"])
         coverages.append(rep.coverage)
         if min_cov is not None and rep.coverage < min_cov:
             verdict = False
@@ -127,23 +124,22 @@ def _run_reach_set(s: Scenario, exp: dict, seed: int, out_dir):
     points = [_point(sys.atlas, spec) for spec in exp["points"]]
     ok, witness = is_reachability_set(
         sys, points, exp["dwell"], exp["horizon"], exp["grid"],
-        substeps=exp.get("substeps", 10))
-    expect = exp.get("expect", True)
+        substeps=exp["substeps"])
     metrics = {
         "mutually_reachable": bool(ok),
-        "expected": expect,
+        "expected": exp["expect"],
         "pairs_ok": int(witness.sum()),
         "pairs_total": int(witness.size),
     }
-    return bool(ok) == expect, metrics
+    return bool(ok) == exp["expect"], metrics
 
 
 def _run_stlc(s: Scenario, exp: dict, seed: int, out_dir):
     sys = s.system(exp["system"])
     x0 = _point(sys.atlas, exp["start"])
     verdicts = stlc_probe(sys, x0, exp["times"], exp["grid"],
-                          dwell=exp.get("dwell"), substeps=exp.get("substeps", 16))
-    expect = exp.get("expect", True)
+                          dwell=exp["dwell"], substeps=exp["substeps"])
+    expect = exp["expect"]
     if isinstance(expect, bool):
         expect = [expect] * len(verdicts)
     metrics = {"times": list(exp["times"]), "stlc": [bool(v) for v in verdicts],
@@ -156,21 +152,20 @@ def _run_verify(s: Scenario, exp: dict, seed: int, out_dir):
     target = s.system(exp["target_system"])
     report = yield from trajectory_body(
         m, target, s.lifted(exp["morphism"], exp["target_system"]),
-        samples=exp.get("samples", 300),
-        schedules=exp.get("schedules", 5),
-        tolerance=exp.get("tolerance"),
-        h=exp.get("step", 1e-3),
+        samples=exp["samples"],
+        schedules=exp["schedules"],
+        tolerance=exp["tolerance"],
+        h=exp["step"],
         seed=seed,
     )
-    expect = exp.get("expect", True)
     metrics = {
         "worst_residual": report["worst_residual"],
         "tolerance": report["tolerance"],
         "samples": report["samples"],
         "trajectory_excess": report["trajectory_excess"],
-        "expected": expect,
+        "expected": exp["expect"],
     }
-    return report["pass"] == expect, metrics
+    return report["pass"] == exp["expect"], metrics
 
 
 def _run_global(s: Scenario, exp: dict, seed: int, out_dir):
@@ -178,19 +173,16 @@ def _run_global(s: Scenario, exp: dict, seed: int, out_dir):
     target = s.system(exp["target_system"])
     starts = [_point(m.phi.source, spec) for spec in exp["starts"]]
     report = yield from global_body(m, target, s.lifted(exp["morphism"], exp["target_system"]),
-                                    starts, exp["horizon"], h=exp.get("step", 1e-3))
-    expect = exp.get("expect", True)
-    if isinstance(expect, str):
-        expect = expect == "pass"
+                                    starts, exp["horizon"], h=exp["step"])
     gaps = [abs(d["escape_up"] - d["escape_down"]) for d in report["details"]]
     metrics = {
         "global_in_time": report["pass"],
-        "expected": expect,
+        "expected": exp["expect"],
         "max_escape_gap": max(gaps) if gaps else 0.0,
         "tolerance": report["tolerance"],
         "horizon": exp["horizon"],
     }
-    return report["pass"] == expect, metrics
+    return report["pass"] == exp["expect"], metrics
 
 
 def _run_liftable(s: Scenario, exp: dict, seed: int, out_dir):
@@ -200,20 +192,19 @@ def _run_liftable(s: Scenario, exp: dict, seed: int, out_dir):
     sigma1 = control_system_from_tcs(up)
     sigma2 = control_system_from_tcs(down)
     ok, mapping = check_liftable(sigma1, sigma2, phi,
-                                 tol=exp.get("tol", 1e-6), seed=seed)
-    expect = exp.get("expect", True)
-    verdict = ok == expect
+                                 tol=exp["tol"], seed=seed)
+    verdict = ok == exp["expect"]
     metrics = {
         "liftable": bool(ok),
-        "expected": expect,
+        "expected": exp["expect"],
         "mapped_controls": sum(1 for _, m in mapping if m is not None),
         "total_controls": len(mapping),
     }
-    if ok and exp.get("verify", False):
+    if ok and exp["verify"]:
         m = morphism_from_lifting(mapping, sigma1, sigma2, phi, seed=seed)
         report = yield from trajectory_body(
-            m, down, lift_system(down, phi, morphism=m)[1], samples=exp.get("samples", 200),
-            schedules=exp.get("schedules", 3), seed=seed)
+            m, down, lift_system(down, phi, morphism=m)[1], samples=exp["samples"],
+            schedules=exp["schedules"], seed=seed)
         metrics["verify_pass"] = report["pass"]
         metrics["verify_worst_residual"] = report["worst_residual"]
         verdict = verdict and report["pass"]
@@ -225,7 +216,7 @@ def _run_roundtrip(s: Scenario, exp: dict, seed: int, out_dir):
     cs = control_system_from_tcs(sys)
     back = tcs_from_control_system(cs)
     same = back.generators == sys.generators
-    rows = sys.atlas.stack(sys.atlas.sample(np.random.default_rng(seed), exp.get("samples", 40)))
+    rows = sys.atlas.stack(sys.atlas.sample(np.random.default_rng(seed), exp["samples"]))
     worst = scan_max([np.max(np.abs(g.at_rows(rows, sys.atlas) - b.at_rows(rows, sys.atlas)),
                              axis=1) for g, b in zip(sys.generators, back.generators)])
     metrics = {"generators": len(sys.generators), "exact": bool(same),
@@ -235,11 +226,10 @@ def _run_roundtrip(s: Scenario, exp: dict, seed: int, out_dir):
 
 def _run_second_order(s: Scenario, exp: dict, seed: int, out_dir):
     so = s.second_order[exp["system"]]
-    ok, worst = is_second_order(so, samples=exp.get("samples", 200), seed=seed)
-    expect = exp.get("expect", True)
+    ok, worst = is_second_order(so, samples=exp["samples"], seed=seed)
     metrics = {"second_order": bool(ok), "worst_residual": worst,
-               "expected": expect}
-    return bool(ok) == expect, metrics
+               "expected": exp["expect"]}
+    return bool(ok) == exp["expect"], metrics
 
 
 def _run_geodesic(s: Scenario, exp: dict, seed: int, out_dir):
@@ -247,10 +237,8 @@ def _run_geodesic(s: Scenario, exp: dict, seed: int, out_dir):
     start = _point(sys.atlas, exp["start"])
     c = float(exp["c"])
     x0, y0 = float(start.coords[0]), float(start.coords[1])
-    tol = exp.get("tol", 1e-6)
-    h = exp.get("step", 1e-3)
     scheds = [Schedule.of((0, float(t))) for t in exp["times"]]
-    flow, = yield [RowRequest(sys, sys.atlas.stack([start] * len(scheds)), scheds, h,
+    flow, = yield [RowRequest(sys, sys.atlas.stack([start] * len(scheds)), scheds, exp["step"],
                               record=False)]
     left = np.flatnonzero(~np.isnan(flow.escapes))
     if len(left):
@@ -261,44 +249,49 @@ def _run_geodesic(s: Scenario, exp: dict, seed: int, out_dir):
         y_exact = y0 / denom
         x_exact = x0 + (np.log(denom) / c if c != 0.0 else y0 * t)
         worst = max(worst, abs(end[0] - x_exact), abs(end[1] - y_exact))
-    metrics = {"times": list(exp["times"]), "max_error": worst, "tol": tol}
-    return worst <= tol, metrics
+    metrics = {"times": list(exp["times"]), "max_error": worst, "tol": exp["tol"]}
+    return worst <= exp["tol"], metrics
 
 
-# keys each kind's handler reads without a default, checked at parse time
-_REQUIRED = {
-    "reach": ("system", "grid", "dwell", "horizon"),
-    "reachability-set": ("system", "points", "dwell", "horizon", "grid"),
-    "stlc": ("system", "start", "times", "grid"),
-    "verify": ("morphism", "target_system"),
-    "global-in-time": ("morphism", "target_system", "starts", "horizon"),
-    "liftable": ("upstairs", "downstairs", "map"),
-    "roundtrip": ("system",),
-    "second-order-check": ("system",),
-    "geodesic-check": ("system", "start", "c", "times"),
-}
+class Kind(NamedTuple):
+    handler: Callable
+    required: tuple  # keys the handler cannot do without, checked at parse time
+    defaults: dict   # the keys it may omit; a key may be null where its default is None
+
 
 # verify, global-in-time, liftable and geodesic-check are bodies for systems.drive
-_HANDLERS = {
-    "reach": _run_reach,
-    "reachability-set": _run_reach_set,
-    "stlc": _run_stlc,
-    "verify": _run_verify,
-    "global-in-time": _run_global,
-    "liftable": _run_liftable,
-    "roundtrip": _run_roundtrip,
-    "second-order-check": _run_second_order,
-    "geodesic-check": _run_geodesic,
+_KINDS = {
+    "reach": Kind(_run_reach, ("system", "grid", "dwell", "horizon"),
+                  {"substeps": 10, "min_coverage": None}),
+    "reachability-set": Kind(_run_reach_set, ("system", "points", "dwell", "horizon", "grid"),
+                             {"substeps": 10, "expect": True}),
+    "stlc": Kind(_run_stlc, ("system", "start", "times", "grid"),
+                 {"dwell": None, "substeps": 16, "expect": True}),
+    "verify": Kind(_run_verify, ("morphism", "target_system"),
+                   {"samples": 300, "schedules": 5, "tolerance": None, "step": 1e-3,
+                    "expect": True}),
+    "global-in-time": Kind(_run_global, ("morphism", "target_system", "starts", "horizon"),
+                           {"step": 1e-3, "expect": True}),
+    "liftable": Kind(_run_liftable, ("upstairs", "downstairs", "map"),
+                     {"tol": 1e-6, "expect": True, "verify": False, "samples": 200,
+                      "schedules": 3}),
+    "roundtrip": Kind(_run_roundtrip, ("system",), {"samples": 40}),
+    "second-order-check": Kind(_run_second_order, ("system",),
+                               {"samples": 200, "expect": True}),
+    "geodesic-check": Kind(_run_geodesic, ("system", "start", "c", "times"),
+                           {"tol": 1e-6, "step": 1e-3}),
 }
+_HANDLERS = {kind: k.handler for kind, k in _KINDS.items()}
 
 
 def run(scenario: Scenario, seed: int = 0, out_dir=None, overrides=None,
         kinds=None, experiment=None, echo=None) -> RunResult:
     """Run scenario experiments, optionally filtered by kind or name.
 
-    Overrides are written into the chosen experiments, which then pass the
-    parse-time checks before any handler runs: a value no handler can take
-    is a ParseError naming its experiment.
+    Overrides replace the values the chosen experiments spell out, which
+    then pass the parse-time checks before any handler runs: a value no
+    handler can take is a ParseError naming its experiment. A handler reads
+    its experiment with its kind's defaults filled in.
 
     Handlers that are generator bodies are driven together (systems.drive)
     after the others, so their rows that share an atlas and a step size are
@@ -315,16 +308,15 @@ def run(scenario: Scenario, seed: int = 0, out_dir=None, overrides=None,
     from .scenario import _validate_experiments  # scenario imports this module
 
     result = RunResult(scenario=scenario.name, seed=seed)
-    chosen = {idx: _apply_overrides(exp, overrides)
+    chosen = {idx: {"name": f"experiment-{idx}", **_apply_overrides(exp, overrides)}
               for idx, exp in enumerate(scenario.experiments)
               if (kinds is None or exp["kind"] in kinds)
               and (experiment is None or exp.get("name") == experiment)}
-    for idx, exp in chosen.items():
-        exp.setdefault("name", f"experiment-{idx}")
     # the parse-time checks again, on the values the overrides wrote
     _validate_experiments(scenario, list(chosen.values()))
     selected, outcomes, bodies = [], [], {}
     for idx, exp in chosen.items():
+        exp = {**_KINDS[exp["kind"]].defaults, **exp}
         exp_seed = seed * 100003 + idx
         out = _HANDLERS[exp["kind"]](scenario, exp, exp_seed, out_path)
         if isinstance(out, GeneratorType):

@@ -33,7 +33,7 @@ from .morphisms import (
     lift_system,
     metric_lift_morphism,
 )
-from .runner import _HANDLERS, _REQUIRED
+from .runner import _KINDS
 from .second_order import (
     ConnectionSystem,
     augment_second_order,
@@ -354,9 +354,9 @@ def parse_scenario(source) -> Scenario:
     return scenario
 
 
-# number keys of experiments: key -> (shape, least value, whether a value
-# must exceed it); a count is a whole number, and a key whose handler takes
-# None for its default may be null where it is not required
+# number keys of experiments, whatever their kind: key -> (shape, least
+# value, whether a value must exceed it); a key whose least value is 1 is a
+# count, a whole number
 _EXPERIMENT_NUMBERS = {
     "grid": ((), 1, False), "substeps": ((), 1, False), "samples": ((), 1, False),
     "schedules": ((), 1, False), "dwell": ((), 0, True), "step": ((), 0, True),
@@ -364,25 +364,32 @@ _EXPERIMENT_NUMBERS = {
     "tol": ((), None, False), "tolerance": ((), None, False),
     "min_coverage": ((), None, False),
 }
-_COUNTS = ("grid", "substeps", "samples", "schedules")
-_NULLABLE = ("dwell", "tolerance", "min_coverage")
 
 
 def _experiment_values(exp: dict, atlas, where: str):
-    """ParseError at where for a number or point of exp its handler cannot
-    take; points are objects with coords in atlas (None when exp has none)."""
+    """ParseError at where for a number, flag or point of exp its handler
+    cannot take; a key may be null where its kind's default is None, and
+    points are objects with coords in atlas (None when exp has none)."""
+    defaults = _KINDS[exp["kind"]].defaults
     for key, (shape, least, strict) in _EXPERIMENT_NUMBERS.items():
-        if key not in exp or (exp[key] is None and key in _NULLABLE
-                              and key not in _REQUIRED[exp["kind"]]):
+        if key not in exp or (exp[key] is None and key in defaults and defaults[key] is None):
             continue
         value = np.asarray(_numbers(exp[key], shape, key, where), dtype=float)
         items = exp[key] if shape else [exp[key]]
-        if any(isinstance(v, bool) or (key in _COUNTS and not isinstance(v, (int, np.integer)))
+        count = least == 1
+        if any(isinstance(v, bool) or (count and not isinstance(v, (int, np.integer)))
                for v in items):
-            raise ParseError(f"{key!r} must be a {'whole ' * (key in _COUNTS)}number",
-                             where=where)
+            raise ParseError(f"{key!r} must be a {'whole ' * count}number", where=where)
         if least is not None and ((value <= least) if strict else (value < least)).any():
             raise ParseError(f"{key!r} must be {'above' if strict else 'at least'} {least}",
+                             where=where)
+    for key in ("expect", "verify"):
+        per_time = len(exp["times"]) if (key, exp["kind"]) == ("expect", "stlc") else None
+        flags = exp.get(key, True)
+        if not all(isinstance(f, bool) for f in (
+                flags if isinstance(flags, list) and len(flags) == per_time else [flags])):
+            raise ParseError(f"{key!r} must be true or false"
+                             + ", or a list of them, one per time" * (per_time is not None),
                              where=where)
     if atlas is None:
         return
@@ -403,9 +410,9 @@ def _validate_experiments(s: Scenario, experiments=None):
     for idx, exp in enumerate(s.experiments if experiments is None else experiments):
         kind = exp.get("kind")
         where = exp.get("name", f"experiment-{idx}")
-        if not isinstance(kind, str) or kind not in _HANDLERS:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise ParseError(f"unknown experiment kind {kind!r}", where=where)
-        for key in _REQUIRED[kind]:
+        for key in _KINDS[kind].required:
             _need(exp, key, where)
         if kind == "second-order-check":
             _ref(s.second_order, exp["system"], where)

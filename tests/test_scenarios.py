@@ -360,10 +360,12 @@ NOT_NUMBERS = [None, "zz", [1, 2], True, {}, float("inf")]
 
 
 def _refused(key, value):
-    """Values of an experiment's number or point key that its handler cannot
-    take, given the built-in's own value: not numbers, counts that are not
-    whole and positive, durations and steps that are not positive, and
-    points that are not objects with coordinates in one chart of the atlas."""
+    """Values of an experiment's number, flag or point key that its handler
+    cannot take, given the built-in's own value: not numbers, counts that are
+    not whole and positive, durations and steps that are not positive, flags
+    that are not true or false (nine of them are more than any built-in stlc
+    has times), and points that are not objects with coordinates in one
+    chart of the atlas."""
     if key in ("grid", "substeps", "samples", "schedules"):
         return NOT_NUMBERS + [0, -1, 2.5]
     if key in ("dwell", "step"):
@@ -372,8 +374,10 @@ def _refused(key, value):
         return NOT_NUMBERS + [-1.0]
     if key == "times":
         return [None, "zz", 0.5, [0.5, "zz"], [0.5, 0.0], [-1.0], [[0.5]], [True]]
-    if key in ("c", "tol"):
+    if key in ("c", "tol", "tolerance"):
         return NOT_NUMBERS
+    if key in ("expect", "verify"):
+        return [None, "yes", "pass", 1, 0, 0.5, {}, [[True]], [True, "yes"], [True] * 9]
     if key == "min_coverage":  # null means no minimum
         return NOT_NUMBERS[1:]
     point = value if key == "start" else value[0]
@@ -391,13 +395,13 @@ def _experiment_value_keys():
             for key in exp:
                 if key in ("grid", "substeps", "samples", "schedules", "dwell", "step",
                            "horizon", "times", "c", "tol", "min_coverage", "start",
-                           "starts", "points"):
+                           "starts", "points", "expect", "verify"):
                     yield pytest.param(name, i, key, id=f"{name}-{exp['name']}-{key}")
 
 
 @pytest.mark.parametrize("name, index, key", list(_experiment_value_keys()))
 def test_malformed_experiment_values_are_parse_errors(scenarios, name, index, key):
-    """Every number and point key of every built-in experiment raises
+    """Every number, flag and point key of every built-in experiment raises
     ParseError naming the experiment for each value its handler cannot take.
     The first such value goes through parse_scenario, the others through the
     experiment check of the parsed built-in, which is parsing's last step."""
@@ -411,6 +415,33 @@ def test_malformed_experiment_values_are_parse_errors(scenarios, name, index, ke
         with pytest.raises(ParseError) as err:
             scenario_module._validate_experiments(replace(s, experiments=[{**exp, key: bad}]))
         assert err.value.where == exp["name"], bad
+
+
+@pytest.mark.parametrize("kind", sorted(MINIMAL))
+def test_kind_defaults_are_what_its_handler_reads(kind, tmp_path):
+    """An experiment that spells out every default of its kind writes the
+    bytes of one that omits them, and each number or flag among the defaults
+    refuses what the sweep above refuses, null too unless it is the default.
+    Every kind has a minimal experiment, so a new kind cannot land untested."""
+    from liftreach import runner
+
+    assert set(MINIMAL) == set(runner._KINDS)
+    defaults = runner._KINDS[kind].defaults
+    written = []
+    for exp in (MINIMAL[kind], {**defaults, **MINIMAL[kind]}):
+        out = tmp_path / str(len(written))
+        run(parse_scenario({**KINDS, "experiments": [{"kind": kind, **exp}]}), seed=3,
+            out_dir=out)
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1]
+    for key in defaults.keys() & {*scenario_module._EXPERIMENT_NUMBERS, "expect", "verify"}:
+        for bad in _refused(key, defaults[key]):
+            if bad is None and defaults[key] is None:
+                continue
+            exp = {"name": "e", "kind": kind, **MINIMAL[kind], key: bad}
+            with pytest.raises(ParseError) as err:
+                parse_scenario({**KINDS, "experiments": [exp]})
+            assert err.value.where == "e", (key, bad)
 
 
 # override flag -> the experiment keys it writes; values each may take
