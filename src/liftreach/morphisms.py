@@ -5,7 +5,7 @@ for ordinary control systems."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -19,8 +19,9 @@ from .errors import (
     SingularGram,
     UnmappedControl,
 )
-from .expressions import compile_vector
+from .expressions import compile_vector, substitute
 from .geometry import (
+    FD_STEP,
     Atlas,
     Point,
     Points,
@@ -41,19 +42,25 @@ from .systems import (
 
 @dataclass(frozen=True)
 class GramFill:
-    """Generated fills over the source coordinates of a map with a 1-D target,
-    a source without a metric and its Jacobian row given as expressions. A
+    """Generated fills over the source coordinates of a map with a 1-D target
+    and a source without a metric, its Jacobian row given as expressions. A
     fill's lets are each J_i, then W = 0.0 + J_0 * J_0 + ..., the Gram that
     _right_inverse sums in the same order, and it tests W as _right_inverse
-    does before anything divides by it. Local names start with pre, which no
+    does before anything divides by it. With steps, the row reads the columns
+    H_j = FD_STEP * max(1, |x_j|) of finite_difference_jacobian's steps, which
+    fill appends to the coordinates. Local names start with pre, which no
     coordinate name does."""
 
     names: tuple[str, ...]
     row: tuple[str, ...]
     pre: str
+    steps: bool = False
 
     def J(self, i: int) -> str:
         return f"{self.pre}J{i}"
+
+    def H(self, i: int) -> str:
+        return f"{self.pre}H{i}"
 
     @property
     def W(self) -> str:
@@ -65,25 +72,40 @@ class GramFill:
         other stack, a stack of no rows included."""
         J = [(self.J(i), e) for i, e in enumerate(self.row)]
         W = " + ".join(["0.0"] + [f"{j} * {j}" for j, _ in J])
+        names, steps = self.names, self.steps
+        if steps:
+            names += tuple(map(self.H, range(len(names))))
         # W is one float for every row when J is constant: the stack is empty when out is
-        value = compile_vector(texts, self.names, lets=[*J, (self.W, W), *lets],
+        value = compile_vector(texts, names, lets=[*J, (self.W, W), *lets],
                                guard=(self.W, lambda w, out: out.size > 0 and grams_pass(w)))
 
         def func(cid, coords):
-            out = value(coords)
+            out = value(np.concatenate([coords, FD_STEP * np.maximum(1.0, np.abs(coords))],
+                                       axis=-1) if steps else coords)
             return generic(cid, coords) if out is None else out
 
         return func
 
 
-def gram_fill(phi: SmoothMap, jacobian) -> Optional[GramFill]:
-    """The GramFill of phi, whose Jacobian is jacobian, rows of expressions
-    (None for none); None unless phi has a 1-D target and a source without a
-    metric."""
-    if jacobian is None or phi.target.dim != 1 or phi.source.metric_fn is not None:
+def gram_fill(phi: SmoothMap, exprs, jacobian) -> Optional[GramFill]:
+    """The GramFill of phi, whose component is exprs[0] and whose Jacobian is
+    jacobian, rows of expressions; without jacobian, its row is the central
+    differences of exprs[0], finite_difference_jacobian's bit for bit. None
+    unless phi has a 1-D target and a source without a metric."""
+    if phi.target.dim != 1 or phi.source.metric_fn is not None:
         return None
-    names = phi.source.coord_names
-    return GramFill(tuple(names), tuple(jacobian[0]), "_" * (1 + max(map(len, names), default=0)))
+    names = tuple(phi.source.coord_names)
+    pre = "_" * (1 + max(map(len, names), default=0))
+    if jacobian is not None:
+        return GramFill(names, tuple(jacobian[0]), pre)
+    fd = GramFill(names, (), pre, steps=True)
+
+    def moved(j, sign):  # every other name maps to itself: a coordinate may be named pi or e
+        return substitute(exprs[0], {**{x: x for x in names},
+                                     names[j]: f"({names[j]} {sign} {fd.H(j)})"})
+
+    return replace(fd, row=tuple(f"(({moved(j, '+')}) - ({moved(j, '-')})) / (2.0 * {fd.H(j)})"
+                                 for j in range(len(names))))
 
 
 @dataclass(frozen=True)

@@ -220,9 +220,11 @@ def _closed_form(m: Morphism, spec: dict) -> Morphism:
     """m with the GramFill of spec's map (morphisms.gram_fill), where it has
     one, so that its chartwise kernel frames are fills; a field with
     expressions in one dimension then lifts as one fill, whose column j is
-    J_j (Y o Phi / W) + 0.0, the generic lift bit for bit. A stack that fails
-    the Gram test, and any other field, takes m's generic lift."""
-    gram = gram_fill(m.phi, spec.get("jacobian"))
+    J_j (Y o Phi / W) + 0.0, the generic lift bit for bit. J_j is the map's
+    jacobian entry, or without a jacobian block its central difference. A
+    stack that fails the Gram test, and any other field, takes m's generic
+    lift."""
+    gram = gram_fill(m.phi, spec["exprs"], spec.get("jacobian"))
     if gram is None:
         return m
 
@@ -414,6 +416,10 @@ def _validate_experiments(s: Scenario, experiments=None):
             raise ParseError(f"unknown experiment kind {kind!r}", where=where)
         for key in _KINDS[kind].required:
             _need(exp, key, where)
+        unread = set(exp) - {"name", "kind", *_KINDS[kind].required, *_KINDS[kind].defaults}
+        unread -= {"start", "starts"} if kind == "reach" else set()
+        if unread:
+            raise ParseError(f"unknown key {min(unread)!r} for kind {kind!r}", where=where)
         if kind == "second-order-check":
             _ref(s.second_order, exp["system"], where)
         elif "system" in exp:

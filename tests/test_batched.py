@@ -383,20 +383,26 @@ SCENARIO_DATA = {
 
 
 def _closed_form_morphisms():
-    """(scenario, morphism) of every morphism whose map has a jacobian block
-    and a 1-D target and whose source has no metric."""
+    """(scenario, morphism) of every morphism whose map has a 1-D target and
+    whose source has no metric, with a jacobian block or without one."""
     for name, data in SCENARIO_DATA.items():
         for k, v in data.get("morphisms", {}).items():
             spec = data["maps"][v["map"]]
-            if ("jacobian" in spec and len(spec["exprs"]) == 1
-                    and "metric" not in data["atlases"][spec["source"]]):
+            if len(spec["exprs"]) == 1 and "metric" not in data["atlases"][spec["source"]]:
                 yield name, k
+
+
+# signed zeros, and |x| at and on both sides of 1, where a finite-difference step
+# FD_STEP * max(1, |x|) switches
+ENTRY = st.one_of(st.floats(-8, 8), st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 1.0 - 2.0 ** -53, -1.0 + 2.0 ** -53, 1.0 + 2.0 ** -52]))
 
 
 def _closed_form_cases():
     """(scenario, morphism, generator) of every lift through a closed-form
-    morphism: every such lift of the built-ins, rank_drop.json's, one of them
-    through x**3, and SCENARIO's and LINE's."""
+    morphism: every such lift of the built-ins, projection's liftsym_fd
+    through a map without a jacobian block among them, rank_drop.json's,
+    through x**3 with and without one, and SCENARIO's and LINE's."""
     for name, k in _closed_form_morphisms():
         data = SCENARIO_DATA[name]
         for j in range(len(data["systems"][data["morphisms"][k]["target_system"]]["generators"])):
@@ -412,19 +418,19 @@ def _parsed(name):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_closed_form_lift_equals_generic_lift(name, morphism, gen, data):
-    """A scenario lift through a map with a jacobian block, a 1-D target and
-    a source without a metric is one generated fill, bit for bit the generic
-    lift of metric_lift_morphism, on rows and at each row alone, signed zeros
-    and rows where dPhi drops rank included. The generic lift runs exactly
-    for the stacks that fail the Gram test, and names their SingularGram."""
+    """A scenario lift through a map with a 1-D target and a source without a
+    metric is one generated fill, bit for bit the generic lift of
+    metric_lift_morphism, on rows and at each row alone, signed zeros, rows
+    where dPhi drops rank and, for a map without a jacobian block, |x_j| on
+    both sides of 1 included. The generic lift runs exactly for the stacks
+    that fail the Gram test, and names their SingularGram."""
     s = _parsed(name)
     m = s.morphisms[morphism]
     Y = s.system(s.raw["morphisms"][morphism]["target_system"]).generators[gen]
     closed, generic = m.lift(Y), metric_lift_morphism(m.phi).lift(Y)
     cid = data.draw(st.sampled_from(m.phi.source.charts)).chart_id
-    entry = st.one_of(st.floats(-8, 8), st.sampled_from([0.0, -0.0]))
     X = data.draw(st.integers(1, 6).flatmap(
-        lambda n: arrays(np.float64, (n, m.phi.source.dim), elements=entry)))
+        lambda n: arrays(np.float64, (n, m.phi.source.dim), elements=ENTRY)))
 
     def outcome(field, coords):
         try:
@@ -448,7 +454,7 @@ def test_closed_form_lift_equals_generic_lift(name, morphism, gen, data):
 def _frame_cases():
     """(scenario, morphism) of every chartwise kernel frame of a closed-form
     morphism: Möbius's and projection's, SCENARIO's, LINE's of one coordinate
-    and rank_drop.json's through x**3."""
+    and rank_drop.json's through x**3, with and without a jacobian block."""
     for name, k in _closed_form_morphisms():
         kernel = SCENARIO_DATA[name]["morphisms"][k].get("kernel")
         if kernel and kernel.get("mode", "chartwise") == "chartwise":
@@ -495,9 +501,8 @@ def test_closed_form_frame_equals_kernel_projector(name, morphism, data):
     aug, twin = _generic_frame(s, morphism)
     phi = s.morphisms[morphism].phi
     cid = data.draw(st.sampled_from(phi.source.charts)).chart_id
-    entry = st.one_of(st.floats(-8, 8), st.sampled_from([0.0, -0.0]))
     X = data.draw(st.integers(1, 6).flatmap(
-        lambda n: arrays(np.float64, (n, phi.source.dim), elements=entry)))
+        lambda n: arrays(np.float64, (n, phi.source.dim), elements=ENTRY)))
     passes = grams_pass(_gram(phi.raw_jac_at(cid, X)))
     flows = [sel for sel in aug.flows() if isinstance(sel, np.ndarray)]
     pairs = [(f, g) for f, g in zip(aug.kernel_fields, twin.kernel_fields)]
@@ -514,22 +519,24 @@ def test_closed_form_frame_equals_kernel_projector(name, morphism, data):
 
 
 def test_closed_form_frame_tests_its_gram_before_it_divides():
-    """A frame column through x**3 tests its Gram before it divides: rows
-    where W = 0 raise no RuntimeWarning, only kernel_projector's
+    """A frame column through x**3, with and without a jacobian block, tests
+    its Gram before it divides: rows where W = 0, or 1e-24 from central
+    differences, raise no RuntimeWarning, only kernel_projector's
     SingularGram, which names the same row. A stack of no rows takes
-    kernel_projector's column, for the Jacobian through x**3 and for
+    kernel_projector's column, for the Jacobians through x**3 and for
     Möbius's constant one, whose W is one float."""
     zero_w = np.array([[0.2, 0.1], [0.0, 0.5], [-0.0, -1.0]])
     s = _parsed("rank-drop")
-    aug, twin = _generic_frame(s, "cube_frame")
+    frames = ("cube_frame", "cube_fd_frame")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for fill, generic in zip(aug.kernel_fields, twin.kernel_fields):
-            with pytest.raises(SingularGram) as exc:
-                fill.values("c0", zero_w)
-            assert str(exc.value) == _value_or_message(generic, "c0", zero_w)
-            assert str(exc.value).startswith("J G^-1 J^T is numerically singular at (c0, ")
-        for name, k in (("rank-drop", "cube_frame"), ("mobius", "mlift")):
+        for aug, twin in (_generic_frame(s, k) for k in frames):
+            for fill, generic in zip(aug.kernel_fields, twin.kernel_fields):
+                with pytest.raises(SingularGram) as exc:
+                    fill.values("c0", zero_w)
+                assert str(exc.value) == _value_or_message(generic, "c0", zero_w)
+                assert str(exc.value).startswith("J G^-1 J^T is numerically singular at (c0, ")
+        for name, k in (*(("rank-drop", k) for k in frames), ("mobius", "mlift")):
             for fill in _parsed(name).kernels[k].fields:
                 with mock.patch.object(morphisms, "kernel_projector",
                                        wraps=morphisms.kernel_projector) as generic_calls:
@@ -887,6 +894,30 @@ def test_lifts_through_one_map_share_one_morphism(scenarios):
     for flow in (a, b):
         assert np.array_equal(flow.samples.coords, alone.samples.coords)
         assert np.array_equal(flow.times, alone.times)
+
+
+def test_a_row_alone_in_its_group_steps_as_a_point(scenarios, monkeypatch):
+    """Two rows of one chart under two fields are two groups of one row: each
+    steps as a point, a (d,) array to rk4_step, and each gets the RowFlow of
+    integrate_requests of it alone."""
+    sym = scenarios["projection"].system("liftsym.system")
+    starts = sym.atlas.stack(sym.atlas.sample(np.random.default_rng(0), 2))
+    scheds = [Schedule.of((0, 0.1)), Schedule.of((1, 0.1))]
+    shapes, rk4_step = [], systems.rk4_step
+
+    def counted(func, cid, coords, h):
+        shapes.append(np.shape(coords))
+        return rk4_step(func, cid, coords, h)
+
+    monkeypatch.setattr(systems, "rk4_step", counted)
+    both = integrate_requests([RowRequest(sym, starts, scheds, 0.01)])[0]
+    assert shapes == [(2,)] * 20
+    for r in range(2):
+        alone = integrate_requests([RowRequest(
+            sym, Points(starts.charts[r:r + 1], starts.coords[r:r + 1]), scheds[r:r + 1],
+            0.01)])[0]
+        assert np.array_equal(both.samples.coords[r:r + 1], alone.samples.coords)
+        assert np.array_equal(both.times[r:r + 1], alone.times)
 
 
 def test_pooled_requests_record_only_where_asked():

@@ -444,6 +444,44 @@ def test_kind_defaults_are_what_its_handler_reads(kind, tmp_path):
             assert err.value.where == "e", (key, bad)
 
 
+@pytest.mark.parametrize("kind", sorted(MINIMAL))
+def test_unread_experiment_key_is_a_parse_error(kind):
+    """A key that an experiment's kind does not read, such as a misspelt
+    default or another kind's key, is a ParseError naming the experiment and
+    the key: every key some other kind reads, and one no kind reads. Every
+    kind reads name and kind, and reach reads start and starts."""
+    from liftreach import runner
+
+    def keys(k):
+        return {"name", "kind", *runner._KINDS[k].required, *runner._KINDS[k].defaults,
+                *("start", "starts") * (k == "reach")}
+
+    unread = set().union(*map(keys, runner._KINDS)) - keys(kind) | {"tolerances"}
+    for key in sorted(unread):
+        exp = {"name": "e", "kind": kind, **MINIMAL[kind], key: 1}
+        with pytest.raises(ParseError, match=f"^e: unknown key {key!r} for kind {kind!r}$"):
+            parse_scenario({**KINDS, "experiments": [exp]})
+    parse_scenario({**KINDS, "experiments": [
+        {"name": "e", "kind": kind, **MINIMAL[kind], **runner._KINDS[kind].defaults}]})
+
+
+def test_cli_names_an_unread_experiment_key(tmp_path, capsys):
+    """connection-1d's geodesic-closed-form with tol spelt tolerance used to
+    run under the default tol of 1e-6; the CLI now exits 2 naming the
+    experiment and the key, and runs nothing."""
+    data = json.loads(builtin_scenario_path("connection-1d").read_text())
+    exp = next(e for e in data["experiments"] if e["name"] == "geodesic-closed-form")
+    exp["tolerance"] = 1e-30
+    del exp["tol"]
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("liftreach: error: geodesic-closed-form: unknown key "
+                            "'tolerance' for kind 'geodesic-check'\n")
+
+
 # override flag -> the experiment keys it writes; values each may take
 OVERRIDES = {"grid": ("grid",), "dwell": ("dwell",), "horizon": ("horizon",),
              "step": ("step",), "tol": ("tol", "tolerance")}
@@ -680,21 +718,25 @@ def _singular(field, coords) -> str:
 def test_closed_form_lift_tests_its_gram_before_it_divides():
     """The closed-form fill tests its Gram before it divides: cross-drop's
     stack at x = 0 and rows where W = 0 raise no RuntimeWarning, only the
-    SingularGram of the generic lift, which names the same row. A stack of
-    no rows takes the generic lift, for a Jacobian through x**3 and for the
-    constant one of projx, whose W is one float."""
+    SingularGram of the generic lift, which names the same row; through x**3
+    without a jacobian block, the central differences at x = 0 give
+    W = 1e-24, which fails the test too. A stack of no rows takes the generic
+    lift, for Jacobians through x**3 and for the constant one of projx, whose
+    W is one float."""
     s = parse_scenario(RANK_DROP)
     message = r"^J G\^-1 J\^T is numerically singular at \(c0, \[-0\.0005  0\.    \]\)$"
     zero_w = np.array([[0.2, 0.1], [0.0, 0.5], [-0.0, -1.0]])
+    J = s.morphisms["cube_fd_frame"].phi.raw_jac_at("c0", zero_w)
+    assert (J[1:, 0, 0] ** 2).tolist() == [1e-24, 1e-24]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularGram, match=message):
             run(s, experiment="cross-drop")
-        for k in ("through_cube", "flat"):
+        for k in ("through_cube", "flat", "cube_fd_frame"):
             m = s.morphisms[k]
             Y = s.system(s.raw["morphisms"][k]["target_system"]).generators[0]
             closed, generic = m.lift(Y), metric_lift_morphism(m.phi).lift(Y)
-            if k == "through_cube":
+            if k != "flat":
                 assert _singular(closed, zero_w) == _singular(generic, zero_w)
             with mock.patch.object(morphisms, "_right_inverse_apply",
                                    wraps=morphisms._right_inverse_apply) as generic_calls:
@@ -731,6 +773,27 @@ def test_coordinates_may_take_the_names_a_fill_binds(tmp_path):
     assert not generic_calls.called
     assert closed.tobytes() == generic.values("c0", X).tobytes()
     assert run(s, out_dir=tmp_path).passed
+
+
+def test_finite_difference_fill_keeps_coordinates_named_like_constants():
+    """Through a map without a jacobian block over coordinates named e and
+    pi, the central differences read those coordinates, not the constants:
+    the lift is one fill, bit for bit the generic lift."""
+    data = {
+        "atlases": {"plane": {"kind": "box", "box": [[-1, 1], [-1, 1]], "coords": ["e", "pi"]},
+                    "line": {"kind": "interval", "box": [-9, 9], "coords": ["u"]}},
+        "maps": {"bend": {"source": "plane", "target": "line", "exprs": ["e * pi + pi**2 + e"]}},
+        "fields": {"right": {"atlas": "line", "exprs": ["1 + u**2"]}},
+        "systems": {"down": {"atlas": "line", "generators": ["right"]}},
+        "morphisms": {"m": {"map": "bend", "target_system": "down"}},
+    }
+    s = parse_scenario(data)
+    X = np.array([[0.3, -0.5], [-0.7, 0.2], [0.0, -0.0]])
+    generic = metric_lift_morphism(s.maps["bend"]).lift(s.fields["right"])
+    with mock.patch.object(morphisms, "_right_inverse_apply") as generic_calls:
+        closed = s.system("m.system").generators[0].values("c0", X)
+    assert not generic_calls.called
+    assert closed.tobytes() == generic.values("c0", X).tobytes()
 
 
 @pytest.mark.parametrize("name, morphism", [("mobius", "mlift"), ("bundle", "blift")])
@@ -805,6 +868,46 @@ def test_wrapped_lifts_step_as_unwrapped_lifts(monkeypatch):
         assert got == want_steps
         assert result.stats == want.stats
         assert result.experiments == want.experiments
+
+
+def test_finite_difference_lift_steps_as_a_fill(monkeypatch):
+    """projection's verify-fd lifts through projx_fd, a map without a
+    jacobian block, as one generated fill. A seed-1 run calls
+    _right_inverse_apply never and finite_difference_jacobian twice, for the
+    residual's Jacobians, where the generic lift's RK4 stages made 6,204
+    calls. Its records, RK4 steps (3,100) and row steps (1,676) are those of
+    the generic lift."""
+    from liftreach import geometry
+
+    calls = {}
+
+    def count(module, name):
+        func, calls[name] = getattr(module, name), 0
+
+        def counted(*args):
+            calls[name] += 1
+            return func(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((systems, "rk4_step"), (systems, "step_rows"),
+                         (geometry, "finite_difference_jacobian"),
+                         (morphisms, "_right_inverse_apply")):
+        count(module, name)
+
+    def verify_fd():
+        s = load_builtin("projection")
+        calls.update(dict.fromkeys(calls, 0))
+        return run(s, seed=1, experiment="verify-fd").experiments, dict(calls)
+
+    records, filled = verify_fd()
+    monkeypatch.setattr(scenario_module, "_closed_form", lambda m, *args: m)
+    generic_records, generic = verify_fd()
+    assert records == generic_records and records[0]["verdict"]
+    assert filled["_right_inverse_apply"] == 0 < generic["_right_inverse_apply"]
+    assert filled["finite_difference_jacobian"] == 2 < generic["finite_difference_jacobian"]
+    assert (filled["rk4_step"], filled["step_rows"]) == (generic["rk4_step"],
+                                                         generic["step_rows"]) == (3100, 1676)
 
 
 def test_cli_echo_lines_follow_experiment_order(capsys):
