@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import GeneratorType
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -59,8 +59,7 @@ class RunResult:
 
 
 def _point(atlas: Atlas, spec) -> Point:
-    chart = spec.get("chart", atlas.charts[0].chart_id)
-    return atlas.normalize(chart, np.asarray(spec["coords"], dtype=float))
+    return atlas.normalize(spec["chart"], np.asarray(spec["coords"], dtype=float))
 
 
 def _round(x, digits=12):
@@ -92,7 +91,7 @@ def _apply_overrides(exp: dict, overrides: Optional[dict]) -> dict:
 
 def _run_reach(s: Scenario, exp: dict, seed: int, out_dir: Optional[Path]):
     sys = s.system(exp["system"])
-    starts = exp.get("starts") or [exp["start"]]
+    starts = exp["starts"] or [exp["start"]]
     coverages = []
     artifacts = []
     min_cov = exp["min_coverage"]
@@ -253,33 +252,36 @@ def _run_geodesic(s: Scenario, exp: dict, seed: int, out_dir):
     return worst <= exp["tol"], metrics
 
 
-class Kind(NamedTuple):
+@dataclass
+class Entry:  # the keys of one kind of scenario entry, which scenario._filled checks
+    required: tuple  # keys the entry cannot do without
+    defaults: dict   # the keys it may omit, and their values when omitted
+
+
+@dataclass
+class Kind(Entry):  # an experiment kind; a key may be null where its default is None
     handler: Callable
-    required: tuple  # keys the handler cannot do without, checked at parse time
-    defaults: dict   # the keys it may omit; a key may be null where its default is None
 
 
 # verify, global-in-time, liftable and geodesic-check are bodies for systems.drive
 _KINDS = {
-    "reach": Kind(_run_reach, ("system", "grid", "dwell", "horizon"),
-                  {"substeps": 10, "min_coverage": None}),
-    "reachability-set": Kind(_run_reach_set, ("system", "points", "dwell", "horizon", "grid"),
-                             {"substeps": 10, "expect": True}),
-    "stlc": Kind(_run_stlc, ("system", "start", "times", "grid"),
-                 {"dwell": None, "substeps": 16, "expect": True}),
-    "verify": Kind(_run_verify, ("morphism", "target_system"),
-                   {"samples": 300, "schedules": 5, "tolerance": None, "step": 1e-3,
-                    "expect": True}),
-    "global-in-time": Kind(_run_global, ("morphism", "target_system", "starts", "horizon"),
-                           {"step": 1e-3, "expect": True}),
-    "liftable": Kind(_run_liftable, ("upstairs", "downstairs", "map"),
-                     {"tol": 1e-6, "expect": True, "verify": False, "samples": 200,
-                      "schedules": 3}),
-    "roundtrip": Kind(_run_roundtrip, ("system",), {"samples": 40}),
-    "second-order-check": Kind(_run_second_order, ("system",),
-                               {"samples": 200, "expect": True}),
-    "geodesic-check": Kind(_run_geodesic, ("system", "start", "c", "times"),
-                           {"tol": 1e-6, "step": 1e-3}),
+    "reach": Kind(("system", "grid", "dwell", "horizon"),
+                  {"starts": [], "substeps": 10, "min_coverage": None}, _run_reach),
+    "reachability-set": Kind(("system", "points", "dwell", "horizon", "grid"),
+                             {"substeps": 10, "expect": True}, _run_reach_set),
+    "stlc": Kind(("system", "start", "times", "grid"),
+                 {"dwell": None, "substeps": 16, "expect": True}, _run_stlc),
+    "verify": Kind(("morphism", "target_system"), {"samples": 300, "schedules": 5,
+                   "tolerance": None, "step": 1e-3, "expect": True}, _run_verify),
+    "global-in-time": Kind(("morphism", "target_system", "starts", "horizon"),
+                           {"step": 1e-3, "expect": True}, _run_global),
+    "liftable": Kind(("upstairs", "downstairs", "map"), {"tol": 1e-6, "expect": True,
+                     "verify": False, "samples": 200, "schedules": 3}, _run_liftable),
+    "roundtrip": Kind(("system",), {"samples": 40}, _run_roundtrip),
+    "second-order-check": Kind(("system",), {"samples": 200, "expect": True},
+                               _run_second_order),
+    "geodesic-check": Kind(("system", "start", "c", "times"), {"tol": 1e-6, "step": 1e-3},
+                           _run_geodesic),
 }
 _HANDLERS = {kind: k.handler for kind, k in _KINDS.items()}
 
@@ -290,8 +292,8 @@ def run(scenario: Scenario, seed: int = 0, out_dir=None, overrides=None,
 
     Overrides replace the values the chosen experiments spell out, which
     then pass the parse-time checks before any handler runs: a value no
-    handler can take is a ParseError naming its experiment. A handler reads
-    its experiment with its kind's defaults filled in.
+    handler can take is a ParseError naming its experiment. Handlers read
+    the experiments as those checks fill them in.
 
     Handlers that are generator bodies are driven together (systems.drive)
     after the others, so their rows that share an atlas and a step size are
@@ -308,15 +310,13 @@ def run(scenario: Scenario, seed: int = 0, out_dir=None, overrides=None,
     from .scenario import _validate_experiments  # scenario imports this module
 
     result = RunResult(scenario=scenario.name, seed=seed)
-    chosen = {idx: {"name": f"experiment-{idx}", **_apply_overrides(exp, overrides)}
+    chosen = {idx: _apply_overrides(exp, overrides)
               for idx, exp in enumerate(scenario.experiments)
               if (kinds is None or exp["kind"] in kinds)
               and (experiment is None or exp.get("name") == experiment)}
-    # the parse-time checks again, on the values the overrides wrote
-    _validate_experiments(scenario, list(chosen.values()))
     selected, outcomes, bodies = [], [], {}
-    for idx, exp in chosen.items():
-        exp = {**_KINDS[exp["kind"]].defaults, **exp}
+    # the parse-time checks again, on the values the overrides wrote
+    for idx, exp in _validate_experiments(scenario, chosen).items():
         exp_seed = seed * 100003 + idx
         out = _HANDLERS[exp["kind"]](scenario, exp, exp_seed, out_path)
         if isinstance(out, GeneratorType):

@@ -1,7 +1,9 @@
 """Scenario parsing, the experiment runner, determinism, and the CLI."""
 
+import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -20,7 +22,7 @@ from liftreach import scenario as scenario_module
 from liftreach import systems
 from liftreach.errors import DimensionMismatch, ParseError, SingularGram, UnresolvedReference
 from liftreach.morphisms import Morphism, metric_lift_morphism
-from liftreach.runner import run
+from liftreach.runner import Entry, run
 from liftreach.scenario import (
     builtin_scenario_names,
     builtin_scenario_path,
@@ -267,7 +269,8 @@ def _section_mutations():
     """Each section of every built-in but its name, and each entry of one,
     replaced by a value of the wrong kind, with the place a ParseError must
     name: the section, or the entry as section[key]. A list is the right
-    kind for experiments, so [1, 2] there fails at its first entry."""
+    kind for experiments, so [1, 2] there fails at its first entry. A
+    top-level key that is no section fails at the top level."""
     for name in EXPECTED_NAMES:
         data = json.loads(builtin_scenario_path(name).read_text())
         for section, value in data.items():
@@ -280,6 +283,8 @@ def _section_mutations():
                         where = "experiments[0]"
                     yield pytest.param(name, section, key, bad, where,
                                        id=f"{name}-{section}-{key}-{bad!r}")
+        # a top-level key no table reads, named at the top level
+        yield pytest.param(name, "unread", None, 3, "scenario", id=f"{name}-unread")
 
 
 @pytest.mark.parametrize("name, section, key, bad, where", list(_section_mutations()))
@@ -317,6 +322,13 @@ ENTRY_MUTATIONS = [
     ("connection-1d", "connections", "conn", "controls", [3, None]),
     ("connection-1d", "connections", "conn", "v_bound", [None, "zz", [1, 2]]),
 ]
+# and a key no table reads on every entry of every built-in
+ENTRY_MUTATIONS += [
+    (name, section, entry, "unread", [1])
+    for name in EXPECTED_NAMES
+    for section, value in json.loads(builtin_scenario_path(name).read_text()).items()
+    if section != "name"
+    for entry in (value if isinstance(value, dict) else range(len(value)))]
 
 
 @pytest.mark.parametrize("name, section, entry, key, bad", [
@@ -480,6 +492,241 @@ def test_cli_names_an_unread_experiment_key(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("liftreach: error: geodesic-closed-form: unknown key "
                             "'tolerance' for kind 'geodesic-check'\n")
+
+
+# one entry of every table scenario._filled fills but the experiment kinds',
+# each spelling out only what it needs; experiment e's start is a point
+TABLES = {
+    **KINDS,
+    "atlases": {**KINDS["atlases"], "ring": {"kind": "circle"}, "tor": {"kind": "torus"},
+                "band": {"kind": "mobius"}, "u": {"kind": "union", "charts": {"a": [[0, 1]]}}},
+    "fields": {**KINDS["fields"], "vert": {"atlas": "plane", "exprs": ["0", "1"]}},
+    "morphisms": {"m": {"map": "proj", "target_system": "down",
+                        "kernel": {"mode": "chartwise"}}},
+    "so_lifts": {"l": {"source": "di", "map": "proj", "kernel": {"generators": ["vert"]}}},
+    "connections": {"conn": {"atlas": "line", "christoffel": [[["0.5"]]]}},
+    "experiments": [{"name": "e", "kind": "stlc", **MINIMAL["stlc"]}],
+}
+# README row -> (path to the entry in TABLES, the table, where a ParseError
+# names it, and the kind its unknown-key message names)
+TABLE_ENTRIES = {
+    "top level": ((), scenario_module._SCENARIO, "scenario", None),
+    **{f"`{section}`": ((section, name), scenario_module._ENTRIES[section], name, None)
+       for section, name in [("maps", "proj"), ("fields", "right"), ("systems", "down"),
+                             ("morphisms", "m"), ("second_order", "di"), ("so_lifts", "l"),
+                             ("connections", "conn")]},
+    **{f"`{kind}` atlas": (("atlases", name), scenario_module._ATLASES[kind], name, kind)
+       for kind, name in [("interval", "line"), ("box", "plane"), ("circle", "ring"),
+                          ("torus", "tor"), ("mobius", "band"), ("union", "u")]},
+    **{f"`{section}` kernel": ((section, name, "kernel"), scenario_module._KERNELS[section],
+                               name, None)
+       for section, name in [("morphisms", "m"), ("so_lifts", "l")]},
+    # a point of down's atlas, line, whose first chart is c0
+    "point": (("experiments", 0, "start"), Entry(("coords",), {"chart": "c0"}), "e", None),
+}
+
+
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def _keys(entry):
+    return {*entry.required, *entry.defaults}
+
+
+@pytest.mark.parametrize("label", list(TABLE_ENTRIES))
+def test_unread_entry_key_is_a_parse_error(label):
+    """A key that an entry's table does not have, such as a misspelt default
+    or a key of another table, is a ParseError naming the entry and the key:
+    every key some other table or experiment kind reads, and one none
+    reads. The entry with every default of its table spelt out parses."""
+    from liftreach import runner
+
+    path, entry, where, kind = TABLE_ENTRIES[label]
+    tables = [e for _, e, _, _ in TABLE_ENTRIES.values()] + list(runner._KINDS.values())
+    read = set().union(*map(_keys, tables)) | {"name", "kind", "start"}
+    suffix = "" if kind is None else f" for kind {kind!r}"
+    for key in sorted(read - _keys(entry) | {"unread"}):
+        data = copy.deepcopy(TABLES)
+        _at(data, path)[key] = 1
+        with pytest.raises(ParseError, match=f"^{where}: unknown key {key!r}{suffix}$"):
+            parse_scenario(data)
+    data = copy.deepcopy(TABLES)
+    spelt = _at(data, path)
+    spelt.update({**entry.defaults, **spelt})
+    parse_scenario(data)
+    # parsing fills copies and leaves the caller's dicts as they were
+    data = copy.deepcopy(TABLES)
+    assert parse_scenario(data).raw is data and data == TABLES
+
+
+def _table_variants(label):
+    """The first built-in entry of the table of label that spells out a
+    default or leaves one out, as (built-in, its data, the entry in it, the
+    entry with every default spelt out and with every spelt default left
+    out); None when no built-in has one."""
+    _, entry, _, kind = TABLE_ENTRIES[label]
+    section, *rest = label.strip("`").split("` ")
+    for name in EXPECTED_NAMES:
+        data = json.loads(builtin_scenario_path(name).read_text())
+        found = ([data] if label == "top level"
+                 else [a for a in data.get("atlases", {}).values() if a["kind"] == kind]
+                 if rest == ["atlas"]
+                 else [e["kernel"] for e in data.get(section, {}).values() if "kernel" in e]
+                 if rest == ["kernel"] else data.get(section, {}).values())
+        for spec in found:
+            variants = [{**entry.defaults, **spec},
+                        {k: v for k, v in spec.items()
+                         if k not in entry.defaults or v != entry.defaults[k]}]
+            if any(v != spec for v in variants):
+                return name, data, spec, [v for v in variants if v != spec]
+    return None
+
+
+# tables no built-in entry spells out or leaves out a default of: fields and
+# systems have no defaults, and double-integrator's di sets all three of
+# second_order's to other values (test_second_order_defaults_...)
+UNCHECKED = {"`fields`", "`systems`", "`second_order`"}
+
+
+def test_every_table_with_a_built_in_default_is_checked():
+    assert {label for label in TABLE_ENTRIES
+            if label != "point" and _table_variants(label) is None} == UNCHECKED
+
+
+@pytest.mark.parametrize("label", [label for label in TABLE_ENTRIES
+                                   if label not in UNCHECKED | {"point"}])
+def test_table_defaults_are_what_its_builder_reads(scenario_runs, label, tmp_path):
+    """A built-in entry of each table with every default spelt out, or with
+    every default it spells out left out, writes the bytes the built-in
+    writes at seed 0."""
+    name, data, spec, variants = _table_variants(label)
+    summary = Path(scenario_runs[name].summary_path)
+    written = {p.name: p.read_bytes() for p in summary.parent.iterdir()}
+    for i, variant in enumerate(variants):
+        spec.clear()
+        spec.update(variant)
+        out = tmp_path / str(i)
+        run(parse_scenario(data), seed=0, out_dir=out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written, variant
+
+
+def test_second_order_defaults_are_what_its_builder_reads(tmp_path):
+    """No built-in second_order entry leaves out a default, so KINDS's di,
+    which leaves out v_bound and control_samples, stands in: a reach on its
+    sampled-control system reads both, and writes the same bytes with them
+    spelt out, and other bytes with either set otherwise."""
+    reach = {"name": "r", "kind": "reach", "system": "di.tcs", "grid": 8, "dwell": 0.5,
+             "horizon": 2.0, "start": {"coords": [0.0, 0.0]}}
+    di = KINDS["second_order"]["di"]
+    written = []
+    for i, spec in enumerate([di, {**scenario_module._ENTRIES["second_order"].defaults, **di},
+                              {**di, "v_bound": 3.0}, {**di, "control_samples": [[1], [-1]]}]):
+        data = {**KINDS, "second_order": {"di": spec}, "experiments": [reach]}
+        run(parse_scenario(data), seed=0, out_dir=tmp_path / str(i))
+        written.append({p.name: p.read_bytes() for p in (tmp_path / str(i)).iterdir()})
+    assert written[0] == written[1] and written[2] != written[0] != written[3]
+
+
+def test_readme_tables_are_the_code_tables():
+    """The README's table of entries and its table of experiment kinds list,
+    row by row, the required keys and defaults the code fills in, so a new
+    default cannot go undocumented."""
+    from liftreach import runner
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for head in ("| entry | required keys | defaults |", "| kind | required keys | defaults |"):
+        lines = readme[readme.index(head):].split("\n")[2:]
+        for line in lines[:next(i for i, line in enumerate(lines) if not line.startswith("|"))]:
+            label, required, defaults = (cell.strip() for cell in line.strip("|").split("|"))
+            rows[head[2:7], label] = (
+                tuple(re.findall(r"`(\w+)`", required)),
+                dict(re.findall(r"`(\w+)` ([^`]*?)(?:, (?=`)|$)", defaults)))
+    code = {("entry", label): entry for label, (_, entry, _, _) in TABLE_ENTRIES.items()}
+    code.update({("kind ", f"`{kind}`"): k for kind, k in runner._KINDS.items()})
+    assert rows.keys() == code.keys()
+    for row, (required, defaults) in rows.items():
+        assert required == code[row].required, row
+        assert defaults.keys() == code[row].defaults.keys(), row
+        if row != ("entry", "point"):  # a point's chart depends on its atlas
+            assert {k: json.loads(v) for k, v in defaults.items()} == code[row].defaults, row
+
+
+def _escape_match_start(data):
+    return next(e for e in data["experiments"] if e["name"] == "escape-match")["starts"][0]
+
+
+def _misspelt(name, edit):
+    data = json.loads(builtin_scenario_path(name).read_text())
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("projection", lambda d: d["maps"]["projx"].update(jacobain=d["maps"]["projx"].pop("jacobian")),
+     "projx: unknown key 'jacobain'"),
+    ("projection", lambda d: d["atlases"]["plane"].update(boxx=[[-1, 1], [-1, 1]]),
+     "plane: unknown key 'boxx' for kind 'box'"),
+    ("projection", lambda d: d["morphisms"]["liftsym"].update(kernal={"mode": "global"}),
+     "liftsym: unknown key 'kernal'"),
+    ("improper", lambda d: _escape_match_start(d).update(chrat=_escape_match_start(d).pop("chart")),
+     "escape-match: unknown key 'chrat'"),
+    ("projection", lambda d: d.update(mpas=d["maps"]), "{path}: unknown key 'mpas'"),
+], ids=["jacobain", "boxx", "kernal", "chrat", "mpas"])
+def test_cli_names_a_misspelt_entry_key(tmp_path, capsys, name, edit, message):
+    """A misspelt key used to be ignored: projx with jacobian spelt jacobain
+    became a finite-difference map whose verify-analytic passed at 1e-6 in
+    place of 1e-9, boxx and kernal changed nothing, and escape-match's start
+    with chart spelt chrat ran from chart a. The CLI now exits 2 naming the
+    entry and the key, and prints nothing on stdout."""
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps(_misspelt(name, edit)))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"liftreach: error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"'])
+def test_cli_refuses_a_top_level_that_is_no_object(tmp_path, capsys, text):
+    path = tmp_path / "list.json"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"liftreach: error: {path}: must be an object\n"
+
+
+def test_cli_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"liftreach: error: {path}: invalid JSON: 'utf-8' codec")
+
+
+def test_cli_refuses_a_name_that_is_no_string(tmp_path, capsys):
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({"name": [1]}))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"liftreach: error: {path}: 'name' must be a string\n"
+
+
+def test_overrides_do_not_reach_defaults():
+    """An override replaces only a value its experiment spells out: --tol on
+    a geodesic-check that leaves tol to its default changes nothing."""
+    s = parse_scenario({**KINDS, "experiments": [{"kind": "geodesic-check",
+                                                  **MINIMAL["geodesic-check"]}]})
+    metrics = run(s, overrides={"tol": 0.5, "step": 0.25}).experiments[0]["metrics"]
+    assert metrics == run(s).experiments[0]["metrics"]
+    assert metrics["tol"] == 1e-06
+    assert s.experiments == [{"kind": "geodesic-check", **MINIMAL["geodesic-check"]}]
 
 
 # override flag -> the experiment keys it writes; values each may take
