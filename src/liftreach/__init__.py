@@ -27,6 +27,8 @@ from .geometry import (
     circle_atlas,
     combine_fields,
     differential_rank,
+    expression_map,
+    expression_tensor,
     interval_atlas,
     mobius_atlas,
     torus_atlas,

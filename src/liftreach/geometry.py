@@ -205,20 +205,7 @@ def interval_atlas(lo: float, hi: float, coord_name="x", name="interval") -> Atl
 
 
 def circle_atlas(period: float = 2 * np.pi, coord_name="theta", name="circle") -> Atlas:
-    chart = Chart("c0", np.array([[0.0, period]]), (True,))
-
-    def aliases(cid, coords):
-        return [("c0", coords + period), ("c0", coords - period)]
-
-    return Atlas(
-        dim=1,
-        charts=(chart,),
-        aliases_fn=aliases,
-        coord_names=(coord_name,),
-        name=name,
-        normalize_rows=lambda cid, X: (np.zeros(len(X), int), _wrap(X, period)),
-        jacobian_rows=_identity_rows(1),
-    )
+    return torus_atlas((period,), (coord_name,), name=name)
 
 
 def torus_atlas(periods=(2 * np.pi, 2 * np.pi), coord_names=("theta", "phi"), name="torus") -> Atlas:
@@ -393,7 +380,11 @@ class SmoothMap:
     continuous in coords on the chart's extended domain; value() normalizes
     the output. raw_jacobian, when given, is the analytic Jacobian of raw.
     Both take coords (..., n), a point or rows: raw returns one raw target
-    chart id per call and coords (..., m), raw_jacobian (..., m, n).
+    chart id per call and coords (..., m), raw_jacobian (..., m, n). exprs,
+    when given, are raw's components as expressions over
+    source.coord_names, and jacobian_exprs raw_jacobian's rows, None when
+    it has none (expression_map); metric lifts and kernel frames fill from
+    them, so a map that replaces raw or raw_jacobian replaces them too.
     """
 
     source: Atlas
@@ -401,6 +392,8 @@ class SmoothMap:
     raw: Callable[[str, np.ndarray], Raw]
     raw_jacobian: Optional[Callable[[str, np.ndarray], np.ndarray]] = None
     name: str = ""
+    exprs: Optional[tuple[str, ...]] = None
+    jacobian_exprs: Optional[tuple[tuple[str, ...], ...]] = None
 
     @property
     def analytic(self) -> bool:
@@ -449,6 +442,28 @@ class SmoothMap:
             out[idx] = self.target.jacobian_rows(tcid, Y) @ self.raw_jac_at(
                 cid, rows.coords[idx])
         return out
+
+
+def expression_tensor(entries: Sequence[str], names, shape: tuple):
+    """func(cid, coords) giving, at coords (..., n), the entries over names,
+    row-major, as an array (..., *shape): one generated fill in every chart."""
+    value = compile_vector(entries, names)
+    return lambda cid, coords: value(coords).reshape(np.shape(coords)[:-1] + shape)
+
+
+def expression_map(source: Atlas, target: Atlas, exprs: Sequence[str],
+                   jacobian: Optional[Sequence[Sequence[str]]] = None, name="") -> SmoothMap:
+    """The map whose component i is exprs[i] over source.coord_names, into
+    target's first chart, in every chart: one generated fill. jacobian, when
+    given, is its Jacobian, target.dim rows of source.dim expressions."""
+    value = compile_vector(exprs, source.coord_names)
+    tcid = target.charts[0].chart_id
+    rows = None if jacobian is None else tuple(map(tuple, jacobian))
+    return SmoothMap(
+        source, target, raw=lambda cid, coords: (tcid, value(coords)),
+        raw_jacobian=None if rows is None else expression_tensor(
+            [e for row in rows for e in row], source.coord_names, (target.dim, source.dim)),
+        name=name, exprs=tuple(exprs), jacobian_exprs=rows)
 
 
 def differential_rank(f: SmoothMap, rows: Points) -> np.ndarray:

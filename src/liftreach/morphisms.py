@@ -87,22 +87,22 @@ class GramFill:
         return func
 
 
-def gram_fill(phi: SmoothMap, exprs, jacobian) -> Optional[GramFill]:
-    """The GramFill of phi, whose component is exprs[0] and whose Jacobian is
-    jacobian, rows of expressions; without jacobian, its row is the central
-    differences of exprs[0], finite_difference_jacobian's bit for bit. None
-    unless phi has a 1-D target and a source without a metric."""
-    if phi.target.dim != 1 or phi.source.metric_fn is not None:
+def gram_fill(phi: SmoothMap) -> Optional[GramFill]:
+    """The GramFill of phi, whose row is phi.jacobian_exprs[0]; without
+    jacobian_exprs, the central differences of phi.exprs[0],
+    finite_difference_jacobian's bit for bit. None unless phi has exprs, a
+    1-D target and a source without a metric."""
+    if phi.exprs is None or phi.target.dim != 1 or phi.source.metric_fn is not None:
         return None
     names = tuple(phi.source.coord_names)
     pre = "_" * (1 + max(map(len, names), default=0))
-    if jacobian is not None:
-        return GramFill(names, tuple(jacobian[0]), pre)
+    if phi.jacobian_exprs is not None:
+        return GramFill(names, phi.jacobian_exprs[0], pre)
     fd = GramFill(names, (), pre, steps=True)
 
     def moved(j, sign):  # every other name maps to itself: a coordinate may be named pi or e
-        return substitute(exprs[0], {**{x: x for x in names},
-                                     names[j]: f"({names[j]} {sign} {fd.H(j)})"})
+        return substitute(phi.exprs[0], {**{x: x for x in names},
+                                         names[j]: f"({names[j]} {sign} {fd.H(j)})"})
 
     return replace(fd, row=tuple(f"(({moved(j, '+')}) - ({moved(j, '-')})) / (2.0 * {fd.H(j)})"
                                  for j in range(len(names))))
@@ -110,13 +110,11 @@ def gram_fill(phi: SmoothMap, exprs, jacobian) -> Optional[GramFill]:
 
 @dataclass(frozen=True)
 class Morphism:
-    """A submersion together with a linear rule lifting downstairs fields.
-    gram, when given, makes the columns of a chartwise kernel_frame fills."""
+    """A submersion together with a linear rule lifting downstairs fields."""
 
     phi: SmoothMap
     lift_rule: Callable[[VectorField], VectorField]
     kind: str  # metric-right-inverse | horizontal-connection | user-supplied | second-order
-    gram: Optional[GramFill] = None
 
     def lift(self, Y: VectorField) -> VectorField:
         return self.lift_rule(Y)
@@ -213,9 +211,15 @@ def check_submersion(phi: SmoothMap, samples: int = 50, seed: int = 0):
 
 def metric_lift_morphism(phi: SmoothMap, samples: int = 50, seed: int = 0) -> Morphism:
     """Morphism whose lift is the right inverse of dPhi orthogonal in the
-    metric of phi's source atlas."""
+    metric of phi's source atlas.
+
+    Through a map with a GramFill (gram_fill), a field with expressions in
+    one dimension lifts as one fill, whose column j is J_j (Y o Phi / W) +
+    0.0, the generic lift bit for bit; a stack that fails the Gram test, and
+    any other field, takes the generic lift."""
     check_submersion(phi, samples=samples, seed=seed)
     metric = None if phi.source.metric_fn is None else phi.source.metric_at
+    g = gram_fill(phi)
 
     def lift_rule(Y: VectorField) -> VectorField:
         def lift(cid, coords):
@@ -223,6 +227,11 @@ def metric_lift_morphism(phi: SmoothMap, samples: int = 50, seed: int = 0) -> Mo
             return _right_inverse_apply(phi.raw_jac_at(cid, coords), metric, cid, coords,
                                         Y.values(tcid, tcoords))
 
+        if g is not None and Y.exprs is not None and Y.atlas.dim == 1:
+            y = substitute(Y.exprs[0], {Y.atlas.coord_names[0]: phi.exprs[0]})
+            q = f"{g.pre}q"
+            lift = g.fill([f"{g.J(j)} * {q} + 0.0" for j in range(len(g.row))],
+                          [(q, f"({y}) / {g.W}")], lift)
         return VectorField(phi.source, lift, name=f"lift({Y.name})")
 
     return Morphism(phi=phi, lift_rule=lift_rule, kind="metric-right-inverse")
@@ -416,11 +425,11 @@ def kernel_frame(m: Morphism, mode: str = "chartwise",
     """Fields spanning ker(dPhi).
 
     chartwise mode projects the coordinate frame through the metric
-    projector (chart-local sections that need not glue globally); with m's
-    gram, column j is the fill of delta_ij - J_i (J_j / W), kernel_projector's
-    column bit for bit, and that column itself where W fails. global mode
-    validates user-supplied generators against the kernel and the expected
-    rank.
+    projector (chart-local sections that need not glue globally); with the
+    GramFill of m's map, column j is the fill of delta_ij - J_i (J_j / W),
+    kernel_projector's column bit for bit, and that column itself where W
+    fails. global mode validates user-supplied generators against the kernel
+    and the expected rank.
     """
     phi = m.phi
     metric = None if phi.source.metric_fn is None else phi.source.metric_at
@@ -429,7 +438,7 @@ def kernel_frame(m: Morphism, mode: str = "chartwise",
     rank = phi.source.dim - int(differential_rank(phi, rows)[0])
 
     if mode == "chartwise":
-        g, n = m.gram, phi.source.dim
+        g, n = gram_fill(phi), phi.source.dim
 
         def column(j):
             def generic(cid, coords):
@@ -501,8 +510,7 @@ def check_liftable(sigma1: ControlSystem, sigma2: ControlSystem, phi: SmoothMap,
     rows2 = phi.target.stack(phi.target.sample(rng, samples))
 
     controls2 = sigma2.controls()
-    slices2 = [u if isinstance(u, VectorField) else sigma2.slice_at(u)
-               for u in controls2]
+    slices2 = [sigma2.slice_at(u) for u in controls2]
     vals = np.stack([Y.at_rows(rows2, phi.target).ravel() for Y in slices2])
     # a slice that is not finite at some sample spans nothing
     s = np.linalg.svd(np.where(np.isfinite(vals).all(axis=1, keepdims=True), vals, 0.0),
@@ -511,8 +519,7 @@ def check_liftable(sigma1: ControlSystem, sigma2: ControlSystem, phi: SmoothMap,
         raise IndependenceViolated("downstairs slices are linearly dependent")
 
     controls1 = sigma1.controls()
-    slices1 = [u if isinstance(u, VectorField) else sigma1.slice_at(u)
-               for u in controls1]
+    slices1 = [sigma1.slice_at(u) for u in controls1]
 
     base, J = phi.values(rows1), phi.jacobians(rows1)
     pushed = [(J @ X.at_rows(rows1, phi.source)[..., None])[..., 0] for X in slices1]
@@ -535,9 +542,8 @@ def morphism_from_lifting(l: Sequence[tuple], sigma1: ControlSystem,
     for u, ubar in l:
         if ubar is None:
             raise UnmappedControl(f"control {u!r} has no lift")
-        Y = u if isinstance(u, VectorField) else sigma2.slice_at(u)
-        X = ubar if isinstance(ubar, VectorField) else sigma1.slice_at(ubar)
-        table.append((Y.at_rows(rows, phi.target).ravel(), X))
+        table.append((sigma2.slice_at(u).at_rows(rows, phi.target).ravel(),
+                      sigma1.slice_at(ubar)))
 
     def lift_rule(Y: VectorField) -> VectorField:
         sig = Y.at_rows(rows, phi.target).ravel()

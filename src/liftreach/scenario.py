@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, UnresolvedReference
-from .expressions import compile_vector, substitute
 from .geometry import (
     Atlas,
     SmoothMap,
@@ -20,15 +19,15 @@ from .geometry import (
     circle_atlas,
     combine_fields,
     expression_field,
+    expression_map,
+    expression_tensor,
     interval_atlas,
     mobius_atlas,
     torus_atlas,
     union_atlas,
 )
 from .morphisms import (
-    Morphism,
     augment_with_kernel,
-    gram_fill,
     kernel_frame,
     lift_system,
     metric_lift_morphism,
@@ -206,9 +205,8 @@ def _build_atlas(name: str, spec: dict) -> Atlas:
         atlas = union_atlas(charts, coord_names=coords, name=name)
     if spec["metric"]:
         shape = (atlas.dim, atlas.dim)
-        entries = compile_vector(_entries(spec["metric"], shape, "metric", name),
-                                 atlas.coord_names)
-        atlas = replace(atlas, metric_fn=lambda cid, X: entries(X).reshape(-1, *shape))
+        atlas = replace(atlas, metric_fn=expression_tensor(
+            _entries(spec["metric"], shape, "metric", name), atlas.coord_names, shape))
     return atlas
 
 
@@ -227,53 +225,16 @@ def _entries(exprs, shape: tuple, what: str, where: str) -> list:
 def _build_map(name: str, spec: dict, atlases: dict) -> SmoothMap:
     src = _ref(atlases, spec["source"], name)
     tgt = _ref(atlases, spec["target"], name)
-    value = compile_vector(_entries(spec["exprs"], (tgt.dim,), "exprs", name), src.coord_names)
-    tgt_chart = tgt.charts[0].chart_id
-    jac = None
+    exprs = _entries(spec["exprs"], (tgt.dim,), "exprs", name)
     if spec["jacobian"] is not None:
-        shape = (tgt.dim, src.dim)
-        entries = compile_vector(_entries(spec["jacobian"], shape, "jacobian", name),
-                                 src.coord_names)
-
-        def jac(cid, coords):
-            return entries(coords).reshape(np.shape(coords)[:-1] + shape)
-
-    return SmoothMap(
-        source=src, target=tgt,
-        raw=lambda cid, coords: (tgt_chart, value(coords)),
-        raw_jacobian=jac, name=name,
-    )
+        _entries(spec["jacobian"], (tgt.dim, src.dim), "jacobian", name)
+    return expression_map(src, tgt, exprs, spec["jacobian"], name=name)
 
 
 def _build_field(name: str, spec: dict, atlases: dict) -> VectorField:
     atlas = _ref(atlases, spec["atlas"], name)
     return expression_field(atlas, _entries(spec["exprs"], (atlas.dim,), "exprs", name),
                             name=name)
-
-
-def _closed_form(m: Morphism, spec: dict) -> Morphism:
-    """m with the GramFill of spec's map (morphisms.gram_fill), where it has
-    one, so that its chartwise kernel frames are fills; a field with
-    expressions in one dimension then lifts as one fill, whose column j is
-    J_j (Y o Phi / W) + 0.0, the generic lift bit for bit. J_j is the map's
-    jacobian entry, or without a jacobian block its central difference. A
-    stack that fails the Gram test, and any other field, takes m's generic
-    lift."""
-    gram = gram_fill(m.phi, spec["exprs"], spec["jacobian"])
-    if gram is None:
-        return m
-
-    def lift_rule(Y: VectorField) -> VectorField:
-        generic = m.lift_rule(Y)
-        if Y.exprs is None or Y.atlas.dim != 1:
-            return generic
-        y = substitute(Y.exprs[0], {Y.atlas.coord_names[0]: spec["exprs"][0]})
-        q = f"{gram.pre}q"
-        return replace(generic, func=gram.fill(
-            [f"{gram.J(j)} * {q} + 0.0" for j in range(len(gram.row))],
-            [(q, f"({y}) / {gram.W}")], generic.func))
-
-    return replace(m, lift_rule=lift_rule, gram=gram)
 
 
 def parse_scenario(source) -> Scenario:
@@ -292,9 +253,8 @@ def parse_scenario(source) -> Scenario:
         raise ParseError("'name' must be a string", where=where)
 
     atlases = {k: _build_atlas(k, v) for k, v in _section(top, "atlases").items()}
-    map_specs, field_specs = _section(top, "maps"), _section(top, "fields")
-    maps = {k: _build_map(k, v, atlases) for k, v in map_specs.items()}
-    fields = {k: _build_field(k, v, atlases) for k, v in field_specs.items()}
+    maps = {k: _build_map(k, v, atlases) for k, v in _section(top, "maps").items()}
+    fields = {k: _build_field(k, v, atlases) for k, v in _section(top, "fields").items()}
 
     systems = {}
     for k, v in _section(top, "systems").items():
@@ -311,7 +271,7 @@ def parse_scenario(source) -> Scenario:
         phi = _ref(maps, v["map"], k)
         target = _ref(systems, v["target_system"], k)
         if v["map"] not in lifts:
-            lifts[v["map"]] = _closed_form(metric_lift_morphism(phi), map_specs[v["map"]])
+            lifts[v["map"]] = metric_lift_morphism(phi)
         m = morphisms[k] = lifts[v["map"]]
         key = (v["map"], v["target_system"])
         if key not in lifted_by:
@@ -364,12 +324,8 @@ def parse_scenario(source) -> Scenario:
     for k, v in _section(top, "connections").items():
         atlas = _ref(atlases, v["atlas"], k)
         shape = (atlas.dim,) * 3
-        chr_fn = compile_vector(_entries(v["christoffel"], shape, "christoffel", k),
-                                atlas.coord_names)
-
-        def christoffel(cid, x, fn=chr_fn, shape=shape):
-            return fn(x).reshape(np.shape(x)[:-1] + shape)
-
+        christoffel = expression_tensor(_entries(v["christoffel"], shape, "christoffel", k),
+                                        atlas.coord_names, shape)
         controls = tuple(_ref(fields, g, k) for g in _listed(v["controls"], "controls", k))
         cs = ConnectionSystem(atlas, christoffel, controls, label=k,
                               v_bound=_numbers(v["v_bound"], (), "v_bound", k))

@@ -436,7 +436,9 @@ class ControlSystem:
         return bool(np.all(u >= bounds[:, 0]) and np.all(u <= bounds[:, 1]))
 
     def slice_at(self, u) -> VectorField:
-        """The frozen field F^u."""
+        """The frozen field F^u; a field control is its own slice."""
+        if isinstance(u, VectorField):
+            return u
         return VectorField(
             self.atlas,
             lambda cid, coords, u=u: np.asarray(self.field_map(cid, coords, u), float),
@@ -463,13 +465,9 @@ def tcs_from_control_system(cs: ControlSystem, controls=None) -> GeneratedSystem
         raise ValueError("need at least one control sample")
     gens = []
     for u in controls:
-        if isinstance(u, VectorField):
-            # control set built from a generator list: the slice is the field
-            gens.append(u)
-        else:
-            if not cs.admits(u):
-                raise ControlOutOfSet(f"control {u!r} not in control set")
-            gens.append(cs.slice_at(u))
+        if not isinstance(u, VectorField) and not cs.admits(u):
+            raise ControlOutOfSet(f"control {u!r} not in control set")
+        gens.append(cs.slice_at(u))
     return GeneratedSystem(cs.atlas, tuple(gens),
                            label=f"tcs({cs.label})")
 

@@ -38,6 +38,8 @@ from liftreach.geometry import (
     box_atlas,
     circle_atlas,
     combine_fields,
+    expression_field,
+    expression_map,
     finite_difference_jacobian,
     interval_atlas,
     mobius_atlas,
@@ -381,6 +383,14 @@ SCENARIO_DATA = {
     "batched": SCENARIO, "line": LINE,
 }
 
+# maps built in the library, outside any scenario: through x**3 + y**3, whose
+# Gram vanishes at the origin, with a jacobian and without one
+_CUBES = (box_atlas([[-9, 9], [-9, 9]]), interval_atlas(-2000, 2000, coord_name="w"))
+LIBRARY = {
+    "cubes": expression_map(*_CUBES, ["x**3 + y**3"], [["3*x**2", "3*y**2"]], name="cubes"),
+    "cubes_fd": expression_map(*_CUBES, ["x**3 + y**3"], name="cubes_fd"),
+}
+
 
 def _closed_form_morphisms():
     """(scenario, morphism) of every morphism whose map has a 1-D target and
@@ -402,11 +412,13 @@ def _closed_form_cases():
     """(scenario, morphism, generator) of every lift through a closed-form
     morphism: every such lift of the built-ins, projection's liftsym_fd
     through a map without a jacobian block among them, rank_drop.json's,
-    through x**3 with and without one, and SCENARIO's and LINE's."""
+    through x**3 with and without one, SCENARIO's and LINE's, and the lift
+    through each LIBRARY map (scenario "library")."""
     for name, k in _closed_form_morphisms():
         data = SCENARIO_DATA[name]
         for j in range(len(data["systems"][data["morphisms"][k]["target_system"]]["generators"])):
             yield name, k, j
+    yield from (("library", k, 0) for k in LIBRARY)
 
 
 @lru_cache(maxsize=None)
@@ -414,20 +426,37 @@ def _parsed(name):
     return parse_scenario(SCENARIO_DATA[name])
 
 
+@lru_cache(maxsize=None)
+def _case(name, k):
+    """(morphism, downstairs system, kernel frame, lifted system, augmented
+    system) of morphism k of scenario name, or through LIBRARY[k], lifting
+    a field with expressions, for name "library"."""
+    if name == "library":
+        m = metric_lift_morphism(LIBRARY[k])
+        down = GeneratedSystem(m.phi.target, (expression_field(
+            m.phi.target, ["1 + 0.5*sin(w)"], name="push"),))
+        frame, lifted = kernel_frame(m), lift_system(down, m.phi, morphism=m)[1]
+        return m, down, frame, lifted, augment_with_kernel(lifted, frame)
+    s = _parsed(name)
+    return (s.morphisms[k], s.system(s.raw["morphisms"][k]["target_system"]), s.kernels.get(k),
+            s.systems[f"{k}.system"], s.systems.get(f"{k}.augmented"))
+
+
 @pytest.mark.parametrize("name, morphism, gen", list(_closed_form_cases()))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_closed_form_lift_equals_generic_lift(name, morphism, gen, data):
-    """A scenario lift through a map with a 1-D target and a source without a
-    metric is one generated fill, bit for bit the generic lift of
-    metric_lift_morphism, on rows and at each row alone, signed zeros, rows
-    where dPhi drops rank and, for a map without a jacobian block, |x_j| on
-    both sides of 1 included. The generic lift runs exactly for the stacks
-    that fail the Gram test, and names their SingularGram."""
-    s = _parsed(name)
-    m = s.morphisms[morphism]
-    Y = s.system(s.raw["morphisms"][morphism]["target_system"]).generators[gen]
-    closed, generic = m.lift(Y), metric_lift_morphism(m.phi).lift(Y)
+    """A lift through a map with expressions, a 1-D target and a source
+    without a metric, a scenario's or an expression_map's, is one generated
+    fill, bit for bit the generic lift through the map without expressions,
+    on rows and at each row alone, signed zeros, rows where dPhi drops rank
+    and, for a map without a jacobian, |x_j| on both sides of 1 included.
+    The generic lift runs exactly for the stacks that fail the Gram test,
+    and names their SingularGram."""
+    m, down = _case(name, morphism)[:2]
+    Y = down.generators[gen]
+    plain = replace(m.phi, exprs=None, jacobian_exprs=None)
+    closed, generic = m.lift(Y), metric_lift_morphism(plain).lift(Y)
     cid = data.draw(st.sampled_from(m.phi.source.charts)).chart_id
     X = data.draw(st.integers(1, 6).flatmap(
         lambda n: arrays(np.float64, (n, m.phi.source.dim), elements=ENTRY)))
@@ -443,7 +472,10 @@ def test_closed_form_lift_equals_generic_lift(name, morphism, gen, data):
                            wraps=morphisms._right_inverse_apply) as generic_calls:
         got = outcome(closed, X)
     assert generic_calls.called != grams_pass(J @ np.swapaxes(J, -1, -2))
-    assert _bits(got) == _bits(outcome(generic, X))
+    with mock.patch.object(morphisms, "_right_inverse_apply",
+                           wraps=morphisms._right_inverse_apply) as reference_calls:
+        assert _bits(got) == _bits(outcome(generic, X))
+    assert reference_calls.called
     for x in X:
         assert _bits(outcome(closed, x)) == _bits(outcome(generic, x))
 
@@ -454,24 +486,26 @@ def test_closed_form_lift_equals_generic_lift(name, morphism, gen, data):
 def _frame_cases():
     """(scenario, morphism) of every chartwise kernel frame of a closed-form
     morphism: Möbius's and projection's, SCENARIO's, LINE's of one coordinate
-    and rank_drop.json's through x**3, with and without a jacobian block."""
+    and rank_drop.json's through x**3, with and without a jacobian block, and
+    that of each LIBRARY map (scenario "library")."""
     for name, k in _closed_form_morphisms():
         kernel = SCENARIO_DATA[name]["morphisms"][k].get("kernel")
         if kernel and kernel.get("mode", "chartwise") == "chartwise":
             yield name, k
+    yield from (("library", k) for k in LIBRARY)
 
 
-def _generic_frame(s, k):
-    """The augmented system of morphism k of s and its twin whose kernel
-    frame's columns are kernel_projector's."""
-    frame, phi = s.kernels[k], s.morphisms[k].phi
+def _generic_frame(name, k):
+    """The augmented system of case (name, k) and its twin whose kernel
+    frame's columns are morphisms.kernel_projector's."""
+    m, _, frame, lifted, aug = _case(name, k)
 
     def column(j):
-        return lambda cid, coords: kernel_projector(phi, None, cid, coords)[..., j]
+        return lambda cid, coords: morphisms.kernel_projector(m.phi, None, cid, coords)[..., j]
 
     twin = replace(frame, fields=tuple(replace(f, func=column(j))
                                        for j, f in enumerate(frame.fields)))
-    return s.systems[f"{k}.augmented"], augment_with_kernel(s.systems[f"{k}.system"], twin)
+    return aug, augment_with_kernel(lifted, twin)
 
 
 def _value_or_message(field, cid, coords):
@@ -491,15 +525,15 @@ def _gram(J):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_closed_form_frame_equals_kernel_projector(name, morphism, data):
-    """The chartwise kernel frame of a closed-form morphism is one generated
-    fill per column, bit for bit kernel_projector's column, on rows and at
-    each row alone, signed zeros and rows where dPhi drops rank included;
-    every unit kernel flow, in both signs, equals its twin over
-    kernel_projector's columns. kernel_projector runs exactly for the stacks
-    that fail the Gram test, and names their SingularGram."""
-    s = _parsed(name)
-    aug, twin = _generic_frame(s, morphism)
-    phi = s.morphisms[morphism].phi
+    """The chartwise kernel frame of a closed-form morphism, a scenario's or
+    one through an expression_map, is one generated fill per column, bit for
+    bit kernel_projector's column, on rows and at each row alone, signed
+    zeros and rows where dPhi drops rank included; every unit kernel flow, in
+    both signs, equals its twin over kernel_projector's columns.
+    kernel_projector runs exactly for the stacks that fail the Gram test,
+    and names their SingularGram."""
+    aug, twin = _generic_frame(name, morphism)
+    phi = _case(name, morphism)[0].phi
     cid = data.draw(st.sampled_from(phi.source.charts)).chart_id
     X = data.draw(st.integers(1, 6).flatmap(
         lambda n: arrays(np.float64, (n, phi.source.dim), elements=ENTRY)))
@@ -513,7 +547,10 @@ def test_closed_form_frame_equals_kernel_projector(name, morphism, data):
                                wraps=morphisms.kernel_projector) as generic_calls:
             got = _value_or_message(fill, cid, X)
         assert generic_calls.called != passes
-        assert _bits(got) == _bits(_value_or_message(generic, cid, X))
+        with mock.patch.object(morphisms, "kernel_projector",
+                               wraps=morphisms.kernel_projector) as reference_calls:
+            assert _bits(got) == _bits(_value_or_message(generic, cid, X))
+        assert reference_calls.called
         for x in X:
             assert _bits(_value_or_message(fill, cid, x)) == _bits(_value_or_message(generic, cid, x))
 
@@ -526,11 +563,10 @@ def test_closed_form_frame_tests_its_gram_before_it_divides():
     kernel_projector's column, for the Jacobians through x**3 and for
     Möbius's constant one, whose W is one float."""
     zero_w = np.array([[0.2, 0.1], [0.0, 0.5], [-0.0, -1.0]])
-    s = _parsed("rank-drop")
     frames = ("cube_frame", "cube_fd_frame")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for aug, twin in (_generic_frame(s, k) for k in frames):
+        for aug, twin in (_generic_frame("rank-drop", k) for k in frames):
             for fill, generic in zip(aug.kernel_fields, twin.kernel_fields):
                 with pytest.raises(SingularGram) as exc:
                     fill.values("c0", zero_w)

@@ -951,9 +951,20 @@ def test_closed_form_lift_names_the_generic_singular_row(monkeypatch):
     message = r"^J G\^-1 J\^T is numerically singular at \(c0, \[-0\.0005  0\.    \]\)$"
     with pytest.raises(SingularGram, match=message):
         run(parse_scenario(RANK_DROP), experiment="cross-drop")
-    monkeypatch.setattr(scenario_module, "_closed_form", lambda m, *args: m)
+    monkeypatch.setattr(morphisms, "gram_fill", lambda phi: None)
     with pytest.raises(SingularGram, match=message):
         run(parse_scenario(RANK_DROP), experiment="cross-drop")
+
+
+def _generic_lift(phi, Y):
+    """The lift of Y through phi taken as a map without expressions: the
+    generic lift, which calls _right_inverse_apply, never a fill."""
+    lift = metric_lift_morphism(replace(phi, exprs=None, jacobian_exprs=None)).lift(Y)
+    with mock.patch.object(morphisms, "_right_inverse_apply",
+                           wraps=morphisms._right_inverse_apply) as generic_calls:
+        lift.values(phi.source.charts[0].chart_id, np.full(phi.source.dim, 0.25))
+    assert generic_calls.called
+    return lift
 
 
 def _singular(field, coords) -> str:
@@ -982,7 +993,7 @@ def test_closed_form_lift_tests_its_gram_before_it_divides():
         for k in ("through_cube", "flat", "cube_fd_frame"):
             m = s.morphisms[k]
             Y = s.system(s.raw["morphisms"][k]["target_system"]).generators[0]
-            closed, generic = m.lift(Y), metric_lift_morphism(m.phi).lift(Y)
+            closed, generic = m.lift(Y), _generic_lift(m.phi, Y)
             if k != "flat":
                 assert _singular(closed, zero_w) == _singular(generic, zero_w)
             with mock.patch.object(morphisms, "_right_inverse_apply",
@@ -1014,7 +1025,7 @@ def test_coordinates_may_take_the_names_a_fill_binds(tmp_path):
     want = np.stack([-X[:, 1], np.power(X[:, 0], 2.0)], axis=-1)
     assert s.fields["swirl"].values("c0", X).tobytes() == want.tobytes()
     lift = s.system("m.system").generators[0]
-    generic = metric_lift_morphism(s.maps["bend"]).lift(s.fields["right"])
+    generic = _generic_lift(s.maps["bend"], s.fields["right"])
     with mock.patch.object(morphisms, "_right_inverse_apply") as generic_calls:
         closed = lift.values("c0", X)
     assert not generic_calls.called
@@ -1036,7 +1047,7 @@ def test_finite_difference_fill_keeps_coordinates_named_like_constants():
     }
     s = parse_scenario(data)
     X = np.array([[0.3, -0.5], [-0.7, 0.2], [0.0, -0.0]])
-    generic = metric_lift_morphism(s.maps["bend"]).lift(s.fields["right"])
+    generic = _generic_lift(s.maps["bend"], s.fields["right"])
     with mock.patch.object(morphisms, "_right_inverse_apply") as generic_calls:
         closed = s.system("m.system").generators[0].values("c0", X)
     assert not generic_calls.called
@@ -1148,7 +1159,7 @@ def test_finite_difference_lift_steps_as_a_fill(monkeypatch):
         return run(s, seed=1, experiment="verify-fd").experiments, dict(calls)
 
     records, filled = verify_fd()
-    monkeypatch.setattr(scenario_module, "_closed_form", lambda m, *args: m)
+    monkeypatch.setattr(morphisms, "gram_fill", lambda phi: None)
     generic_records, generic = verify_fd()
     assert records == generic_records and records[0]["verdict"]
     assert filled["_right_inverse_apply"] == 0 < generic["_right_inverse_apply"]
