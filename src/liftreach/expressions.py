@@ -8,7 +8,9 @@ Compiled expressions are array-native: a coordinate vector of shape (d,)
 gives one value, rows of shape (N, d) give N values, and constants are
 broadcast. Literals are floats and powers go through np.power, so both
 forms agree bit for bit and no literal ever runs in Python integer
-arithmetic (a tower such as 9**9**9 overflows to inf at once).
+arithmetic (a tower such as 9**9**9 overflows to inf at once). A compiled
+vector with one expression per variable also carries one generated RK4
+step of itself (compile_vector).
 """
 
 from __future__ import annotations
@@ -95,48 +97,84 @@ def substitute(text: str, values: dict) -> str:
     return ast.unparse(Substitute().visit(_parse(text)))
 
 
-def _compile(texts: list, variables: list, lets=(), guard=None):
+def _compile(texts: list, variables: list, lets=(), guard=None, step=False):
     """One function fill(out, *coordinates) that sets out[..., j] to
-    expression j of texts and returns True; with no variables, any
+    expression j of texts and returns True, and whether the fill is
+    constant: no let and no text reads a variable. With no variables, any
     coordinates are accepted and ignored. lets are (name, expression) pairs
     evaluated first, in order, each seeing the variables and the names
     before it, and texts see them all; no name may be a variable's. With a
     guard (name, test), fill returns False as soon as test(value of let
-    name, out) is false, before any later let or component. The names the
-    fill binds itself (out, np.power, the guard and the functions) are
+    name, out) is false, before any later let or component.
+
+    With step, one text per variable, the function is step(out, h,
+    *coordinates): one classical RK4 step of the fill, setting out[..., j]
+    to x_j + h / 6.0 * (k1_j + 2 * k2_j + 2 * k3_j + k4_j) with stage inputs
+    x_j + 0.5 * h * k_j and x_j + h * k3_j, rk4_step's operations in its
+    order. It returns False as soon as the guard fails at any stage, and
+    evaluates a constant fill once, as its four stages agree.
+
+    The names the function binds itself (out, np.power, the guard, the
+    functions, and the step's h, start values and stage values) are
     underscored until no variable or let takes them."""
+    d = len(texts)
+    own = ["out", "pow", "guard", *_FUNCS]
+    if step:
+        own += ["h", *(f"x{j}" for j in range(d)),
+                *(f"k{s}_{j}" for s in range(1, 5) for j in range(d))]
     taken, bound = set(variables) | {name for name, _ in lets}, {}
-    for name in ["out", "pow", "guard", *_FUNCS]:
+    for name in own:
         bound[name] = "_" + name
         while bound[name] in taken:
             bound[name] = "_" + bound[name]
-    out = bound["out"]
-    lines, known = [], set(variables)
-    for target, text in [*lets, *enumerate(texts)]:
-        tree = _parse(text)
-        _validate(tree, known, text)
-        lhs = target if isinstance(target, str) else f"{out}[..., {target}]"
-        lines.append(ast.parse(f"{lhs} = 0").body[0])
-        lines[-1].value = _float_arithmetic(tree.body, bound)
-        known.add(lhs)
-        if guard is not None and target == guard[0]:
-            test = f"if not {bound['guard']}({target}, {out}): return False"
-            lines.append(ast.parse(test).body[0])
     bad = [v for v in variables if not v.isidentifier() or keyword.iskeyword(v)]
     if bad:
         raise ParseError(f"variable name {bad[0]!r} is not an identifier")
     twice = [v for i, v in enumerate(variables) if v in variables[:i]]
     if twice:
         raise ParseError(f"variable name {twice[0]!r} is given twice")
-    module = ast.parse(f"def fill({', '.join([out] + (variables or ['*_']))}): return True")
-    module.body[0].body[:0] = lines
+    out = bound["out"]
+    values, known, reads = [], set(variables), False  # (let name or text index, source)
+    for target, text in [*lets, *enumerate(texts)]:
+        tree = _parse(text)
+        _validate(tree, known, text)
+        value = _float_arithmetic(tree.body, bound)
+        reads = reads or any(isinstance(node, ast.Name) and node.id in variables
+                             for node in ast.walk(value))
+        known.add(target)
+        values.append((target, ast.unparse(value)))
+
+    def evaluation(component):  # text j into component[j]
+        lines = []
+        for target, value in values:
+            lines.append(f"{component[target] if isinstance(target, int) else target} = {value}")
+            if guard is not None and target == guard[0]:
+                lines.append(f"if not {bound['guard']}({target}, {out}): return False")
+        return lines
+
+    if not step:
+        lines = evaluation([f"{out}[..., {j}]" for j in range(d)])
+        params = [out] + (variables or ["*_"])
+    else:
+        h, x = bound["h"], [bound[f"x{j}"] for j in range(d)]
+        k = {s: [bound[f"k{s}_{j}"] for j in range(d)] for s in range(1, 5)}
+        lines = [f"{x[j]} = {v}" for j, v in enumerate(variables)] + evaluation(k[1])
+        for s, scale in ((2, f"0.5 * {h}"), (3, f"0.5 * {h}"), (4, h)) if reads else ():
+            lines += [f"{v} = {x[j]} + {scale} * {k[s - 1][j]}" for j, v in enumerate(variables)]
+            lines += evaluation(k[s])
+        if not reads:
+            k[2] = k[3] = k[4] = k[1]
+        lines += [f"{out}[..., {j}] = {x[j]} + {h} / 6.0 * "
+                  f"({k[1][j]} + 2 * {k[2][j]} + 2 * {k[3][j]} + {k[4][j]})" for j in range(d)]
+        params = [out, h] + variables
     env = {bound[name]: func for name, func in _FUNCS.items()}
     env.update(_CONSTS)
     env[bound["pow"]] = np.power
     env[bound["guard"]] = guard and guard[1]
     env["__builtins__"] = {}
-    exec(compile(module, "<expr>", "exec"), env)  # every node has a location
-    return env["fill"]
+    exec(compile("\n    ".join([f"def fill({', '.join(params)}):", *lines, "return True"]),
+                 "<expr>", "exec"), env)
+    return env["fill"], not reads
 
 
 def compile_expr(text: str, variables):
@@ -153,13 +191,36 @@ def compile_expr(text: str, variables):
 def compile_vector(texts, variables, lets=(), guard=None):
     """Compile a list of expressions into coords (d,) -> (k,) or (N, d) -> (N, k),
     one call of one generated function filling every component. lets and
-    guard are those of _compile: a call whose guard fails returns None."""
-    texts = list(texts)
-    fill = _compile(texts, list(variables), lets, guard)
+    guard are those of _compile: a call whose guard fails returns None.
+
+    With one text per variable, the call carries step(coords, h), one
+    classical RK4 step of the fill from coords by h (a float, or a column
+    (N, 1) of per-row steps) in one generated function, rk4_step's four
+    stages bit for bit. It is taken at a point (d,), which computes on
+    scalars, and at rows (N, d) of a constant fill, evaluated once; on rows
+    of a fill that reads its coordinates it saves nothing over the four
+    stages. It gives None where it is not taken and where the guard fails
+    at some stage."""
+    texts, variables = list(texts), list(variables)
+    fill, constant = _compile(texts, variables, lets, guard)
+    stepper = []  # the generated step, compiled the first time it is taken
 
     def call(coords):
         X = np.asarray(coords, dtype=float)
         out = np.empty(X.shape[:-1] + (len(texts),))
         return out if fill(out, *X.T) else None
 
+    def step(coords, h):  # coords an array, as rk4_step's are
+        if (coords.ndim != 1 and not constant) or coords.shape[-1] != len(texts):
+            return None
+        X = np.asarray(coords, dtype=float)
+        if not stepper:
+            stepper.append(_compile(texts, variables, lets, guard, step=True)[0])
+        out = np.empty(X.shape)
+        if isinstance(h, np.ndarray):
+            h = h.reshape(X.shape[:-1])
+        return out if stepper[0](out, h, *X.T) else None
+
+    if texts and len(texts) == len(variables):
+        call.step = step
     return call

@@ -512,9 +512,14 @@ class VectorField:
 
 def expression_field(atlas: Atlas, exprs: Sequence[str], name="") -> VectorField:
     """The field whose component j is exprs[j] over atlas.coord_names, in
-    every chart: one generated fill."""
+    every chart: one generated fill, whose func carries its RK4 step."""
     value = compile_vector(exprs, atlas.coord_names)
-    return VectorField(atlas, lambda cid, coords: value(coords), name=name, exprs=tuple(exprs))
+
+    def func(cid, coords):
+        return value(coords)
+
+    func.step = getattr(value, "step", None)  # a wrapped fill has none
+    return VectorField(atlas, func, name=name, exprs=tuple(exprs))
 
 
 def combine_fields(fields: Sequence[VectorField], coeffs, name="") -> VectorField:

@@ -69,7 +69,9 @@ class GramFill:
     def fill(self, texts, lets, generic):
         """func(cid, coords) filling texts, which see the J_i, W and then lets,
         on a stack whose W passes grams_pass; generic(cid, coords) on any
-        other stack, a stack of no rows included."""
+        other stack, a stack of no rows included. func carries the fill's
+        RK4 step (compile_vector), which a fill with steps has none of: it
+        reads more columns than it has texts."""
         J = [(self.J(i), e) for i, e in enumerate(self.row)]
         W = " + ".join(["0.0"] + [f"{j} * {j}" for j, _ in J])
         names, steps = self.names, self.steps
@@ -84,6 +86,7 @@ class GramFill:
                                        axis=-1) if steps else coords)
             return generic(cid, coords) if out is None else out
 
+        func.step = getattr(value, "step", None)  # a wrapped fill has none
         return func
 
 

@@ -125,7 +125,15 @@ class Trajectory:
 
 def rk4_step(func, chart_id: str, coords: np.ndarray, h: float) -> np.ndarray:
     """One classical RK4 step of func at coords (d,) or rows (N, d);
-    DimensionMismatch when func gives another shape."""
+    DimensionMismatch when func gives another shape. A func that carries a
+    step (a generated fill's, see compile_vector) takes it where it gives a
+    value, the four stages' bits in one call; any other func, a wrapped one
+    included, takes the four stages."""
+    step = getattr(func, "step", None)
+    if step is not None:
+        out = step(coords, h)
+        if out is not None:
+            return out
     k1 = _checked(func(chart_id, coords), coords.shape, "a field in chart %r", chart_id)
     k2 = np.asarray(func(chart_id, coords + 0.5 * h * k1), float)
     k3 = np.asarray(func(chart_id, coords + 0.5 * h * k2), float)

@@ -592,6 +592,103 @@ def test_mobius_frame_is_filled_and_still_does_not_glue():
     assert frame.mode == "chartwise" and not frame.global_ok
 
 
+# -- fills that step themselves ---------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _stepped_fields(name):
+    """label -> field, one per func, of every field of scenario name whose func
+    carries a generated RK4 step: for a built-in, its fields, generators,
+    kernel flows, kernel-frame columns and second-order fields; for
+    "library", the lift, the frame columns and the kernel flows through each
+    LIBRARY map."""
+    if name == "library":
+        named = {}
+        for k in LIBRARY:
+            _, _, frame, lifted, aug = _case("library", k)
+            named.update({f"{k} lift": lifted.generators[0],
+                          **{f"{k} frame {j}": f for j, f in enumerate(frame.fields)},
+                          **{f"{k} flow {j}": aug.resolve(sel)
+                             for j, sel in enumerate(aug.flows())}})
+    else:
+        s = _parsed(name)
+        named = {f"field {k}": f for k, f in s.fields.items()}
+        for k, sys in s.systems.items():
+            named.update({f"{k} flow {j}": sys.resolve(sel) for j, sel in enumerate(sys.flows())})
+        for k, frame in s.kernels.items():
+            named.update({f"{k} frame {j}": f for j, f in enumerate(frame.fields)})
+        for k, so in s.second_order.items():
+            named.update({f"{k} drift": so.drift,
+                          **{f"{k} control {j}": f for j, f in enumerate(so.control_fields)}})
+    out, seen = {}, set()
+    for label, f in named.items():
+        if getattr(f.func, "step", None) is not None and id(f.func) not in seen:
+            seen.add(id(f.func))
+            out[label] = f
+    return out
+
+
+STEPPED = [(name, label) for name in [*builtin_scenario_names(), "library"]
+           for label in _stepped_fields(name)]
+
+
+def _step_or_message(func, cid, X, h):
+    try:
+        return systems.rk4_step(func, cid, X, h)
+    except SingularGram as exc:
+        return str(exc)
+
+
+def test_every_kind_of_fill_steps_itself():
+    """Fields, lifts, kernel flows, frame columns and second-order fields of
+    the built-ins, and the lift and frame columns through LIBRARY's map with
+    a jacobian, all carry a generated step."""
+    labels = " ".join(f"{name}:{label}" for name, label in STEPPED)
+    for part in ("circle:field rot", "projection:liftsym.system flow",
+                 "bundle:blift.augmented flow 1", "mobius:mlift frame",
+                 "double-integrator:di drift", "double-integrator:dil.system control",
+                 "library:cubes lift", "library:cubes frame"):
+        assert part in labels, part
+
+
+@pytest.mark.parametrize("name, label", STEPPED)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_fill_steps_equal_four_stages(name, label, data):
+    """A fill's generated RK4 step is rk4_step's four stages bit for bit (nan
+    payloads aside), at a point and on rows, with a float step or a per-row
+    column (N, 1), signed zeros and values that are not finite included. At
+    a point it is taken exactly where no stage falls back to the generic
+    lift or frame: a stack that fails the Gram test gives None, and rk4_step
+    runs the four stages, whose failing stage takes the generic path."""
+    field = _stepped_fields(name)[label]
+    cid = data.draw(st.sampled_from(field.atlas.charts)).chart_id
+    n = data.draw(st.integers(1, 5))
+    X = data.draw(arrays(np.float64, (n, field.atlas.dim), elements=st.one_of(
+        ENTRY, st.sampled_from([np.inf, -np.inf, np.nan]))))
+    h = data.draw(st.one_of(st.sampled_from([1e-3, 0.05, 0.5]),
+                            arrays(np.float64, (n, 1), elements=st.floats(1e-4, 0.5))))
+    if data.draw(st.booleans()):  # a point; a column gives its one row's step, as step_rows does
+        X, h = X[0], h if isinstance(h, float) else h[0]
+
+    def four_stages(cid, coords):  # a wrapped func has no step
+        return field.func(cid, coords)
+
+    with np.errstate(all="ignore"), \
+            mock.patch.object(morphisms, "_right_inverse_apply",
+                              wraps=morphisms._right_inverse_apply) as lifts, \
+            mock.patch.object(morphisms, "kernel_projector",
+                              wraps=morphisms.kernel_projector) as frames:
+        want = _step_or_message(four_stages, cid, X, h)
+        generic = lifts.called or frames.called
+        got = field.func.step(X, h)
+        if X.ndim == 1:
+            assert (got is None) == generic
+        if got is not None:
+            assert not generic and _bits(got) == _bits(want)
+        assert _bits(_step_or_message(field.func, cid, X, h)) == _bits(want)
+
+
 # -- second-order fills ----------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from liftreach.errors import ParseError
 from liftreach.expressions import compile_expr, compile_vector, substitute
+from liftreach.systems import rk4_step
 
 
 def test_arithmetic_and_functions():
@@ -147,3 +148,69 @@ def test_one_fill_equals_each_expression(case, data):
             assert point.shape == (len(texts),)
             assert point.tobytes() == np.array([f(x) for f in each]).tobytes()
             assert point.tobytes() == row.tobytes()
+
+
+def _guard(w, out):
+    return bool(np.all(w > 0.25))
+
+
+# fills with one text per variable, whose calls carry a generated RK4 step:
+# (texts, variables, lets, guard, constant); variables are named like the
+# names the step binds itself (its h, start values and stage values)
+STEPPED = {
+    "reads": (["-_x1 * sin(_h)", "_h**2 - _k1_0", "exp(-_x1**2) / (1 + _k1_0**2)"],
+              ["_h", "_x1", "_k1_0"], (), None, False),
+    "shadows": (["__h - _out", "_k4_1 * _x0", "1", "-0.0"], ["_out", "__h", "_k4_1", "_x0"],
+                (), None, False),
+    "constant": (["1", "-0", "cos(pi) / 3", "2**-1074"], ["_h", "x", "_k1_2", "_x0"],
+                 [("q", "sin(1)")], None, True),
+    "let-reads": (["q", "2 * q"], ["x", "y"], [("q", "0.0 * x + 1.0")], None, False),
+    "guarded": (["w", "_h / w"], ["_h", "_x0"], [("w", "_h * _h")], ("w", _guard), False),
+    "guarded-constant": (["w", "-w"], ["_h", "_x0"], [("w", "0.5")], ("w", _guard), True),
+}
+
+
+def _nan_blind(x):
+    return x.shape, np.isnan(x).tolist(), np.where(np.isnan(x), 0.0, x).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(STEPPED))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_generated_step_equals_four_stages(case, data):
+    """A fill's generated RK4 step gives rk4_step's four stages bit for bit
+    (nan payloads aside), with a float step or a per-row column, signed zeros
+    and values that are not finite included. It is taken at a point, and at
+    rows only of a constant fill: a let that reads a coordinate makes a fill
+    not constant. Where the guard fails at some stage it gives None, and
+    rk4_step runs the four stages, whose failing stage falls back. Variables
+    named like the step's own names shadow none of them."""
+    texts, variables, lets, guard, constant = STEPPED[case]
+    call, fallbacks = compile_vector(texts, variables, lets, guard), []
+
+    def four_stages(cid, X):  # a plain func: rk4_step takes its four stages
+        out = call(X)
+        if out is None:
+            fallbacks.append(X)
+            return np.full(np.shape(X), 7.0)
+        return out
+
+    def stepped(cid, X):
+        return four_stages(cid, X)
+
+    stepped.step = call.step
+    n, d = data.draw(st.integers(1, 4)), len(variables)
+    X = data.draw(arrays(np.float64, (n, d), elements=st.one_of(
+        st.floats(-3, 3), st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))))
+    h = data.draw(st.one_of(st.sampled_from([1e-3, 0.1, 0.5]),
+                            arrays(np.float64, (n, 1), elements=st.floats(1e-4, 1.0))))
+    if data.draw(st.booleans()):  # a point; a column gives its one row's step
+        X, h = X[0], h if isinstance(h, float) else h[0]
+    with np.errstate(all="ignore"):
+        want = rk4_step(four_stages, "c0", X, h)
+        failed, fallbacks[:] = bool(fallbacks), []
+        got = call.step(X, h)
+        assert (got is not None) == (not failed and (X.ndim == 1 or constant))
+        if got is not None:
+            assert _nan_blind(got) == _nan_blind(want)
+        assert _nan_blind(rk4_step(stepped, "c0", X, h)) == _nan_blind(want)

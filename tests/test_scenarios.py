@@ -1096,15 +1096,19 @@ def test_a_lift_parsing_did_not_build_is_built_once(monkeypatch):
 
 
 def test_wrapped_lifts_step_as_unwrapped_lifts(monkeypatch):
-    """Wrapping every lifted field's func in a plain lambda, as the benchmark's
-    tracer does, changes no group of rows an RK4 step takes, nor the work of
-    a projection or a bundle run (integrations, rows, RK4 steps), nor any of
-    its records. In bundle, verify and global-in-time lift through one
-    morphism."""
-    names, steps, rk4_step = ("projection", "bundle"), [], systems.rk4_step
+    """Wrapping every lifted field's func in a plain lambda, and then every
+    compile_vector result as well, as the benchmark's tracer does, changes
+    no group of rows an RK4 step takes, nor the work of a projection, a
+    bundle or a double-integrator run (integrations, rows, RK4 steps), nor
+    any of its records. A wrapped fill carries no step, so the fields,
+    combinations and second-order fields built on it take the four stages.
+    In bundle, verify and global-in-time lift through one morphism."""
+    from liftreach import expressions, geometry, second_order
+
+    names, steps, rk4_step = ("projection", "bundle", "double-integrator"), [], systems.rk4_step
 
     def counted(func, cid, coords, h):
-        steps.append(np.shape(coords))
+        steps.append((np.shape(coords), getattr(func, "step", None) is not None))
         return rk4_step(func, cid, coords, h)
 
     def runs():
@@ -1122,10 +1126,22 @@ def test_wrapped_lifts_step_as_unwrapped_lifts(monkeypatch):
         return replace(X, func=lambda cid, coords: X.func(cid, coords))
 
     monkeypatch.setattr(Morphism, "lift", wrapped)
-    for (result, got), (want, want_steps) in zip(runs(), plain):
-        assert got == want_steps
-        assert result.stats == want.stats
-        assert result.experiments == want.experiments
+    lifts_wrapped = runs()
+
+    def wrapped_fill(*args, **kwargs):
+        value = expressions.compile_vector(*args, **kwargs)
+        return lambda coords: value(coords)
+
+    for module in (geometry, morphisms, second_order):
+        monkeypatch.setattr(module, "compile_vector", wrapped_fill)
+    fills_wrapped = runs()
+    assert any(fused for _, got in plain for _, fused in got)
+    assert not any(fused for _, got in fills_wrapped for _, fused in got)
+    for outcome in (lifts_wrapped, fills_wrapped):
+        for (result, got), (want, want_steps) in zip(outcome, plain):
+            assert [shape for shape, _ in got] == [shape for shape, _ in want_steps]
+            assert result.stats == want.stats
+            assert result.experiments == want.experiments
 
 
 def test_finite_difference_lift_steps_as_a_fill(monkeypatch):

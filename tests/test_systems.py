@@ -6,15 +6,23 @@ from numpy.testing import assert_allclose
 
 from liftreach.errors import (
     ControlOutOfSet,
+    DimensionMismatch,
     Escape,
     UnresolvedSelector,
 )
-from liftreach.geometry import VectorField, box_atlas, circle_atlas, interval_atlas
+from liftreach.geometry import (
+    VectorField,
+    box_atlas,
+    circle_atlas,
+    expression_field,
+    interval_atlas,
+)
 from liftreach.systems import (
     GeneratedSystem,
     Schedule,
     control_system_from_tcs,
     integrate,
+    rk4_step,
     tcs_from_control_system,
 )
 
@@ -140,3 +148,17 @@ def test_control_system_from_tcs_rejects_foreign_controls():
     cs = control_system_from_tcs(sys)
     with pytest.raises(ControlOutOfSet):
         cs.field_map("c0", np.array([0.0]), 1.0)
+
+
+def test_short_fills_take_no_step_and_fail_the_shape_check():
+    """A fill with fewer components than its atlas has dimensions carries no
+    RK4 step, constant or not, so rk4_step's first stage still raises
+    DimensionMismatch at a point and on rows; a full fill steps itself."""
+    box2 = box_atlas([[-1, 1], [-1, 1]])
+    for exprs in (["x"], ["1"]):
+        short = expression_field(box2, exprs, name="short")
+        assert short.func.step is None
+        for coords in (np.array([0.5, 0.25]), np.array([[0.5, 0.25], [0.0, -0.5]])):
+            with pytest.raises(DimensionMismatch, match="a field in chart 'c0'"):
+                rk4_step(short.func, "c0", coords, 0.1)
+    assert expression_field(box2, ["x", "1"]).func.step is not None
